@@ -20,8 +20,10 @@
 #               duplicate-resume fork guard and the EPC placement sweeps run
 #               under ASan+UBSan with failpoints and the rank checker live
 #   nofailpoint zero-overhead-when-off symbol check on the plain tree
-#   bench       bench smoke: bench_batching + bench_pos + bench_sched,
-#               JSON schema check (incl. the zero-copy counter guard)
+#   bench       bench smoke: bench_batching + bench_pos + bench_sched +
+#               bench_migrate, JSON schema check (incl. the zero-copy
+#               counter guard), and the end-to-end benchmark's self-test
+#               (perfbench/run.py --self-test, built under build-check)
 #   posperf     perf-regression guard: a fresh `bench_pos --smoke` cleaner
 #               sweep must hold >= 0.8x of the committed BENCH_pos.json
 #               cleaner rows, per-mode geomean (the epoch-reclamation
@@ -252,9 +254,10 @@ run_bench_smoke() {
     EA_BENCH_JSON=build-check/BENCH_migrate.json \
     ./build-check/bench/bench_migrate >/dev/null || return 1
   check_bench_json build-check/BENCH_migrate.json migrate \
-    pause xmpp_echo
+    pause xmpp_echo || return 1
+  CARGO_TARGET_DIR=build-check python3 perfbench/run.py --self-test
 }
-leg bench "bench smoke (bench_batching + bench_pos + bench_sched + bench_migrate + JSON schema)" \
+leg bench "bench smoke (bench_batching + bench_pos + bench_sched + bench_migrate + JSON schema + perfbench self-test)" \
   run_bench_smoke
 
 # --- POS cleaner perf-regression guard: `--smoke` pins its own 0.25 s ------

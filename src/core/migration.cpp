@@ -343,6 +343,8 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
     }
     util::secure_zero(wire);
   }
+  if (key_src.has_value()) util::secure_zero(key_src->data(), key_src->size());
+  if (key_tgt.has_value()) util::secure_zero(key_tgt->data(), key_tgt->size());
   Bundle received;
   const bool transfer_ok = received_plain.has_value() &&
                            Bundle::parse(*received_plain, received) &&

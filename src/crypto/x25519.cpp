@@ -3,196 +3,136 @@
 #include <cstring>
 
 #include "crypto/rng.hpp"
+#include "util/bytes.hpp"
 
 namespace ea::crypto {
 namespace {
 
-// Field arithmetic over 2^255 - 19 using ten 25.5-bit limbs
-// (the "ref10"-style representation, written from the RFC's description).
-using Fe = std::array<std::int64_t, 10>;
+// Field arithmetic over p = 2^255 - 19 on five unsigned 51-bit limbs:
+// h = h[0] + h[1]*2^51 + h[2]*2^102 + h[3]*2^153 + h[4]*2^204. Since
+// 2^255 = 19 (mod p), a product's part above limb 4 folds back in times 19.
+//
+// Limb bounds, B = 2^51 (every function below states what it assumes):
+//   carried    fe_mul/fe_sq/fe_mul121666 output: limbs < 1.01B
+//   fe_add     two carried inputs -> limbs < 2.02B
+//   fe_sub     two carried inputs -> limbs < 3.01B (adds 2p, stays >= 0)
+// and fe_mul/fe_sq accept any inputs with limbs < 3.1B, which covers every
+// call in the ladder and the inversion chain.
+using Fe = std::array<std::uint64_t, 5>;
+using U128 = unsigned __int128;
 
+constexpr std::uint64_t kMask51 = (std::uint64_t{1} << 51) - 1;
+
+U128 mul_wide(std::uint64_t a, std::uint64_t b) {
+  return static_cast<U128>(a) * b;
+}
+
+// Loads a little-endian 32-byte string. Bit 255 is masked off (RFC 7748
+// §5); values in [p, 2^255) are kept as they are, which the arithmetic
+// treats exactly like their reduced forms. Output limbs < B.
 void fe_frombytes(Fe& h, const std::uint8_t* s) {
-  auto load3 = [](const std::uint8_t* in) -> std::int64_t {
-    return static_cast<std::int64_t>(in[0]) |
-           (static_cast<std::int64_t>(in[1]) << 8) |
-           (static_cast<std::int64_t>(in[2]) << 16);
-  };
-  auto load4 = [](const std::uint8_t* in) -> std::int64_t {
-    return static_cast<std::int64_t>(in[0]) |
-           (static_cast<std::int64_t>(in[1]) << 8) |
-           (static_cast<std::int64_t>(in[2]) << 16) |
-           (static_cast<std::int64_t>(in[3]) << 24);
-  };
-  std::int64_t h0 = load4(s);
-  std::int64_t h1 = load3(s + 4) << 6;
-  std::int64_t h2 = load3(s + 7) << 5;
-  std::int64_t h3 = load3(s + 10) << 3;
-  std::int64_t h4 = load3(s + 13) << 2;
-  std::int64_t h5 = load4(s + 16);
-  std::int64_t h6 = load3(s + 20) << 7;
-  std::int64_t h7 = load3(s + 23) << 5;
-  std::int64_t h8 = load3(s + 26) << 4;
-  std::int64_t h9 = (load3(s + 29) & 8388607) << 2;
-
-  std::int64_t carry;
-  carry = (h9 + (1 << 24)) >> 25;
-  h0 += carry * 19;
-  h9 -= carry << 25;
-  carry = (h1 + (1 << 24)) >> 25;
-  h2 += carry;
-  h1 -= carry << 25;
-  carry = (h3 + (1 << 24)) >> 25;
-  h4 += carry;
-  h3 -= carry << 25;
-  carry = (h5 + (1 << 24)) >> 25;
-  h6 += carry;
-  h5 -= carry << 25;
-  carry = (h7 + (1 << 24)) >> 25;
-  h8 += carry;
-  h7 -= carry << 25;
-  carry = (h0 + (1 << 25)) >> 26;
-  h1 += carry;
-  h0 -= carry << 26;
-  carry = (h2 + (1 << 25)) >> 26;
-  h3 += carry;
-  h2 -= carry << 26;
-  carry = (h4 + (1 << 25)) >> 26;
-  h5 += carry;
-  h4 -= carry << 26;
-  carry = (h6 + (1 << 25)) >> 26;
-  h7 += carry;
-  h6 -= carry << 26;
-  carry = (h8 + (1 << 25)) >> 26;
-  h9 += carry;
-  h8 -= carry << 26;
-
-  h = {h0, h1, h2, h3, h4, h5, h6, h7, h8, h9};
+  h[0] = util::load_le64(s) & kMask51;
+  h[1] = (util::load_le64(s + 6) >> 3) & kMask51;
+  h[2] = (util::load_le64(s + 12) >> 6) & kMask51;
+  h[3] = (util::load_le64(s + 19) >> 1) & kMask51;
+  h[4] = (util::load_le64(s + 24) >> 12) & kMask51;
 }
 
-void fe_reduce_carries(Fe& h) {
-  std::int64_t carry;
-  for (int round = 0; round < 3; ++round) {
-    for (int i = 0; i < 10; ++i) {
-      int shift = (i % 2 == 0) ? 26 : 25;
-      carry = h[i] >> shift;
-      h[i] -= carry << shift;
-      if (i == 9) {
-        h[0] += carry * 19;
-      } else {
-        h[static_cast<std::size_t>(i) + 1] += carry;
-      }
-    }
-  }
+// One carry pass from 128-bit column sums (each < 2^112): limb 4's carry
+// folds into limb 0 times 19, and limb 0's new carry moves into limb 1.
+// The fold stays in 128 bits because 19 * (r4 >> 51) can exceed 2^64.
+// Output: limbs < 1.01B (limb 1 may exceed B by < 2^15).
+void fe_carry(Fe& h, U128 r0, U128 r1, U128 r2, U128 r3, U128 r4) {
+  r1 += r0 >> 51;
+  r2 += r1 >> 51;
+  r3 += r2 >> 51;
+  r4 += r3 >> 51;
+  r0 = (r0 & kMask51) + 19 * (r4 >> 51);
+  h[0] = static_cast<std::uint64_t>(r0) & kMask51;
+  h[1] = (static_cast<std::uint64_t>(r1) & kMask51) +
+         static_cast<std::uint64_t>(r0 >> 51);
+  h[2] = static_cast<std::uint64_t>(r2) & kMask51;
+  h[3] = static_cast<std::uint64_t>(r3) & kMask51;
+  h[4] = static_cast<std::uint64_t>(r4) & kMask51;
 }
 
+// Writes the canonical encoding (value fully reduced below p). Input: any
+// limbs < 2^63. One carry pass leaves limb 1 <= B and the others < B, so
+// the value is below 2^255 + 2^51 < 2p. The carry out of value + 19 is then
+// q = 1 exactly when the value is >= p, and adding 19q and dropping bit
+// 255 subtracts qp.
 void fe_tobytes(std::uint8_t* s, const Fe& in) {
   Fe h = in;
-  fe_reduce_carries(h);
-  // Freeze: add 19, carry, then subtract 2^255 by masking the top bit.
-  std::int64_t q = (19 * h[9] + (std::int64_t{1} << 24)) >> 25;
-  for (int i = 0; i < 10; ++i) {
-    int shift = (i % 2 == 0) ? 26 : 25;
-    q = (h[i] + q) >> shift;
-  }
+  fe_carry(h, h[0], h[1], h[2], h[3], h[4]);
+  std::uint64_t q = (h[0] + 19) >> 51;
+  for (std::size_t i = 1; i < 5; ++i) q = (h[i] + q) >> 51;
   h[0] += 19 * q;
-  std::int64_t carry;
-  for (int i = 0; i < 9; ++i) {
-    int shift = (i % 2 == 0) ? 26 : 25;
-    carry = h[i] >> shift;
-    h[static_cast<std::size_t>(i) + 1] += carry;
-    h[i] -= carry << shift;
+  for (std::size_t i = 0; i < 4; ++i) {
+    h[i + 1] += h[i] >> 51;
+    h[i] &= kMask51;
   }
-  carry = h[9] >> 25;
-  h[9] -= carry << 25;
+  h[4] &= kMask51;
 
-  std::uint64_t out[10];
-  for (int i = 0; i < 10; ++i) out[i] = static_cast<std::uint64_t>(h[i]);
-  s[0] = static_cast<std::uint8_t>(out[0]);
-  s[1] = static_cast<std::uint8_t>(out[0] >> 8);
-  s[2] = static_cast<std::uint8_t>(out[0] >> 16);
-  s[3] = static_cast<std::uint8_t>((out[0] >> 24) | (out[1] << 2));
-  s[4] = static_cast<std::uint8_t>(out[1] >> 6);
-  s[5] = static_cast<std::uint8_t>(out[1] >> 14);
-  s[6] = static_cast<std::uint8_t>((out[1] >> 22) | (out[2] << 3));
-  s[7] = static_cast<std::uint8_t>(out[2] >> 5);
-  s[8] = static_cast<std::uint8_t>(out[2] >> 13);
-  s[9] = static_cast<std::uint8_t>((out[2] >> 21) | (out[3] << 5));
-  s[10] = static_cast<std::uint8_t>(out[3] >> 3);
-  s[11] = static_cast<std::uint8_t>(out[3] >> 11);
-  s[12] = static_cast<std::uint8_t>((out[3] >> 19) | (out[4] << 6));
-  s[13] = static_cast<std::uint8_t>(out[4] >> 2);
-  s[14] = static_cast<std::uint8_t>(out[4] >> 10);
-  s[15] = static_cast<std::uint8_t>(out[4] >> 18);
-  s[16] = static_cast<std::uint8_t>(out[5]);
-  s[17] = static_cast<std::uint8_t>(out[5] >> 8);
-  s[18] = static_cast<std::uint8_t>(out[5] >> 16);
-  s[19] = static_cast<std::uint8_t>((out[5] >> 24) | (out[6] << 1));
-  s[20] = static_cast<std::uint8_t>(out[6] >> 7);
-  s[21] = static_cast<std::uint8_t>(out[6] >> 15);
-  s[22] = static_cast<std::uint8_t>((out[6] >> 23) | (out[7] << 3));
-  s[23] = static_cast<std::uint8_t>(out[7] >> 5);
-  s[24] = static_cast<std::uint8_t>(out[7] >> 13);
-  s[25] = static_cast<std::uint8_t>((out[7] >> 21) | (out[8] << 4));
-  s[26] = static_cast<std::uint8_t>(out[8] >> 4);
-  s[27] = static_cast<std::uint8_t>(out[8] >> 12);
-  s[28] = static_cast<std::uint8_t>((out[8] >> 20) | (out[9] << 6));
-  s[29] = static_cast<std::uint8_t>(out[9] >> 2);
-  s[30] = static_cast<std::uint8_t>(out[9] >> 10);
-  s[31] = static_cast<std::uint8_t>(out[9] >> 18);
+  util::store_le64(s, h[0] | (h[1] << 51));
+  util::store_le64(s + 8, (h[1] >> 13) | (h[2] << 38));
+  util::store_le64(s + 16, (h[2] >> 26) | (h[3] << 25));
+  util::store_le64(s + 24, (h[3] >> 39) | (h[4] << 12));
 }
 
+// Inputs carried; output limbs < 2.02B.
 void fe_add(Fe& h, const Fe& f, const Fe& g) {
-  for (int i = 0; i < 10; ++i) h[i] = f[i] + g[i];
+  for (std::size_t i = 0; i < 5; ++i) h[i] = f[i] + g[i];
 }
 
+// f - g + 2p. Inputs carried (g's limbs < 1.01B stay below 2p's limbs,
+// 2^52 - 38 and 2^52 - 2); output limbs < 3.01B.
 void fe_sub(Fe& h, const Fe& f, const Fe& g) {
-  for (int i = 0; i < 10; ++i) h[i] = f[i] - g[i];
+  constexpr std::uint64_t kTwoP0 = 2 * (kMask51 - 18);
+  constexpr std::uint64_t kTwoPi = 2 * kMask51;
+  h[0] = f[0] + kTwoP0 - g[0];
+  for (std::size_t i = 1; i < 5; ++i) h[i] = f[i] + kTwoPi - g[i];
 }
 
+// Schoolbook product, 25 products. Inputs: limbs < 3.1B, so 19 * g[i] fits
+// in 64 bits and each column sum is < 5 * 19 * 9.61 B^2 < 2^112. Output
+// carried.
 void fe_mul(Fe& h, const Fe& f, const Fe& g) {
-  // Schoolbook with the 19-fold wraparound; 128-bit intermediates.
-  __int128 t[19] = {};
-  for (int i = 0; i < 10; ++i) {
-    for (int j = 0; j < 10; ++j) {
-      std::int64_t factor = 1;
-      // Odd limbs are 25-bit; products of two odd-index limbs pick up a
-      // doubling from the mixed radix.
-      if ((i % 2 == 1) && (j % 2 == 1)) factor = 2;
-      t[i + j] += static_cast<__int128>(f[i]) * g[j] * factor;
-    }
-  }
-  for (int i = 10; i < 19; ++i) {
-    t[i - 10] += 19 * t[i];
-  }
-  // Carry chain into the limb bounds.
-  std::int64_t r[10];
-  __int128 carry = 0;
-  for (int i = 0; i < 10; ++i) {
-    int shift = (i % 2 == 0) ? 26 : 25;
-    __int128 v = t[i] + carry;
-    carry = v >> shift;
-    r[i] = static_cast<std::int64_t>(v - (carry << shift));
-  }
-  r[0] += static_cast<std::int64_t>(carry) * 19;
-  for (int i = 0; i < 10; ++i) h[i] = r[i];
-  fe_reduce_carries(h);
+  const std::uint64_t g1 = 19 * g[1], g2 = 19 * g[2], g3 = 19 * g[3],
+                      g4 = 19 * g[4];
+  fe_carry(h,
+           mul_wide(f[0], g[0]) + mul_wide(f[1], g4) + mul_wide(f[2], g3) +
+               mul_wide(f[3], g2) + mul_wide(f[4], g1),
+           mul_wide(f[0], g[1]) + mul_wide(f[1], g[0]) + mul_wide(f[2], g4) +
+               mul_wide(f[3], g3) + mul_wide(f[4], g2),
+           mul_wide(f[0], g[2]) + mul_wide(f[1], g[1]) +
+               mul_wide(f[2], g[0]) + mul_wide(f[3], g4) + mul_wide(f[4], g3),
+           mul_wide(f[0], g[3]) + mul_wide(f[1], g[2]) +
+               mul_wide(f[2], g[1]) + mul_wide(f[3], g[0]) +
+               mul_wide(f[4], g4),
+           mul_wide(f[0], g[4]) + mul_wide(f[1], g[3]) +
+               mul_wide(f[2], g[2]) + mul_wide(f[3], g[1]) +
+               mul_wide(f[4], g[0]));
 }
 
-void fe_sq(Fe& h, const Fe& f) { fe_mul(h, f, f); }
+// Dedicated square, 15 products (cross terms doubled once). Input: limbs
+// < 3.1B, so each column sum is < (1 + 4 * 19) * 9.61 B^2 < 2^112. Output
+// carried.
+void fe_sq(Fe& h, const Fe& f) {
+  const std::uint64_t d0 = 2 * f[0], d1 = 2 * f[1], d2 = 2 * f[2],
+                      d3 = 2 * f[3];
+  const std::uint64_t f3 = 19 * f[3], f4 = 19 * f[4];
+  fe_carry(h, mul_wide(f[0], f[0]) + mul_wide(d1, f4) + mul_wide(d2, f3),
+           mul_wide(d0, f[1]) + mul_wide(d2, f4) + mul_wide(f[3], f3),
+           mul_wide(d0, f[2]) + mul_wide(f[1], f[1]) + mul_wide(d3, f4),
+           mul_wide(d0, f[3]) + mul_wide(d1, f[2]) + mul_wide(f[4], f4),
+           mul_wide(d0, f[4]) + mul_wide(d1, f[3]) + mul_wide(f[2], f[2]));
+}
 
+// Times a24 + 1 = 121666. Input: limbs < 3.1B; output carried.
 void fe_mul121666(Fe& h, const Fe& f) {
-  __int128 t[10];
-  for (int i = 0; i < 10; ++i) t[i] = static_cast<__int128>(f[i]) * 121666;
-  __int128 carry = 0;
-  std::int64_t r[10];
-  for (int i = 0; i < 10; ++i) {
-    int shift = (i % 2 == 0) ? 26 : 25;
-    __int128 v = t[i] + carry;
-    carry = v >> shift;
-    r[i] = static_cast<std::int64_t>(v - (carry << shift));
-  }
-  r[0] += static_cast<std::int64_t>(carry) * 19;
-  for (int i = 0; i < 10; ++i) h[i] = r[i];
+  constexpr std::uint64_t k = 121666;
+  fe_carry(h, mul_wide(f[0], k), mul_wide(f[1], k), mul_wide(f[2], k),
+           mul_wide(f[3], k), mul_wide(f[4], k));
 }
 
 void fe_invert(Fe& out, const Fe& z) {
@@ -231,10 +171,11 @@ void fe_invert(Fe& out, const Fe& z) {
   fe_mul(out, t1, t0);
 }
 
-void fe_cswap(Fe& f, Fe& g, std::int64_t swap) {
-  std::int64_t mask = -swap;
-  for (int i = 0; i < 10; ++i) {
-    std::int64_t x = mask & (f[i] ^ g[i]);
+// Swaps f and g when swap == 1, without a branch on it.
+void fe_cswap(Fe& f, Fe& g, std::uint64_t swap) {
+  const std::uint64_t mask = 0 - swap;
+  for (std::size_t i = 0; i < 5; ++i) {
+    const std::uint64_t x = mask & (f[i] ^ g[i]);
     f[i] ^= x;
     g[i] ^= x;
   }
@@ -251,14 +192,14 @@ X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
 
   Fe x1;
   fe_frombytes(x1, point.data());
-  Fe x2 = {1, 0, 0, 0, 0, 0, 0, 0, 0, 0};
-  Fe z2 = {0, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+  Fe x2 = {1, 0, 0, 0, 0};
+  Fe z2 = {0, 0, 0, 0, 0};
   Fe x3 = x1;
-  Fe z3 = {1, 0, 0, 0, 0, 0, 0, 0, 0, 0};
+  Fe z3 = {1, 0, 0, 0, 0};
 
-  std::int64_t swap = 0;
+  std::uint64_t swap = 0;
   for (int pos = 254; pos >= 0; --pos) {
-    std::int64_t b = (e[pos / 8] >> (pos & 7)) & 1;
+    std::uint64_t b = (e[pos / 8] >> (pos & 7)) & 1;
     swap ^= b;
     fe_cswap(x2, x3, swap);
     fe_cswap(z2, z3, swap);
@@ -286,6 +227,7 @@ X25519Key x25519(const X25519Key& scalar, const X25519Key& point) {
   }
   fe_cswap(x2, x3, swap);
   fe_cswap(z2, z3, swap);
+  util::secure_zero(e, sizeof(e));
 
   Fe zinv;
   fe_invert(zinv, z2);

@@ -34,6 +34,14 @@ constexpr std::uint32_t kStateLive = 1;
 constexpr std::uint32_t kStateOutdated = 2;  // superseded by a newer version
 constexpr std::uint32_t kStateErased = 3;    // deleted via erase()
 
+// An erase tombstones every version of the key still linked, not only the
+// Live one. The cleaner unlinks top-down, so between unlinking the marker
+// and unlinking an older Outdated version a get() can walk past the gap;
+// left Outdated, that version would be returned after the erase completed.
+constexpr bool erasable(std::uint32_t state) noexcept {
+  return state == kStateLive || state == kStateOutdated;
+}
+
 // Freed payloads are filled with this before the entry re-enters a free
 // list, so a use-after-retire reads unmistakable garbage instead of stale
 // (possibly plausible) data. The hazard counter is the cheap runtime
@@ -646,15 +654,15 @@ bool Pos::erase(std::span<const std::uint8_t> key) {
   std::uint64_t cur = bucket_head(bucket).load(std::memory_order_acquire);
   while (cur != 0) {
     Entry* e = entry_at(cur);
-    if (e->state.load(std::memory_order_acquire) == kStateLive &&
-        e->klen == key.size() &&
+    const std::uint32_t state = e->state.load(std::memory_order_acquire);
+    if (erasable(state) && e->klen == key.size() &&
         std::memcmp(e->data(), key.data(), key.size()) == 0) {
       e->state.store(kStateErased, std::memory_order_release);
-      // Kill-point: this version is tombstoned; older Live versions of the
-      // same key (if any) are not yet marked. The top-most marker already
-      // hides them from get(), so a crash here still reads as "erased".
+      // Kill-point: this version is tombstoned; older versions of the same
+      // key (if any) are not yet marked. The top-most marker already hides
+      // them from get(), so a crash here still reads as "erased".
       EA_FAIL_POINT("pos.erase.mark");
-      found = true;
+      if (state == kStateLive) found = true;
     }
     cur = e->next.load(std::memory_order_acquire);
   }
@@ -755,10 +763,10 @@ std::size_t Pos::erase_partition(std::span<const std::uint8_t> prefix) {
     std::uint64_t cur = bucket_head(b).load(std::memory_order_acquire);
     while (cur != 0) {
       Entry* e = entry_at(cur);
-      if (e->state.load(std::memory_order_acquire) == kStateLive &&
-          has_prefix(e->key(), prefix)) {
+      const std::uint32_t state = e->state.load(std::memory_order_acquire);
+      if (erasable(state) && has_prefix(e->key(), prefix)) {
         e->state.store(kStateErased, std::memory_order_release);
-        ++marked;
+        if (state == kStateLive) ++marked;
       }
       cur = e->next.load(std::memory_order_acquire);
     }

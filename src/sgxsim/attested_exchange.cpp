@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "crypto/hkdf.hpp"
+#include "util/bytes.hpp"
 
 namespace ea::sgxsim {
 
@@ -12,6 +13,10 @@ AttestedExchange::AttestedExchange(const Enclave& self,
     : self_(self), private_key_(crypto::x25519_keygen()) {
   crypto::X25519Key public_key = crypto::x25519_base(private_key_);
   quote_ = create_quote(self, public_key, peer_nonce);
+}
+
+AttestedExchange::~AttestedExchange() {
+  util::secure_zero(private_key_.data(), private_key_.size());
 }
 
 std::optional<crypto::AeadKey> AttestedExchange::complete(
@@ -49,8 +54,10 @@ std::optional<crypto::AeadKey> AttestedExchange::complete(
   info.insert(info.end(), second.begin(), second.end());
 
   util::Bytes okm = crypto::hkdf({}, shared, info, crypto::kAeadKeySize);
+  util::secure_zero(shared.data(), shared.size());
   crypto::AeadKey key;
   std::memcpy(key.data(), okm.data(), key.size());
+  util::secure_zero(okm);
   return key;
 }
 

@@ -26,6 +26,12 @@ class AttestedExchange {
   // Generates the ephemeral key pair and the quote binding it, targeted at
   // the peer's freshness nonce.
   AttestedExchange(const Enclave& self, std::uint64_t peer_nonce);
+  // Wipes the ephemeral private key; no copy or move may duplicate it.
+  ~AttestedExchange();
+  AttestedExchange(const AttestedExchange&) = delete;
+  AttestedExchange& operator=(const AttestedExchange&) = delete;
+  AttestedExchange(AttestedExchange&&) = delete;
+  AttestedExchange& operator=(AttestedExchange&&) = delete;
 
   const Quote& quote() const noexcept { return quote_; }
 

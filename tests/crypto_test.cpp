@@ -386,6 +386,58 @@ TEST(X25519, Rfc7748AliceBobSharedSecret) {
             "4a5d9d5ba4ce2de1728e3bf480350f25e07e21c947d19e3376f09b3c1e161742");
 }
 
+// RFC 7748 §5.2: k = u = 9, then repeatedly (k, u) = (X25519(k, u), k).
+X25519Key iterate_from_nine(int iterations) {
+  X25519Key k{};
+  k[0] = 9;
+  X25519Key u = k;
+  for (int i = 0; i < iterations; ++i) {
+    X25519Key next = x25519(k, u);
+    u = k;
+    k = next;
+  }
+  return k;
+}
+
+TEST(X25519, Rfc7748IteratedOnce) {
+  EXPECT_EQ(util::to_hex(iterate_from_nine(1)),
+            "422c8e7a6227d7bca1350b3e2bb7279f7897b87bb6854b783c60e80311ae3079");
+}
+
+TEST(X25519, Rfc7748IteratedThousand) {
+  EXPECT_EQ(util::to_hex(iterate_from_nine(1000)),
+            "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51");
+}
+
+TEST(X25519, NonCanonicalPointProcessedAsReduced) {
+  // p + 9 = 2^255 - 10 encodes the same field element as 9 (RFC 7748 §5:
+  // non-canonical values are accepted and reduced).
+  auto scalar = key_from_hex(
+      "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
+  auto p_plus_nine = key_from_hex(
+      "f6ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f");
+  EXPECT_EQ(x25519(scalar, p_plus_nine), x25519_base(scalar));
+}
+
+TEST(X25519, HighBitOfPointIgnored) {
+  // Vector 1's u has bit 255 clear: setting it leaves the RFC output.
+  auto scalar1 = key_from_hex(
+      "a546e36bf0527c9d3b16154b82465edd62144c0ac1fc5a18506a2244ba449ac4");
+  auto point1 = key_from_hex(
+      "e6db6867583030db3594c1a424b15f7c726624ec26b3353b10a903a6d0ab1c4c");
+  point1[31] |= 0x80;
+  EXPECT_EQ(util::to_hex(x25519(scalar1, point1)),
+            "c3da55379de9c6908e94ea4df28d084f32eccf03491c71f754b4075577a28552");
+  // Vector 2's u has it set: clearing it leaves the RFC output.
+  auto scalar2 = key_from_hex(
+      "4b66e9d4d1b4673c5ad22691957d6af5c11b6421e0ea01d42ca4169e7918ba0d");
+  auto point2 = key_from_hex(
+      "e5210f12786811d3f4b7959d0538ae2c31dbe7106fc03c3efc4cd549c715a493");
+  point2[31] &= 0x7f;
+  EXPECT_EQ(util::to_hex(x25519(scalar2, point2)),
+            "95cbde9476e8907d7aade45cb4b873f88b595a68799fa152e6f8f7647aac7957");
+}
+
 TEST(X25519, KeygenProducesWorkingPairs) {
   for (int i = 0; i < 5; ++i) {
     X25519Key a = x25519_keygen();

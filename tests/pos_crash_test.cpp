@@ -337,6 +337,36 @@ TEST(PosCrashTorture, EncryptedModeSurvivesSampledKillPoints) {
   torture(true);
 }
 
+// The cleaner unlinks top-down, so a crash right after it unlinks an erase
+// marker leaves the older version of the key still linked. Reopened, the
+// store must read the key as erased: erase() tombstones that version too.
+TEST(PosCrashTorture, CrashBetweenUnlinksDoesNotResurrectErasedKey) {
+  const Paths paths = make_paths("erase_unlink");
+  unlink_paths(paths);
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    fp::clear_all();
+    Pos store(torture_options(paths.store));
+    const bool ok = store.set(to_bytes("k"), to_bytes("old")) &&
+                    store.set(to_bytes("k"), to_bytes("new")) &&
+                    store.erase(to_bytes("k"));
+    if (!ok) ::_exit(42);
+    fp::set("pos.clean.unlink", "abort(1)");
+    store.clean_step();
+    ::_exit(0);
+  }
+  int status = 0;
+  ::waitpid(pid, &status, 0);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGABRT)
+      << "child status " << status;
+  {
+    Pos reopened(torture_options(paths.store));
+    EXPECT_EQ(reopened.integrity_error(), std::nullopt);
+    EXPECT_FALSE(reopened.get(to_bytes("k")).has_value());
+  }
+  unlink_paths(paths);
+}
+
 // --- failpoint-driven unit coverage of the construction/persist sites ------
 
 class PosFailpointTest : public ::testing::Test {

@@ -2,6 +2,7 @@
 // inputs checked against invariants rather than fixed expectations.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <deque>
 #include <thread>
 
@@ -17,11 +18,19 @@ namespace {
 
 // --- channels under every cipher mode and many sizes ------------------------
 
+// gtest prints a parameter that has no printer as a dump of its bytes, and
+// ctest registers each case under a name that embeds that dump. Every byte
+// is therefore set: `tag` fills what used to be uninitialised padding (it
+// changed the names from one test discovery to the next) with the bytes the
+// cases are registered under, and `name` is stored inline rather than as an
+// address that moves with ASLR.
 struct ChannelCase {
   bool cross_enclave;
+  std::uint8_t tag[3];
   core::CipherModel cipher;
-  const char* name;
+  char name[8];
 };
+static_assert(sizeof(ChannelCase) == 16, "case names embed a 16-byte dump");
 
 class ChannelProperty
     : public ::testing::TestWithParam<std::tuple<ChannelCase, std::size_t>> {
@@ -83,9 +92,12 @@ INSTANTIATE_TEST_SUITE_P(
     Matrix, ChannelProperty,
     ::testing::Combine(
         ::testing::Values(
-            ChannelCase{false, core::CipherModel::kSoftwareAead, "plain"},
-            ChannelCase{true, core::CipherModel::kSoftwareAead, "aead"},
-            ChannelCase{true, core::CipherModel::kHardwareModel, "hw"}),
+            ChannelCase{false, {0x77, 0x77, 0x00},
+                        core::CipherModel::kSoftwareAead, "plain"},
+            ChannelCase{true, {0x77, 0x77, 0x00},
+                        core::CipherModel::kSoftwareAead, "aead"},
+            ChannelCase{true, {0xDA, 0x48, 0x00},
+                        core::CipherModel::kHardwareModel, "hw"}),
         ::testing::Values(std::size_t{0}, std::size_t{1}, std::size_t{16},
                           std::size_t{255}, std::size_t{1024},
                           std::size_t{16384})),

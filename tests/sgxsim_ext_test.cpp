@@ -246,5 +246,29 @@ TEST_F(AttestedExchangeTest, ReplayedQuoteRejected) {
   EXPECT_FALSE(ex_a.complete(ex_b.quote(), 7, verifier).has_value());
 }
 
+TEST_F(AttestedExchangeTest, LowOrderPeerKeyRejected) {
+  Enclave& a = EnclaveManager::instance().create("ax-lo1");
+  Enclave& b = EnclaveManager::instance().create("ax-lo2");
+  AttestationVerifier verifier;
+  AttestedExchange ex_a(a, 4);
+  // Each u lies in the curve's small-order subgroup (or its twist's), so
+  // the ECDH output is all zero whatever a's key is. The quote is genuine:
+  // only the all-zero-secret check can refuse it.
+  const char* low_order[] = {
+      "0000000000000000000000000000000000000000000000000000000000000000",
+      "0100000000000000000000000000000000000000000000000000000000000000",
+      "e0eb7a7c3b41b8ae1656e3faf19fc46ada098deb9c32b1fd866205165f49b800",
+      "5f9c95bca3508c24b1d0b1559c83ef5b04445cc4581c8e86d8224eddd09f1157",
+      "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      "edffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+      "eeffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+  };
+  for (const char* u : low_order) {
+    Quote quote = create_quote(b, util::from_hex(u), /*nonce=*/3);
+    ASSERT_TRUE(verifier.verify(quote, 3)) << u;
+    EXPECT_FALSE(ex_a.complete(quote, 3, verifier).has_value()) << u;
+  }
+}
+
 }  // namespace
 }  // namespace ea::sgxsim
