@@ -3,6 +3,9 @@
 #
 #   lint        enclave-safety lint over src/ (incl. lock-order-cycle) and
 #               the lint's own fixture self-test
+#   tcb         TCB budget: code lines per trusted module (the
+#               [modules].trusted list of tools/enclave_policy.toml) must
+#               not exceed the budgets committed next to that list
 #   plain       plain build (+ -Werror) and the entire ctest suite
 #   asan        ASan+UBSan build, entire ctest suite
 #   tsan        TSan build, concurrency suite (ctest -L tsan)
@@ -128,6 +131,12 @@ build_and_test() {
 leg lint "enclave-lint (src/ + fixture self-test)" bash -c "
   python3 tools/enclave_lint.py --jobs $JOBS &&
   python3 tools/enclave_lint.py --self-test"
+
+# --- TCB budget: per trusted module, comment-stripped code lines against ---
+# tools/enclave_policy.toml's [modules.tcb_budget] (also prints core +
+# concurrent against the paper's §6.1 bound of < 3.3 kLoC).
+leg tcb "TCB budget (enclave_lint.py --tcb)" \
+  python3 tools/enclave_lint.py --tcb
 
 # --- plain build + full suite, warnings as errors --------------------------
 leg plain "plain build + ctest (-Werror)" \
@@ -435,7 +444,7 @@ fi
 # --- summary ---------------------------------------------------------------
 if [[ -n "$LEG_FILTER" && $MATCHED -eq 0 ]]; then
   echo "error: no leg named '$LEG_FILTER'" >&2
-  echo "legs: lint plain asan tsan sched fault supervise lockrank migrate nofailpoint bench posperf netperf tsa tidy" >&2
+  echo "legs: lint tcb plain asan tsan sched fault supervise lockrank migrate nofailpoint bench posperf netperf tsa tidy" >&2
   exit 2
 fi
 note "matrix summary"

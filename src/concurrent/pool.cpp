@@ -1,6 +1,5 @@
 #include "concurrent/pool.hpp"
 
-#include "util/env.hpp"
 #include "util/failpoint.hpp"
 
 namespace ea::concurrent {
@@ -14,11 +13,6 @@ namespace ea::concurrent {
 // return_cached() is the thread-exit path handing a dying thread's nodes
 // back so conservation (pool.size() == arena.count() when quiescent) holds
 // after join().
-
-bool Pool::magazines_enabled() noexcept {
-  static const bool enabled = util::env_int("EA_POOL_MAGAZINE", 1) != 0;
-  return enabled;
-}
 
 Pool::Pool(bool use_magazines) : use_magazines_(use_magazines) {
   magazines_.set_return(

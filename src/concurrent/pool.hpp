@@ -9,8 +9,9 @@
 // thread-local node caches refilled from / flushed to the shared LIFO in
 // batches of kMagazineBatch, so the steady-state get()/put() path touches
 // no shared lock at all (cf. the per-worker free-list caching that lets
-// CAF-style actor runtimes scale past a few cores). Set EA_POOL_MAGAZINE=0
-// to disable the caches and fall back to the pure shared-LIFO path.
+// CAF-style actor runtimes scale past a few cores). Pool(false) disables
+// the caches and falls back to the pure shared-LIFO path (the ablation
+// bench_batching measures).
 #pragma once
 
 #include <atomic>
@@ -37,10 +38,9 @@ static_assert(kMagazineBatch <= kMagazineCapacity);
 
 class alignas(64) Pool {
  public:
-  // `use_magazines` defaults to the EA_POOL_MAGAZINE environment toggle
-  // (on unless set to 0); benchmarks construct both variants explicitly to
-  // quantify the magazines' contribution.
-  Pool() : Pool(magazines_enabled()) {}
+  // Magazines are on by default; benchmarks construct both variants
+  // explicitly to quantify their contribution.
+  Pool() : Pool(true) {}
   explicit Pool(bool use_magazines);
   // Destruction evicts every magazine still caching for this pool; the
   // cached nodes are dropped (the arena owns their memory and is being
@@ -80,9 +80,6 @@ class alignas(64) Pool {
   std::uint64_t exhaustions() const noexcept {
     return exhaustions_.load(std::memory_order_relaxed);
   }
-
-  // Process-wide default for the magazine layer (EA_POOL_MAGAZINE != "0").
-  static bool magazines_enabled() noexcept;
 
  private:
   // The magazine registry / per-thread slot machinery is shared with the

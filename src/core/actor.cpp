@@ -74,14 +74,17 @@ void Actor::enter_quarantine() noexcept {
   state_.store(ActorState::kQuarantined, std::memory_order_release);
 }
 
-bool invoke_contained(Actor& actor) {
+bool invoke_contained(Actor& actor, sgxsim::EnclaveId entered) {
   // Migration-barrier handshake (Dekker): publish "a body may be running"
   // BEFORE checking the lifecycle. The coordinator does the mirror-image
   // store(kMigrating, seq_cst) → load(executing_), so one of the two sides
   // always observes the other; a body can never slip in after the
-  // coordinator concluded the actor is parked.
+  // coordinator concluded the actor is parked. A Runnable read after the
+  // barrier also observes the placement the migration published before
+  // unparking, which is what the `entered` check compares against.
   actor.executing_.store(true, std::memory_order_seq_cst);
-  if (actor.state_.load(std::memory_order_seq_cst) != ActorState::kRunnable) {
+  if (actor.state_.load(std::memory_order_seq_cst) != ActorState::kRunnable ||
+      actor.placement() != entered) {
     actor.executing_.store(false, std::memory_order_release);
     return false;
   }

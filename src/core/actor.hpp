@@ -94,8 +94,9 @@ class Actor {
 
   // Enclave this actor is deployed into (kUntrusted when outside). Atomic:
   // migration rewrites it while workers concurrently read it for dispatch
-  // (the stealing scheduler re-reads the placement on every dispatch, which
-  // is what makes live migration possible at all — DESIGN.md §17).
+  // (workers re-read the placement on every dispatch, under either
+  // scheduler, which is what makes live migration possible at all —
+  // DESIGN.md §17).
   sgxsim::EnclaveId placement() const noexcept {
     return placement_.load(std::memory_order_acquire);
   }
@@ -219,7 +220,7 @@ class Actor {
   friend class Worker;
   friend class SupervisorActor;
   friend class MigrationCoordinator;
-  friend bool invoke_contained(Actor& actor);
+  friend bool invoke_contained(Actor& actor, sgxsim::EnclaveId entered);
 
   // Containment bookkeeping: stores the failure record and moves the actor
   // to Failed. Called by the worker (body), the runtime (construct) and the
@@ -272,8 +273,18 @@ class Actor {
 // Runnable, counts the invocation, executes body() and converts an escaping
 // exception (or an injected `actor.body.throw` failpoint fault) into a
 // Failed transition instead of crashing the process. Does NOT enter the
-// actor's enclave — callers (workers) manage placement. Returns body()'s
-// progress flag; false when skipped or failed.
-bool invoke_contained(Actor& actor);
+// actor's enclave — callers (workers) manage placement and pass the enclave
+// they entered for it: the body is also skipped when the placement no
+// longer matches, i.e. a migration completed between the caller's
+// placement read and the lifecycle check, so a body never runs in the
+// enclave its actor left. Returns body()'s progress flag; false when
+// skipped or failed.
+bool invoke_contained(Actor& actor, sgxsim::EnclaveId entered);
+
+// Same, running the actor wherever the caller is (tests drive bodies by
+// hand this way).
+inline bool invoke_contained(Actor& actor) {
+  return invoke_contained(actor, actor.placement());
+}
 
 }  // namespace ea::core

@@ -74,8 +74,6 @@ const char* to_string(MigrateResult result) noexcept {
       return "not-migratable";
     case MigrateResult::kBusy:
       return "busy";
-    case MigrateResult::kSchedUnsupported:
-      return "sched-unsupported";
     case MigrateResult::kSamePlacement:
       return "same-placement";
     case MigrateResult::kRouteQuarantined:
@@ -96,12 +94,24 @@ const char* to_string(MigrateResult result) noexcept {
 
 // Wire layout: magic(8) ‖ ticket(8) ‖ source(4) ‖ target(4) ‖
 // state_len(4) ‖ state ‖ pos_len(4) ‖ pos, little-endian.
+//
+// A bundle holds exported actor state in plaintext, so it is its own scope
+// guard: every copy — exported at the source, opened at the target,
+// unsealed for a rollback — wipes itself on every exit.
 struct MigrationCoordinator::Bundle {
   std::uint64_t ticket = 0;
   sgxsim::EnclaveId source = sgxsim::kUntrusted;
   sgxsim::EnclaveId target = sgxsim::kUntrusted;
   util::Bytes state;
   util::Bytes pos;
+
+  Bundle() = default;
+  Bundle(const Bundle&) = delete;
+  Bundle& operator=(const Bundle&) = delete;
+  ~Bundle() {
+    util::secure_zero(state);
+    util::secure_zero(pos);
+  }
 
   util::Bytes serialize() const {
     util::Bytes out(8 + 8 + 4 + 4 + 4 + state.size() + 4 + pos.size());
@@ -181,12 +191,6 @@ MigrateResult MigrationCoordinator::migrate(const std::string& actor_name,
 
 MigrateResult MigrationCoordinator::migrate(Actor& actor,
                                             sgxsim::Enclave& target) {
-  // The static scheduler's uniform-affinity fast path enters the enclave
-  // once and never re-reads placements (worker.cpp run_single_enclave);
-  // only the stealing scheduler re-evaluates placement per dispatch.
-  if (rt_.running() && rt_.options().sched != SchedMode::kSteal) {
-    return MigrateResult::kSchedUnsupported;
-  }
   if (!actor.migratable()) return MigrateResult::kNotMigratable;
   const sgxsim::EnclaveId src_id = actor.placement();
   // Untrusted actors have no sealed identity to hand off (and nothing an
@@ -230,35 +234,79 @@ void MigrationCoordinator::quarantine_route(sgxsim::EnclaveId source,
   EA_WARN("core", "migration route %u -> %u quarantined", source, target);
 }
 
-void MigrationCoordinator::restore_at_source(
-    Actor& actor, sgxsim::Enclave& source,
-    std::span<const std::uint8_t> rollback_blob, const Bundle& in_hand) {
-  // The canonical restore path unseals the rollback copy — proving the
-  // sealed bundle alone suffices to bring the source back. The in-hand
-  // plaintext is only a belt-and-braces fallback for a broken sealer.
-  Bundle restored;
-  bool from_seal = false;
-  std::optional<util::Bytes> plain = sgxsim::unseal(source, rollback_blob);
-  if (plain.has_value()) {
-    from_seal = Bundle::parse(*plain, restored);
-    util::secure_zero(*plain);
+std::size_t MigrationCoordinator::place(Actor& actor, sgxsim::Enclave& from,
+                                        sgxsim::Enclave& to) {
+  from.sub_committed(actor.state_bytes());
+  to.add_committed(actor.state_bytes());
+  actor.placement_.store(to.id(), std::memory_order_release);
+  // Channel routes are rewritten in place. Peers are parked through the
+  // same barrier so the drain/re-seal races nothing; a peer that is
+  // Failed/Quarantined is not running bodies and needs no barrier.
+  std::size_t carried = 0;
+  for (const auto& [name, ch] : rt_.channels()) {
+    Actor* o0 = ch->owner(0);
+    Actor* o1 = ch->owner(1);
+    if (o0 != &actor && o1 != &actor) continue;
+    Actor* peer = (o0 == &actor) ? o1 : o0;
+    const bool peer_parked = peer != nullptr && peer != &actor && park(*peer);
+    carried += ch->rebind_for_migration(actor, to.id());
+    if (peer_parked) unpark(*peer);
   }
-  const Bundle& use = from_seal ? restored : in_hand;
-  {
-    sgxsim::EnclaveScope scope(source);
-    try {
-      actor.import_state(use.state);
-      actor.import_pos_partition(use.pos);
-    } catch (const std::exception& e) {
-      EA_WARN("core", "migration rollback import threw for %s: %s",
-              actor.name().c_str(), e.what());
-    } catch (...) {
-      EA_WARN("core", "migration rollback import threw for %s",
-              actor.name().c_str());
+  return carried;
+}
+
+MigrateResult MigrationCoordinator::roll_back(
+    MigrateResult why, Actor& actor, sgxsim::Enclave& source,
+    sgxsim::Enclave& target, const Bundle& bundle,
+    std::span<const std::uint8_t> rollback_blob) {
+  if (why == MigrateResult::kSealFailed) {
+    // Nothing left the source and no ticket was drawn: only the POS
+    // partition, which the export erased, goes back.
+    if (!bundle.pos.empty()) {
+      sgxsim::EnclaveScope scope(source);
+      actor.import_pos_partition(bundle.pos);
     }
+  } else {
+    // The canonical restore path unseals the rollback copy — proving the
+    // sealed bundle alone suffices to bring the source back. The in-hand
+    // plaintext is only a belt-and-braces fallback for a broken sealer.
+    Bundle restored;
+    std::optional<util::Bytes> plain = sgxsim::unseal(source, rollback_blob);
+    const bool from_seal = plain.has_value() && Bundle::parse(*plain, restored);
+    if (plain.has_value()) util::secure_zero(*plain);
+    const Bundle& use = from_seal ? restored : bundle;
+    {
+      sgxsim::EnclaveScope scope(source);
+      try {
+        actor.import_state(use.state);
+        actor.import_pos_partition(use.pos);
+      } catch (const std::exception& e) {
+        EA_WARN("core", "migration rollback import threw for %s: %s",
+                actor.name().c_str(), e.what());
+      } catch (...) {
+        EA_WARN("core", "migration rollback import threw for %s",
+                actor.name().c_str());
+      }
+    }
+    // The restore wins the ticket: if a copy of the transfer ever surfaces
+    // later, its resume finds the ticket spent. A no-op when a resume
+    // already spent it (kResumeRefused, kImportFailed).
+    sgxsim::MonotonicCounterService::instance().consume(
+        migration_namespace(), ticket_slot(actor.name()), bundle.ticket);
   }
-  util::secure_zero(restored.state);
-  util::secure_zero(restored.pos);
+  // The route is blamed, never the actor — except for the two failures
+  // that say nothing about the route: a source-local seal failure and a
+  // home worker whose affinity table is full.
+  if (why != MigrateResult::kSealFailed &&
+      why != MigrateResult::kAffinityFailed) {
+    quarantine_route(source.id(), target.id());
+  }
+  rolled_back_.fetch_add(1, std::memory_order_relaxed);
+  unpark(actor);
+  EA_WARN("core", "migration of %s %s -> %s failed (%s); rolled back",
+          actor.name().c_str(), source.name().c_str(), target.name().c_str(),
+          to_string(why));
+  return why;
 }
 
 MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
@@ -268,8 +316,11 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
   if (!park(actor)) return MigrateResult::kBusy;
   const std::uint64_t pause_start_us = steady_now_us();
 
-  // --- export inside the source enclave ----------------------------------
   Bundle bundle;
+  Bundle received;
+  util::Bytes rollback_blob;
+
+  // --- export inside the source enclave ----------------------------------
   bundle.source = source.id();
   bundle.target = target.id();
   bool export_ok = true;
@@ -286,22 +337,9 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
       export_ok = false;
     }
   }
-  auto wipe_bundle = [&bundle] {
-    util::secure_zero(bundle.state);
-    util::secure_zero(bundle.pos);
-  };
   if (!export_ok || EA_FAIL_TRIGGERED("migrate.seal.fail")) {
-    // Source-local failure before anything left the enclave: put the POS
-    // partition back (export erased it) and resume in place. No route
-    // blame — the wire was never touched.
-    if (!bundle.pos.empty()) {
-      sgxsim::EnclaveScope scope(source);
-      actor.import_pos_partition(bundle.pos);
-    }
-    wipe_bundle();
-    unpark(actor);
-    rolled_back_.fetch_add(1, std::memory_order_relaxed);
-    return MigrateResult::kSealFailed;
+    return roll_back(MigrateResult::kSealFailed, actor, source, target,
+                     bundle, rollback_blob);
   }
 
   // --- departure ticket ----------------------------------------------------
@@ -314,12 +352,7 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
   // Rollback copy, sealed to the source identity: only the source enclave
   // can restore it, and the embedded ticket keeps even the rollback replay
   // honest (the restore path consumes the ticket as the winner).
-  util::Bytes rollback_blob = sgxsim::seal(source, plain);
-
-  auto wipe_all = [&] {
-    wipe_bundle();
-    util::secure_zero(plain);
-  };
+  rollback_blob = sgxsim::seal(source, plain);
 
   // --- attested transfer ---------------------------------------------------
   const std::uint64_t nonce_src = fresh_nonce();
@@ -343,30 +376,19 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
     }
     util::secure_zero(wire);
   }
+  util::secure_zero(plain);
   if (key_src.has_value()) util::secure_zero(key_src->data(), key_src->size());
   if (key_tgt.has_value()) util::secure_zero(key_tgt->data(), key_tgt->size());
-  Bundle received;
   const bool transfer_ok = received_plain.has_value() &&
                            Bundle::parse(*received_plain, received) &&
                            received.ticket == bundle.ticket &&
                            received.source == source.id() &&
                            received.target == target.id();
   if (received_plain.has_value()) util::secure_zero(*received_plain);
+  // The bundle never (verifiably) reached the target.
   if (!transfer_ok) {
-    // The bundle never (verifiably) reached the target: restore the source
-    // from the SEALED copy, consume the ticket as the restore winner — if a
-    // copy of the transfer ever surfaces later, its resume finds the ticket
-    // spent — and quarantine the route, never the actor.
-    restore_at_source(actor, source, rollback_blob, bundle);
-    counters.consume(ns, slot, bundle.ticket);
-    quarantine_route(source.id(), target.id());
-    rolled_back_.fetch_add(1, std::memory_order_relaxed);
-    wipe_all();
-    unpark(actor);
-    EA_WARN("core", "migration of %s %s -> %s failed in transfer; rolled back",
-            actor.name().c_str(), source.name().c_str(),
-            target.name().c_str());
-    return MigrateResult::kTransferFailed;
+    return roll_back(MigrateResult::kTransferFailed, actor, source, target,
+                     bundle, rollback_blob);
   }
 
   // --- worker affinity (grant BEFORE the placement flip so there is never
@@ -381,17 +403,16 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
     }
   }
   if (!granted) {
-    restore_at_source(actor, source, rollback_blob, received);
-    counters.consume(ns, slot, bundle.ticket);
-    rolled_back_.fetch_add(1, std::memory_order_relaxed);
-    wipe_all();
-    util::secure_zero(received.state);
-    util::secure_zero(received.pos);
-    unpark(actor);
-    return MigrateResult::kAffinityFailed;
+    return roll_back(MigrateResult::kAffinityFailed, actor, source, target,
+                     bundle, rollback_blob);
   }
 
   // --- resume-once ticket consume ------------------------------------------
+  if (EA_FAIL_TRIGGERED("migrate.resume.spent")) {
+    // Injected race: a copy of this bundle resumed first and spent the
+    // ticket, so the consume below must lose.
+    counters.consume(ns, slot, received.ticket);
+  }
   const bool consumed = counters.consume(ns, slot, received.ticket);
   if (consumed && EA_FAIL_TRIGGERED("migrate.resume.dup")) {
     // Injected duplicate resume of the SAME bundle: the compare-and-
@@ -407,39 +428,14 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
   }
   if (!consumed) {
     // The ticket was already spent — this resume is the second copy of a
-    // fork. Refuse it; the source copy (restored below) is the only
-    // survivor.
+    // fork. Refuse it; the source copy is the only survivor.
     forks_prevented_.fetch_add(1, std::memory_order_relaxed);
-    restore_at_source(actor, source, rollback_blob, received);
-    quarantine_route(source.id(), target.id());
-    rolled_back_.fetch_add(1, std::memory_order_relaxed);
-    wipe_all();
-    util::secure_zero(received.state);
-    util::secure_zero(received.pos);
-    unpark(actor);
-    return MigrateResult::kResumeRefused;
+    return roll_back(MigrateResult::kResumeRefused, actor, source, target,
+                     bundle, rollback_blob);
   }
 
-  // --- placement flip + EPC accounting move --------------------------------
-  source.sub_committed(actor.state_bytes());
-  target.add_committed(actor.state_bytes());
-  actor.placement_.store(target.id(), std::memory_order_release);
-
-  // --- channel route rewrite ------------------------------------------------
-  // Peers are parked through the same barrier so the drain/re-seal races
-  // nothing; a peer that is Failed/Quarantined is not running bodies and
-  // needs no barrier.
-  std::size_t carried = 0;
-  for (const auto& [name, ch] : rt_.channels()) {
-    Actor* o0 = ch->owner(0);
-    Actor* o1 = ch->owner(1);
-    if (o0 != &actor && o1 != &actor) continue;
-    Actor* peer = (o0 == &actor) ? o1 : o0;
-    bool peer_parked = false;
-    if (peer != nullptr && peer != &actor) peer_parked = park(*peer);
-    carried += ch->rebind_for_migration(actor, target.id());
-    if (peer_parked) unpark(*peer);
-  }
+  // --- placement flip: EPC accounting, placement, channel routes ----------
+  const std::size_t carried = place(actor, source, target);
   in_flight_carried_.fetch_add(carried, std::memory_order_relaxed);
 
   // --- import inside the target enclave ------------------------------------
@@ -459,36 +455,14 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
     }
   }
   if (!import_ok) {
-    // Undo the flip, rewrite the routes back, restore from the sealed copy.
-    actor.placement_.store(source.id(), std::memory_order_release);
-    target.sub_committed(actor.state_bytes());
-    source.add_committed(actor.state_bytes());
-    for (const auto& [name, ch] : rt_.channels()) {
-      Actor* o0 = ch->owner(0);
-      Actor* o1 = ch->owner(1);
-      if (o0 != &actor && o1 != &actor) continue;
-      Actor* peer = (o0 == &actor) ? o1 : o0;
-      bool peer_parked = false;
-      if (peer != nullptr && peer != &actor) peer_parked = park(*peer);
-      ch->rebind_for_migration(actor, source.id());
-      if (peer_parked) unpark(*peer);
-    }
-    restore_at_source(actor, source, rollback_blob, received);
-    quarantine_route(source.id(), target.id());
-    rolled_back_.fetch_add(1, std::memory_order_relaxed);
-    wipe_all();
-    util::secure_zero(received.state);
-    util::secure_zero(received.pos);
-    unpark(actor);
-    return MigrateResult::kImportFailed;
+    place(actor, target, source);  // undo the flip
+    return roll_back(MigrateResult::kImportFailed, actor, source, target,
+                     bundle, rollback_blob);
   }
 
   unpark(actor);
   pause_hist_.record(steady_now_us() - pause_start_us);
   completed_.fetch_add(1, std::memory_order_relaxed);
-  wipe_all();
-  util::secure_zero(received.state);
-  util::secure_zero(received.pos);
   EA_INFO("core", "actor %s migrated %s -> %s (%zu in-flight carried)",
           actor.name().c_str(), source.name().c_str(), target.name().c_str(),
           carried);

@@ -30,18 +30,19 @@
 //                compare-and-increment. A second resume of the same bundle
 //                — the resume-twice fork — finds the counter already
 //                advanced and is refused.
-//  * resume    — scheduler affinity masks are extended (the stealing
-//                scheduler re-reads placement per dispatch, which is what
-//                makes live migration possible; the static scheduler's
-//                enter-once fast path is rejected while running), the
-//                placement flips, channel routes are rewritten in place
-//                (in-flight messages re-sealed under the new pair key,
-//                FIFO preserved), and the actor imports its state inside
-//                the TARGET enclave.
-//  * rollback  — any failure after export restores the source copy from
-//                the sealed bundle and quarantines the (source, target)
-//                ROUTE, never the actor: the actor resumes at the source
-//                and later migrations simply avoid the bad route.
+//  * resume    — scheduler affinity masks are extended (workers re-read
+//                placement on every dispatch under either scheduler, which
+//                is what makes live migration possible), the placement
+//                flips, channel routes are rewritten in place (in-flight
+//                messages re-sealed under the new pair key, FIFO
+//                preserved), and the actor imports its state inside the
+//                TARGET enclave.
+//  * rollback  — any failure restores the source copy (from the sealed
+//                bundle once one exists) and, unless the failure was
+//                source-local or a full affinity table, quarantines the
+//                (source, target) ROUTE, never the actor: the actor
+//                resumes at the source and later migrations simply avoid
+//                the bad route.
 //
 // PlacementControllerActor closes the loop: it polls per-enclave EPC
 // accounting (sgxsim committed-bytes, surfaced through Runtime::health())
@@ -69,17 +70,18 @@ enum class MigrateResult : std::uint8_t {
   kNotFound,          // unknown actor or enclave
   kNotMigratable,     // actor did not opt in (or is placed untrusted)
   kBusy,              // actor not Runnable (failed/restarting/migrating)
-  kSchedUnsupported,  // runtime running with the static scheduler, whose
-                      // enter-once fast path never re-reads placement
   kSamePlacement,     // source == target
   kRouteQuarantined,  // a previous migration failed on this route
   kSealFailed,        // export/seal failed; actor restored at source
   kTransferFailed,    // attested transfer failed; rolled back, route
                       // quarantined
   kResumeRefused,     // ticket already consumed (resume-twice fork); the
-                      // duplicate resume was refused and the source restored
-  kImportFailed,      // target-side import failed; rolled back
-  kAffinityFailed,    // no home worker could extend its affinity mask
+                      // duplicate resume was refused, the source restored
+                      // and the route quarantined
+  kImportFailed,      // target-side import failed; rolled back, route
+                      // quarantined
+  kAffinityFailed,    // no home worker could extend its affinity mask;
+                      // rolled back, route not quarantined
 };
 
 const char* to_string(MigrateResult result) noexcept;
@@ -105,8 +107,8 @@ class MigrationCoordinator {
   MigrationCoordinator& operator=(const MigrationCoordinator&) = delete;
 
   // Migrates `actor_name` into the named enclave (created on first use,
-  // like Runtime::enclave()). Safe to call while the runtime runs iff the
-  // stealing scheduler is active; always allowed before start().
+  // like Runtime::enclave(), but only before start()). Safe to call before
+  // start() and while the runtime runs, under either scheduler.
   MigrateResult migrate(const std::string& actor_name,
                         const std::string& target_enclave);
   MigrateResult migrate(Actor& actor, sgxsim::Enclave& target);
@@ -135,12 +137,21 @@ class MigrationCoordinator {
   MigrateResult migrate_locked(Actor& actor, sgxsim::Enclave& source,
                                sgxsim::Enclave& target)
       EA_REQUIRES(mu_);
-  // Restores the actor at the source from the sealed rollback blob (falling
-  // back to the in-hand bundle if unsealing fails, which cannot happen
-  // outside a broken sealing service).
-  void restore_at_source(Actor& actor, sgxsim::Enclave& source,
-                         std::span<const std::uint8_t> rollback_blob,
-                         const Bundle& in_hand) EA_REQUIRES(mu_);
+  // Moves the actor's EPC accounting and placement from `from` to `to` and
+  // rewrites its channel routes in place; returns the in-flight messages
+  // carried across the rebinds. The placement flip and its undo.
+  std::size_t place(Actor& actor, sgxsim::Enclave& from, sgxsim::Enclave& to)
+      EA_REQUIRES(mu_);
+  // The one failure exit after park() (DESIGN.md §17 rollback table):
+  // restores the actor at the source from the sealed rollback blob (or,
+  // for kSealFailed, puts back the POS partition the export erased),
+  // spends the ticket, quarantines the route unless `why` is kSealFailed or
+  // kAffinityFailed, and unparks the actor. Returns `why`.
+  MigrateResult roll_back(MigrateResult why, Actor& actor,
+                          sgxsim::Enclave& source, sgxsim::Enclave& target,
+                          const Bundle& bundle,
+                          std::span<const std::uint8_t> rollback_blob)
+      EA_REQUIRES(mu_);
   void quarantine_route(sgxsim::EnclaveId source, sgxsim::EnclaveId target)
       EA_REQUIRES(mu_);
 

@@ -138,47 +138,6 @@ void Runtime::stop() {
   running_.store(false, std::memory_order_release);
 }
 
-std::string Runtime::stats_string() const {
-  std::string out;
-  auto append = [&out](const std::string& line) {
-    out += line;
-    out += '\n';
-  };
-  append("runtime: " + std::to_string(actors_.size()) + " actors, " +
-         std::to_string(workers_.size()) + " workers, " +
-         std::to_string(enclaves_.size()) + " enclaves, sched " +
-         to_string(options_.sched) + ", pool free " +
-         std::to_string(pool_.size()) + "/" +
-         std::to_string(options_.pool_nodes));
-  for (const auto& worker : workers_) {
-    append("  worker " + worker->name() + ": " +
-           std::to_string(worker->rounds()) + " rounds, " +
-           std::to_string(worker->dispatches()) + " dispatches, " +
-           std::to_string(worker->steals()) + " steals, queue_depth " +
-           std::to_string(worker->queue_depth()));
-  }
-  for (const auto& actor : actors_) {
-    append("  actor " + actor->name() + ": " +
-           std::to_string(actor->invocations()) + " activations" +
-           (actor->placement() != sgxsim::kUntrusted
-                ? " (enclave " + std::to_string(actor->placement()) + ")"
-                : "") +
-           (actor->lifecycle() != ActorState::kRunnable
-                ? std::string(" [") + to_string(actor->lifecycle()) + "]"
-                : ""));
-  }
-  for (const auto& [name, channel] : channels_) {
-    append("  channel " + name + ": " +
-           (channel->encrypted() ? "encrypted" : "plain") + ", " +
-           std::to_string(channel->auth_failures()) + " auth failures");
-  }
-  auto stats = sgxsim::transition_stats();
-  append("  transitions: " + std::to_string(stats.ecalls) + " ecalls, " +
-         std::to_string(stats.ocalls) + " ocalls, " +
-         std::to_string(stats.paging_events) + " paging events");
-  return out;
-}
-
 HealthSnapshot Runtime::health() const {
   HealthSnapshot snap;
   snap.actors.reserve(actors_.size());

@@ -114,14 +114,12 @@ class Runtime {
     return actors_;
   }
 
-  // Human-readable diagnostics: per-worker rounds, per-actor activations,
-  // channel modes, enclave transition totals. Safe to call while running.
-  std::string stats_string() const;
-
   // Structured health snapshot (per-actor lifecycle state, restart counts,
-  // channel frame/auth errors, pool exhaustion) — the supervision layer and
-  // tests consume this instead of poking runtime internals. Safe to call
-  // while running.
+  // channel frame/auth errors, per-worker scheduling counters, pool
+  // exhaustion) — the supervision layer and tests consume this instead of
+  // poking runtime internals; HealthSnapshot::to_string() is the
+  // human-readable dump (enclave transition totals live in
+  // sgxsim::transition_stats()). Safe to call while running.
   HealthSnapshot health() const;
 
   // All channels, keyed by name (migration walks these to find the ends a

@@ -130,87 +130,34 @@ void Worker::join() {
   if (thread_.joinable()) thread_.join();
 }
 
-bool Worker::round() {
-  bool progress = false;
-  for (Actor* actor : actors_) {
-    // Containment (DESIGN.md §12): an exception escaping body() fails the
-    // actor, not the process. Non-Runnable actors are skipped — one
-    // relaxed-ish load per actor per round; the try/catch itself is free
-    // on the no-throw path.
-    progress |= invoke_contained(*actor);
-  }
-  dispatches_.fetch_add(actors_.size(), std::memory_order_relaxed);
-  rounds_.fetch_add(1, std::memory_order_relaxed);
-  return progress;
-}
-
 void Worker::run() {
   util::pin_current_thread(cpus_);
   tls_current_worker = this;
-
-  if (mode_ == SchedMode::kSteal) {
-    run_steal();
-    tls_current_worker = nullptr;
-    return;
-  }
-
-  // Determine whether all actors share one enclave.
-  bool uniform = true;
-  sgxsim::EnclaveId common = sgxsim::kUntrusted;
-  if (!actors_.empty()) {
-    common = actors_.front()->placement();
-    for (Actor* a : actors_) {
-      if (a->placement() != common) {
-        uniform = false;
-        break;
-      }
-    }
-  }
-
-  if (uniform && common != sgxsim::kUntrusted) {
-    sgxsim::Enclave* enclave =
-        sgxsim::EnclaveManager::instance().find(common);
-    if (enclave != nullptr) {
-      run_single_enclave(*enclave);
-      tls_current_worker = nullptr;
-      return;
-    }
-  }
-  run_mixed();
-  tls_current_worker = nullptr;
-}
-
-void Worker::run_single_enclave(sgxsim::Enclave& enclave) {
-  // Enter once, stay inside: the EActors fast path.
-  sgxsim::EnclaveScope scope(enclave);
   IdleBackoff backoff;
-  while (!stop_.load(std::memory_order_relaxed)) {
-    if (round()) {
-      backoff.reset();
-    } else {
-      park_idle(backoff);
-    }
-  }
-}
-
-void Worker::run_mixed() {
-  IdleBackoff backoff;
+  std::uint32_t rounds_since_poll = kIdlePollRounds;  // poll on round one
   while (!stop_.load(std::memory_order_relaxed)) {
     bool progress = false;
-    for (Actor* actor : actors_) {
-      if (actor->placement() != sgxsim::kUntrusted) {
-        sgxsim::Enclave* enclave =
-            sgxsim::EnclaveManager::instance().find(actor->placement());
-        if (enclave != nullptr) {
-          // Migrate into the actor's enclave for this activation only.
-          sgxsim::EnclaveScope scope(*enclave);
-          progress |= invoke_contained(*actor);
-          continue;
-        }
+    if (mode_ == SchedMode::kStatic) {
+      for (Actor* actor : actors_) progress |= dispatch(*actor);
+    } else {
+      // Phase 1: drain ready work — own queues, then a random victim.
+      std::size_t budget = kStealRoundBudget;
+      while (budget-- > 0 && !stop_.load(std::memory_order_relaxed)) {
+        Actor* actor = pop_own();
+        if (actor == nullptr) actor = try_steal();
+        if (actor == nullptr) break;
+        // The popped or stolen entry was the actor's only queue reference.
+        actor->sched_state_.store(SchedState::kDispatched,
+                                  std::memory_order_relaxed);
+        progress |= dispatch(*actor);
       }
-      progress |= invoke_contained(*actor);
+      // Phase 2: paced poll of parked home actors — immediately when the
+      // round found no ready work, every kIdlePollRounds rounds under load.
+      if (!progress || ++rounds_since_poll >= kIdlePollRounds) {
+        rounds_since_poll = 0;
+        progress |= poll_parked_home();
+      }
     }
-    dispatches_.fetch_add(actors_.size(), std::memory_order_relaxed);
     rounds_.fetch_add(1, std::memory_order_relaxed);
     if (progress) {
       backoff.reset();
@@ -218,9 +165,35 @@ void Worker::run_mixed() {
       park_idle(backoff);
     }
   }
+  switch_enclave(sgxsim::kUntrusted);
+  tls_current_worker = nullptr;
 }
 
-// --- stealing scheduler ------------------------------------------------------
+bool Worker::dispatch(Actor& actor) {
+  // Containment (DESIGN.md §12): an exception escaping body() fails the
+  // actor, not the process; non-Runnable actors are skipped.
+  switch_enclave(actor.placement());
+  const bool progress = invoke_contained(actor, entered_);
+  dispatches_.fetch_add(1, std::memory_order_relaxed);
+  if (mode_ == SchedMode::kSteal) {
+    // Ready/idle transition, driven by the body's own progress and the
+    // lock-free mailbox counters: an actor with nothing to do occupies no
+    // queue slot. Failed/quarantined actors always park — the supervisor
+    // heals them and the home poll tick rediscovers them once Runnable,
+    // wherever they had migrated to.
+    const bool keep = (progress || actor.has_pending_work()) &&
+                      actor.lifecycle() == ActorState::kRunnable;
+    if (keep) {
+      // Release: the next dispatcher (possibly another worker, via steal)
+      // must observe every private-state write this body performed.
+      actor.sched_state_.store(SchedState::kQueued, std::memory_order_release);
+      push_own(&actor, /*fresh_wakeup=*/false);
+    } else {
+      actor.sched_state_.store(SchedState::kParked, std::memory_order_release);
+    }
+  }
+  return progress;
+}
 
 void Worker::switch_enclave(sgxsim::EnclaveId enclave) {
   if (enclave == entered_) return;
@@ -236,6 +209,8 @@ void Worker::switch_enclave(sgxsim::EnclaveId enclave) {
     }
   }
 }
+
+// --- stealing scheduler ------------------------------------------------------
 
 void Worker::push_own(Actor* actor, bool fresh_wakeup) {
   concurrent::RunQueue& q =
@@ -288,32 +263,6 @@ Actor* Worker::try_steal() {
   return nullptr;
 }
 
-bool Worker::dispatch_steal(Actor& actor) {
-  // Precondition: this thread holds the actor exclusively (it either
-  // popped/stole the only queue reference or won the kParked CAS).
-  actor.sched_state_.store(SchedState::kDispatched,
-                           std::memory_order_relaxed);
-  switch_enclave(actor.placement());
-  const bool progress = invoke_contained(actor);
-  dispatches_.fetch_add(1, std::memory_order_relaxed);
-  // Ready/idle transition, driven by the body's own progress and the
-  // lock-free mailbox counters: an actor with nothing to do occupies no
-  // queue slot. Failed/quarantined actors always park — the supervisor
-  // heals them and the home poll tick rediscovers them once Runnable,
-  // wherever they had migrated to.
-  const bool keep = (progress || actor.has_pending_work()) &&
-                    actor.lifecycle() == ActorState::kRunnable;
-  if (keep) {
-    // Release: the next dispatcher (possibly another worker, via steal)
-    // must observe every private-state write this body performed.
-    actor.sched_state_.store(SchedState::kQueued, std::memory_order_release);
-    push_own(&actor, /*fresh_wakeup=*/false);
-  } else {
-    actor.sched_state_.store(SchedState::kParked, std::memory_order_release);
-  }
-  return progress;
-}
-
 bool Worker::poll_parked_home() {
   bool progress = false;
   for (Actor* actor : actors_) {
@@ -338,39 +287,10 @@ bool Worker::poll_parked_home() {
     SchedState expected = SchedState::kParked;
     if (actor->sched_state_.compare_exchange_strong(
             expected, SchedState::kDispatched, std::memory_order_acq_rel)) {
-      progress |= dispatch_steal(*actor);
+      progress |= dispatch(*actor);
     }
   }
   return progress;
-}
-
-void Worker::run_steal() {
-  IdleBackoff backoff;
-  std::uint32_t rounds_since_poll = kIdlePollRounds;  // poll on round one
-  while (!stop_.load(std::memory_order_relaxed)) {
-    bool progress = false;
-    // Phase 1: drain ready work — own queues, then a random victim.
-    std::size_t budget = kStealRoundBudget;
-    while (budget-- > 0 && !stop_.load(std::memory_order_relaxed)) {
-      Actor* actor = pop_own();
-      if (actor == nullptr) actor = try_steal();
-      if (actor == nullptr) break;
-      progress |= dispatch_steal(*actor);
-    }
-    // Phase 2: paced poll of parked home actors — immediately when the
-    // round found no ready work, every kIdlePollRounds rounds under load.
-    if (!progress || ++rounds_since_poll >= kIdlePollRounds) {
-      rounds_since_poll = 0;
-      progress |= poll_parked_home();
-    }
-    rounds_.fetch_add(1, std::memory_order_relaxed);
-    if (progress) {
-      backoff.reset();
-    } else {
-      park_idle(backoff);
-    }
-  }
-  switch_enclave(sgxsim::kUntrusted);
 }
 
 }  // namespace ea::core

@@ -1,26 +1,28 @@
 // Workers (paper §3.2) and the two scheduling modes (DESIGN.md §14).
 //
 // A worker manages one POSIX thread, is bound to a CPU set, and executes
-// eactor body functions. Two schedulers are available, selected per
-// deployment (`sched=static|steal` in the config grammar):
+// eactor body functions. One loop serves both schedulers, selected per
+// deployment (`sched=static|steal` in the config grammar); they differ only
+// in which actors a round dispatches:
 //
-//  * kStatic — the paper's scheduler and the ablation baseline: the worker
-//    executes its fixed actor list round-robin. If every actor of a worker
-//    lives in the same enclave, the worker enters that enclave once and
-//    never leaves — zero transitions on the steady-state path.
+//  * kStatic — the paper's scheduler and the ablation baseline: a round
+//    dispatches every home actor in list order.
 //
 //  * kSteal — per-worker run queues with work stealing (CAF-style, see
-//    *Revisiting Actor Programming in C++*): the worker drains its own
-//    ready queues (high priority first), then steals from a random victim,
-//    respecting enclave affinity — an actor may only run on workers entered
-//    into its enclave, so every worker carries an affinity mask (the
-//    enclaves of its home actors) and steals filter candidates by it.
+//    *Revisiting Actor Programming in C++*): a round drains the worker's
+//    own ready queues (high priority first), then steals from a random
+//    victim, respecting enclave affinity — an actor may only run on workers
+//    entered into its enclave, so every worker carries an affinity mask
+//    (the enclaves of its home actors) and steals filter candidates by it.
 //    Actors carry a ready/idle state driven by mailbox activity: an actor
 //    whose body made no progress and whose mailboxes are empty parks,
-//    occupying no queue slot, until a home-worker poll tick wakes it. The
-//    thread stays inside the enclave of the last dispatched actor
-//    ("sticky" entry), so uniform-affinity workers keep the zero-transition
-//    fast path of the static scheduler.
+//    occupying no queue slot, until a home-worker poll tick wakes it.
+//
+// Every dispatch re-reads the actor's placement, and the thread stays
+// inside the enclave of the last dispatched actor ("sticky" entry): a
+// worker whose actors share one enclave enters it once and never leaves —
+// zero transitions on the steady-state path — and a mixed worker
+// transitions only between consecutive actors placed differently.
 #pragma once
 
 #include <array>
@@ -149,10 +151,9 @@ class Worker {
     return rounds_.load(std::memory_order_relaxed);
   }
 
-  // --- stealing-scheduler observability (health snapshot) -----------------
+  // --- scheduler observability (health snapshot) --------------------------
 
-  // Actors dispatched by this worker (both modes; static counts per-actor
-  // executions of its round-robin list).
+  // Actors dispatched by this worker (both modes).
   std::uint64_t dispatches() const noexcept {
     return dispatches_.load(std::memory_order_relaxed);
   }
@@ -173,22 +174,17 @@ class Worker {
 
  private:
   void run();
-  void run_single_enclave(sgxsim::Enclave& enclave);
-  void run_mixed();
-  // One round-robin pass over the assigned actors; returns true if any
-  // actor reported progress.
-  bool round();
-
-  // --- stealing scheduler --------------------------------------------------
-  void run_steal();
+  // Runs one contained quantum of `actor` inside its current placement and
+  // counts it; in steal mode the actor (claimed kDispatched by the caller)
+  // is then handed back to kQueued or kParked. Returns body()'s progress.
+  bool dispatch(Actor& actor);
   // Moves the thread into `enclave` (sticky: stays until a dispatch needs a
   // different placement; kUntrusted exits).
   void switch_enclave(sgxsim::EnclaveId enclave);
-  // Runs one dispatch of an actor this thread holds exclusively
-  // (kDispatched) and hands it back to kQueued (re-push) or kParked.
-  bool dispatch_steal(Actor& actor);
-  // Pops the next ready actor from the own queues (high first) and claims
-  // it; nullptr when both are empty.
+
+  // --- stealing scheduler --------------------------------------------------
+  // Pops the next ready actor from the own queues (high first); nullptr
+  // when both are empty.
   Actor* pop_own();
   void push_own(Actor* actor, bool fresh_wakeup);
   // Random-victim steal, filtered by this worker's affinity mask.

@@ -9,7 +9,6 @@
 #include <stdexcept>
 #include <thread>
 
-#include "util/env.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
 
@@ -106,11 +105,6 @@ struct Pos::Entry {
     return {data() + klen, vlen};
   }
 };
-
-bool Pos::magazines_enabled() noexcept {
-  static const bool enabled = util::env_int("EA_POS_MAGAZINE", 1) != 0;
-  return enabled;
-}
 
 Pos::Pos(PosOptions options) : options_(std::move(options)) {
   bool fresh = true;
@@ -245,8 +239,6 @@ Pos::Pos(PosOptions options) : options_(std::move(options)) {
     free_locks_[s].set_rank(concurrent::LockRank::kPosFree);
   }
 
-  use_magazines_ =
-      options_.magazines < 0 ? magazines_enabled() : options_.magazines != 0;
   magazines_.set_return(
       this, [](void* ctx, std::uint64_t* items, std::uint32_t count) {
         static_cast<Pos*>(ctx)->magazine_return(items, count);
@@ -474,7 +466,7 @@ void Pos::magazine_return(const std::uint64_t* items,
 }
 
 std::uint64_t Pos::alloc_entry() EA_LOCK_NOEXCEPT {
-  if (use_magazines_) {
+  if (options_.magazines) {
     Magazine* mag = magazines_.acquire();
     if (mag != nullptr) {
       std::uint32_t c = mag->count.load(std::memory_order_relaxed);

@@ -19,8 +19,8 @@
 // (concurrent/magazine.hpp) front the shards so the steady-state set()
 // allocates without any lock. The bucket push itself is a lock-free CAS on
 // the bucket head — a pure LIFO push; erase and the cleaner's unlink keep
-// the per-bucket lock. EA_POS_MAGAZINE=0 (or PosOptions::magazines=0)
-// disables the magazine layer for ablation.
+// the per-bucket lock. PosOptions::magazines = false disables the
+// magazine layer for ablation.
 //
 // Reclamation (DESIGN.md §15) is epoch-based: every operation runs inside
 // an epoch Section (set/get/erase open one internally; callers composing
@@ -82,10 +82,9 @@ struct PosOptions {
   // [1, kMaxFreeShards]). Ignored when reopening an existing file — the
   // shard count is part of the persisted geometry.
   std::uint32_t free_shards = 0;
-  // Per-thread entry magazines: -1 = EA_POS_MAGAZINE environment toggle
-  // (on unless "0"), 0 = off, 1 = on. Benchmarks set this explicitly to
-  // quantify the magazines' contribution.
-  int magazines = -1;
+  // Per-thread entry magazines. Benchmarks and tests turn them off to
+  // quantify their contribution.
+  bool magazines = true;
   // Cooperative reclamation under allocation pressure: when set() finds no
   // free entry it runs up to two cleaner steps inline (outside its epoch
   // section) and retries once. Safe under epoch reclamation — any thread
@@ -253,10 +252,7 @@ class Pos {
   std::uint32_t bucket_count() const noexcept;
   std::uint32_t entry_payload() const noexcept;
   std::uint32_t free_shard_count() const noexcept;
-  bool magazines_active() const noexcept { return use_magazines_; }
-
-  // Process-wide default for the magazine layer (EA_POS_MAGAZINE != "0").
-  static bool magazines_enabled() noexcept;
+  bool magazines_active() const noexcept { return options_.magazines; }
 
 #if defined(EA_FAILPOINTS)
   // Test-only (fault builds): called with each entry offset a get() walk
@@ -332,7 +328,6 @@ class Pos {
 
   Superblock* sb_ = nullptr;
   std::byte* entries_base_ = nullptr;
-  bool use_magazines_ = false;
 
   // In-RAM (per-process) concurrency control; the on-file structures hold
   // only offsets and data. The lock arrays are ranked kPosBucket/kPosFree

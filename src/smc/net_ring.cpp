@@ -11,7 +11,7 @@ namespace ea::smc {
 namespace {
 
 // Deterministic initial secrets so tests can predict the expected sum
-// (same generator as the channel/TCP ring deployments).
+// (same generator as the channel ring deployment).
 Vec initial_secret(int index, std::size_t dim) {
   Vec v(dim);
   std::uint64_t x = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(index + 1);

@@ -1,10 +1,10 @@
 // Secure-sum ring over real TCP with self-healing links (DESIGN.md §12).
 //
-// smc/party_actor.hpp runs the ring over in-process channels;
-// smc/tcp_ring.hpp runs it over blocking loopback TCP driven from one
-// thread. This deployment combines the two: K party eactors, each in its
-// own enclave with its own worker, linked by loopback TCP carried through
-// the untrusted system actors (net/actors.hpp) — and the links *heal*:
+// smc/party_actor.hpp runs the ring over in-process channels. This
+// deployment is the distributed setting §5.2 contrasts co-location with
+// (bench_ablation_colocated's TCP series): K party eactors, each in its own
+// enclave with its own worker, linked by loopback TCP carried through the
+// untrusted system actors (net/actors.hpp) — and the links *heal*:
 //
 //   * outbound links are owned by the RECONNECTOR (net/reconnector.hpp);
 //     a reset is redialed with backoff and the party learns the new

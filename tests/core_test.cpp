@@ -318,6 +318,31 @@ TEST_F(CoreTest, MixedWorkerMigratesEveryRound) {
   EXPECT_GT(sgxsim::transition_stats().ecalls, 20u);
 }
 
+TEST_F(CoreTest, MixedWorkerTransitionsOnlyOnPlacementChange) {
+  // [a(e1), b(e1), c(untrusted)]: sticky entry enters e1 once for a and b
+  // and leaves it for c — one ecall per round, where entering and leaving
+  // around every enclaved actor would pay two.
+  struct Idle : Actor {
+    using Actor::Actor;
+    bool body() override { return false; }
+  };
+  Runtime rt;
+  rt.add_actor(std::make_unique<Idle>("a"), "sticky-e1");
+  rt.add_actor(std::make_unique<Idle>("b"), "sticky-e1");
+  rt.add_actor(std::make_unique<Idle>("c"));
+  rt.add_worker("w", {0}, {"a", "b", "c"});
+
+  sgxsim::reset_transition_stats();
+  rt.start();
+  const Worker& w = *rt.workers().front();
+  EXPECT_TRUE(eventually([&] { return w.rounds() >= 200; }));
+  rt.stop();
+
+  // start(): 2 constructor ecalls; the worker: one entry per round.
+  EXPECT_GE(w.rounds(), 200u);
+  EXPECT_LE(sgxsim::transition_stats().ecalls, w.rounds() + 2);
+}
+
 // --- idle backoff -----------------------------------------------------------
 
 TEST(IdleBackoffTest, RampsYieldsThenExponentialSleepCapped) {

@@ -1,7 +1,7 @@
 // Migration fault-injection tests (ctest labels: fault, migrate;
 // EA_FAILPOINTS builds only).
 //
-// The four shipped migration failpoints, each proving a DESIGN.md §17
+// The five shipped migration failpoints, each proving a DESIGN.md §17
 // rollback property:
 //
 //   migrate.seal.fail     export/seal dies source-locally → the actor
@@ -10,12 +10,20 @@
 //                         copy is restored FROM THE SEALED BUNDLE and the
 //                         (source, target) route — never the actor — is
 //                         quarantined;
+//   migrate.resume.spent  a copy of the bundle resumed first → this resume
+//                         is refused as a fork, the source restored and
+//                         the route quarantined;
 //   migrate.resume.dup    a duplicate resume of the same bundle → the
 //                         monotonic-counter consume refuses it (the
 //                         resume-twice fork is counted, not executed);
 //   migrate.epc.probe     injected per-enclave committed bytes → the
 //                         placement controller evicts without having to
 //                         allocate real EPC-scale state.
+//
+// Plus the one rollback exit no failpoint is needed for: a running home
+// worker whose affinity table is full (kAffinityFailed) rolls back without
+// blaming the route. Every rollback exit of the table in DESIGN.md §17 is
+// covered here, import failure included.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +33,7 @@
 #include "core/health.hpp"
 #include "core/migration.hpp"
 #include "core/runtime.hpp"
+#include "core/worker.hpp"
 #include "pos/pos.hpp"
 #include "sgxsim/cost_model.hpp"
 #include "util/bytes.hpp"
@@ -103,6 +112,43 @@ struct Deployment {
     rt.add_actor(std::move(owned), tag + ".src");
   }
 };
+
+// A POS store holding one key in the victim's partition. The export erases
+// it, so only a genuine rollback restore can bring the key back.
+struct Partition {
+  pos::Pos store{options()};
+
+  explicit Partition(Deployment& d) {
+    d.victim->pos_ = &store;
+    d.victim->prefix_ = util::to_bytes(d.victim->name() + "/");
+    EXPECT_TRUE(store.set(key(d), util::to_bytes("payload")));
+  }
+  static pos::PosOptions options() {
+    pos::PosOptions o;
+    o.bucket_count = 8;
+    o.entry_count = 128;
+    o.entry_payload = 128;
+    return o;
+  }
+  static util::Bytes key(const Deployment& d) {
+    return util::to_bytes(d.victim->name() + "/k");
+  }
+};
+
+// What every post-ticket rollback leaves behind: the actor Runnable at the
+// source, its state restored from the sealed bundle, its POS partition
+// back, and the EPC accounting as it was before the attempt.
+void expect_restored_at_source(const Deployment& d, Partition& part) {
+  EXPECT_EQ(d.victim->lifecycle(), ActorState::kRunnable);
+  EXPECT_EQ(d.victim->placement(), d.src->id());
+  EXPECT_EQ(d.victim->value_, 7u);
+  EXPECT_EQ(d.victim->imports_, 1);  // restored via the sealed bundle
+  auto restored = part.store.get(Partition::key(d));
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(*restored, util::to_bytes("payload"));
+  EXPECT_EQ(d.src->committed_bytes(), d.src_base + d.victim->state_bytes());
+  EXPECT_EQ(d.dst->committed_bytes(), d.dst_base);
+}
 
 TEST_F(MigrationFaultTest, SealFailureResumesInPlace) {
   Deployment d("sealf");
@@ -185,6 +231,48 @@ TEST_F(MigrationFaultTest, DuplicateResumeTripsTheCounterGuard) {
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.forks_prevented, 1u);
   EXPECT_EQ(d.victim->placement(), d.dst->id());
+}
+
+TEST_F(MigrationFaultTest, SpentTicketRefusesResumeAndQuarantinesRoute) {
+  Deployment d("spent");
+  Partition part(d);
+  MigrationCoordinator coordinator(d.rt);
+  ASSERT_TRUE(fp::set("migrate.resume.spent", "once"));
+
+  EXPECT_EQ(coordinator.migrate(*d.victim, *d.dst),
+            MigrateResult::kResumeRefused);
+  EXPECT_EQ(fp::hits("migrate.resume.spent"), 1u);
+  expect_restored_at_source(d, part);
+  EXPECT_TRUE(coordinator.route_quarantined(d.src->id(), d.dst->id()));
+  MigrationStats stats = coordinator.stats();
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.rolled_back, 1u);
+  EXPECT_EQ(stats.forks_prevented, 1u);
+}
+
+TEST_F(MigrationFaultTest, FullAffinityTableRollsBackWithoutQuarantine) {
+  Deployment d("aff");
+  Partition part(d);
+  d.rt.add_worker("aff.w", {}, {"aff.victim"});
+  d.rt.start();  // default static scheduler: live migration is allowed
+  // Fill the running home worker's affinity table (its own enclave holds
+  // one slot) with enclaves other than the target.
+  Worker& home = *d.rt.workers().front();
+  for (sgxsim::EnclaveId fake = 1u << 30; home.grant_affinity(fake); ++fake) {
+  }
+  ASSERT_FALSE(home.can_run(d.dst->id()));
+
+  MigrationCoordinator coordinator(d.rt);
+  EXPECT_EQ(coordinator.migrate(*d.victim, *d.dst),
+            MigrateResult::kAffinityFailed);
+  d.rt.stop();
+  expect_restored_at_source(d, part);
+  // A full table says nothing about the route.
+  EXPECT_FALSE(coordinator.route_quarantined(d.src->id(), d.dst->id()));
+  MigrationStats stats = coordinator.stats();
+  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats.rolled_back, 1u);
+  EXPECT_EQ(stats.forks_prevented, 0u);
 }
 
 TEST_F(MigrationFaultTest, ImportFailureRollsBackPlacementAndAccounting) {

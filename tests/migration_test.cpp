@@ -6,10 +6,12 @@
 //  * the monotonic-counter ticket has exactly one consume winner;
 //  * POS partition export/import round-trips and export leaves no live keys;
 //  * a pre-start migration moves placement AND the EPC accounting;
-//  * every refusal code (not-migratable, untrusted, same placement, static
-//    scheduler while running, unknown names) fires before any state moves;
+//  * every refusal code (not-migratable, untrusted, same placement, unknown
+//    names) fires before any state moves;
 //  * a live migration under the stealing scheduler mid-traffic loses and
 //    reorders nothing on an encrypted channel rebound in place;
+//  * a live migration under the static scheduler is followed by the
+//    worker: every later activation runs inside the target enclave;
 //  * per-enclave EPC accounting is visible through Runtime::health();
 //  * the placement controller evicts the cheapest actor off an enclave
 //    crossing the EPC watermark before the paging cliff.
@@ -33,6 +35,7 @@
 #include "pos/pos.hpp"
 #include "sgxsim/cost_model.hpp"
 #include "sgxsim/monotonic_counter.hpp"
+#include "sgxsim/transition.hpp"
 #include "util/bytes.hpp"
 
 namespace ea::core {
@@ -208,14 +211,14 @@ TEST_F(MigrationTest, RefusalCodesFireBeforeAnyStateMoves) {
   sgxsim::Enclave& src = rt.enclave("ref.src");
   EXPECT_EQ(coordinator.migrate(*actor, src), MigrateResult::kSamePlacement);
 
-  // The static scheduler's enter-once fast path cannot follow a placement
-  // change, so live migration is refused while it runs.
-  rt.start();
-  EXPECT_EQ(coordinator.migrate(*actor, dst), MigrateResult::kSchedUnsupported);
-  rt.stop();
-
   EXPECT_EQ(actor->placement(), src.id());
   EXPECT_EQ(coordinator.stats().attempted, 0u);
+
+  // Not a refusal: every dispatch re-reads placement, so live migration
+  // also works under the (default) static scheduler.
+  rt.start();
+  EXPECT_EQ(coordinator.migrate(*actor, dst), MigrateResult::kOk);
+  rt.stop();
 }
 
 // --- live migration under the stealing scheduler ----------------------------
@@ -349,6 +352,65 @@ TEST_F(MigrationTest, LiveMigrationLosesNoMessageOnEncryptedChannel) {
   EXPECT_EQ(stats.rolled_back, 0u);
   EXPECT_EQ(coordinator.pause_hist().count(),
             static_cast<std::uint64_t>(moves));
+}
+
+// --- live migration under the static scheduler ------------------------------
+
+// Once the test names the enclave it expects (after migrate() returned),
+// every activation checks that the worker runs the body inside it and that
+// the placement agrees.
+class PlacementProbeActor : public MigratoryActor {
+ public:
+  using MigratoryActor::MigratoryActor;
+
+  bool body() override {
+    const sgxsim::EnclaveId expect = expect_.load(std::memory_order_acquire);
+    if (expect == sgxsim::kUntrusted) return false;
+    if (sgxsim::current_enclave() == expect && placement() == expect) {
+      checked_.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      mismatches_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return false;
+  }
+
+  std::atomic<sgxsim::EnclaveId> expect_{sgxsim::kUntrusted};
+  std::atomic<std::uint64_t> checked_{0};
+  std::atomic<std::uint64_t> mismatches_{0};
+};
+
+TEST_F(MigrationTest, StaticWorkerFollowsLiveMigration) {
+  Runtime rt;  // default options: SchedMode::kStatic
+  sgxsim::Enclave& e1 = rt.enclave("stat.e1");
+  sgxsim::Enclave& e2 = rt.enclave("stat.e2");
+  auto owned = std::make_unique<PlacementProbeActor>("stat.probe");
+  PlacementProbeActor* probe = owned.get();
+  probe->value_ = 42;
+  rt.add_actor(std::move(owned), "stat.e1");
+  // A second e1 actor: the worker starts single-enclave and turns mixed
+  // once the probe leaves.
+  rt.add_actor(std::make_unique<MigratoryActor>("stat.peer"), "stat.e1");
+  rt.add_worker("stat.w", {}, {"stat.probe", "stat.peer"});
+  rt.start();
+  ASSERT_TRUE(eventually([&] { return probe->invocations() > 10; }));
+
+  // Out and back: the worker must follow both flips.
+  MigrationCoordinator coordinator(rt);
+  for (sgxsim::Enclave* target : {&e2, &e1}) {
+    probe->expect_.store(sgxsim::kUntrusted, std::memory_order_release);
+    ASSERT_EQ(coordinator.migrate(*probe, *target), MigrateResult::kOk);
+    const std::uint64_t checked = probe->checked_.load();
+    probe->expect_.store(target->id(), std::memory_order_release);
+    ASSERT_TRUE(
+        eventually([&] { return probe->checked_.load() > checked + 50; }));
+  }
+  rt.stop();
+
+  EXPECT_EQ(probe->mismatches_.load(), 0u);
+  EXPECT_EQ(probe->value_, 42u);  // private state carried both ways
+  EXPECT_EQ(probe->placement(), e1.id());
+  EXPECT_EQ(coordinator.stats().completed, 2u);
+  EXPECT_EQ(coordinator.stats().rolled_back, 0u);
 }
 
 TEST_F(MigrationTest, EpcAccountingVisibleInHealth) {

@@ -55,7 +55,7 @@ PosOptions torture_options(const std::string& path) {
   o.entry_count = 256;
   o.entry_payload = 128;
   o.free_shards = 4;
-  o.magazines = 1;  // pin rather than inherit EA_POS_MAGAZINE
+  o.magazines = 1;  // pinned: the census needs the magazine sites
   return o;
 }
 

@@ -243,7 +243,6 @@ TEST_F(SmcTest, IntermediateMessagesAreMasked) {
 
 // --- voting layer -----------------------------------------------------------------
 
-#include "smc/tcp_ring.hpp"
 #include "smc/voting.hpp"
 
 namespace ea::smc {
@@ -278,48 +277,6 @@ TEST_F(SmcTest, ElectionUnanimous) {
   std::vector<std::size_t> votes(5, 1);
   Vec tally = run_election_sdk(votes, 2);
   EXPECT_EQ(tally, (Vec{0, 5}));
-}
-
-// --- distributed (TCP) ring --------------------------------------------------------
-
-TEST_F(SmcTest, TcpRingComputesCorrectSum) {
-  SmcConfig config;
-  config.parties = 3;
-  config.dim = 16;
-  TcpSecureSum smc(config);
-  EXPECT_EQ(smc.run_once(), smc.expected_sum());
-}
-
-TEST_F(SmcTest, TcpRingMatchesColocatedResult) {
-  SmcConfig config;
-  config.parties = 4;
-  config.dim = 8;
-  TcpSecureSum distributed(config);
-  SdkSecureSum colocated(config);
-  // Identical deterministic secrets: identical sums.
-  EXPECT_EQ(distributed.run_once(), colocated.run_once());
-}
-
-TEST_F(SmcTest, TcpRingRepeatedInvocations) {
-  SmcConfig config;
-  config.parties = 3;
-  config.dim = 4;
-  TcpSecureSum smc(config);
-  Vec expected = smc.expected_sum();
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(smc.run_once(), expected);
-}
-
-TEST_F(SmcTest, TcpRingPaysOcallsPerHop) {
-  SmcConfig config;
-  config.parties = 3;
-  config.dim = 4;
-  TcpSecureSum smc(config);
-  smc.run_once();
-  sgxsim::reset_transition_stats();
-  smc.run_once();
-  // Each party sends and/or receives inside its ecall via OCalls: at least
-  // 2 OCalls per hop (send + recv across the ring).
-  EXPECT_GE(sgxsim::transition_stats().ocalls, 6u);
 }
 
 }  // namespace

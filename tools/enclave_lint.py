@@ -43,6 +43,13 @@ self-test never uses it).
 
 Exit status: 0 when clean, 1 when violations were found, 2 on usage errors.
 
+TCB mode (`--tcb`) counts code lines — non-blank lines left after comment
+stripping, the same stripping the rules use — per trusted module and
+fails (exit 1) when a module exceeds its budget in the policy's
+`[modules.tcb_budget]` table, or has none. It also prints core +
+concurrent, the framework code an enclave must trust, against the paper's
+§6.1 bound of < 3.3 kLoC of enclave-resident code.
+
 Self-test mode (`--self-test`) runs the lint over tools/lint_fixtures/ and
 checks that every `// EXPECT: rule-name` annotation fires on exactly that
 line and that nothing else fires.
@@ -198,6 +205,8 @@ class Policy:
     rules: dict[str, Rule]
     # list of (path glob, set of rule names or {"*"}, reason)
     exemptions: list[tuple[str, set[str], str]]
+    # trusted module -> maximum code lines (`--tcb`)
+    tcb_budget: dict[str, int] = field(default_factory=dict)
 
     @staticmethod
     def load(path: Path) -> "Policy":
@@ -222,6 +231,7 @@ class Policy:
             untrusted_modules=modules.get("untrusted", []),
             rules=rules,
             exemptions=exemptions,
+            tcb_budget=modules.get("tcb_budget", {}),
         )
 
     def exempt(self, rel: str, rule: str) -> bool:
@@ -1094,6 +1104,49 @@ def self_test(tools_dir: Path) -> int:
     return 1
 
 
+# Paper §6.1: the enclave-resident TCB stays below 3.3 kLoC.
+PAPER_TCB_BOUND = 3300
+# The framework modules an enclave must trust (beyond crypto and the
+# applications built on them) — what the paper's bound is compared with.
+FRAMEWORK_MODULES = ("core", "concurrent")
+
+
+def code_lines(path: Path) -> int:
+    """Non-blank lines of `path` once comments (and literals) are stripped."""
+    stripped = strip_comments_and_strings(path.read_text().splitlines())
+    return sum(1 for line in stripped if line.strip())
+
+
+def tcb_report(root: Path, policy: Policy) -> int:
+    """`--tcb`: code lines per trusted module against its budget."""
+    counts: dict[str, int] = {}
+    failed = False
+    for module in policy.trusted_modules:
+        files = [p for p in sorted((root / module).rglob("*"))
+                 if p.suffix in SOURCE_SUFFIXES]
+        counts[module] = sum(code_lines(p) for p in files)
+        budget = policy.tcb_budget.get(module)
+        if budget is None:
+            verdict = "FAIL: no budget in [modules.tcb_budget]"
+            failed = True
+        elif counts[module] > budget:
+            verdict = f"FAIL: over budget {budget} by {counts[module] - budget}"
+            failed = True
+        else:
+            verdict = f"ok (budget {budget})"
+        print(f"  {module:<12} {counts[module]:>6} code lines  {verdict}")
+    print(f"  {'total':<12} {sum(counts.values()):>6} code lines")
+    framework = sum(counts.get(m, 0) for m in FRAMEWORK_MODULES)
+    holds = "holds" if framework < PAPER_TCB_BOUND else "does not hold"
+    print(f"  {' + '.join(FRAMEWORK_MODULES)}: {framework} code lines; paper "
+          f"§6.1 bound < {PAPER_TCB_BOUND} ({holds})")
+    if failed:
+        print("enclave-lint --tcb: budget check failed")
+        return 1
+    print("enclave-lint --tcb: every trusted module within budget")
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     tools_dir = Path(__file__).resolve().parent
@@ -1120,6 +1173,11 @@ def main() -> int:
         help="rescan everything, touching no cache file",
     )
     ap.add_argument("--self-test", action="store_true")
+    ap.add_argument(
+        "--tcb",
+        action="store_true",
+        help="report code lines per trusted module against the budgets",
+    )
     args = ap.parse_args()
 
     if args.self_test:
@@ -1136,6 +1194,8 @@ def main() -> int:
     except tomllib.TOMLDecodeError as e:
         print(f"error: policy file {args.policy}: {e}", file=sys.stderr)
         return 2
+    if args.tcb:
+        return tcb_report(args.root, policy)
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 2
