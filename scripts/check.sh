@@ -22,6 +22,11 @@
 #               sealed handoff, rollback + route quarantine, the
 #               duplicate-resume fork guard and the EPC placement sweeps run
 #               under ASan+UBSan with failpoints and the rank checker live
+#   stress      the scheduler, migration and supervision suites (ctest -L
+#               'sched|migrate|supervise') repeated until one fails, up to
+#               20 rounds, JOBS (default: nproc) tests at a time, on the
+#               TSan sched tree and on the fault tree — races a single
+#               pass misses
 #   nofailpoint zero-overhead-when-off symbol check on the plain tree
 #   bench       bench smoke: bench_batching + bench_pos + bench_sched +
 #               bench_migrate, JSON schema check (incl. the zero-copy
@@ -191,6 +196,20 @@ leg lockrank "lock-rank regression (ctest -L lockrank, checker on)" \
 # rank-checked.
 leg migrate "migrate suite (ctest -L migrate, ASan+UBSan, failpoints, lock-rank)" \
   build_and_test build-fault -L migrate -- "${FAULT_FLAGS[@]}"
+
+# --- stress: timing-dependent protocol races (park barrier, home poll, ----
+# restart rediscovery, steal/migrate interleavings) need many runs on real
+# parallel hardware, not one. Reuses the sched and fault trees.
+STRESS_LABELS='sched|migrate|supervise'
+run_stress() {
+  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
+    build_and_test build-sched -L "$STRESS_LABELS" --repeat until-fail:20 -- \
+    -DEA_WERROR=ON -DEA_SANITIZE=thread -DEA_LOCK_RANK=ON || return 1
+  build_and_test build-fault -L "$STRESS_LABELS" --repeat until-fail:20 -- \
+    "${FAULT_FLAGS[@]}"
+}
+leg stress "stress (ctest -L '$STRESS_LABELS' --repeat until-fail:20, TSan sched tree + fault tree)" \
+  run_stress
 
 # --- zero-overhead-when-off: the plain tree must contain no failpoint
 # machinery at all (uses the build-check tree from the plain leg).
@@ -444,7 +463,7 @@ fi
 # --- summary ---------------------------------------------------------------
 if [[ -n "$LEG_FILTER" && $MATCHED -eq 0 ]]; then
   echo "error: no leg named '$LEG_FILTER'" >&2
-  echo "legs: lint tcb plain asan tsan sched fault supervise lockrank migrate nofailpoint bench posperf netperf tsa tidy" >&2
+  echo "legs: lint tcb plain asan tsan sched fault supervise lockrank migrate stress nofailpoint bench posperf netperf tsa tidy" >&2
   exit 2
 fi
 note "matrix summary"

@@ -30,6 +30,7 @@
 
 #include "concurrent/hle_lock.hpp"
 #include "sgxsim/enclave.hpp"
+#include "sgxsim/transition.hpp"
 #include "util/bytes.hpp"
 
 namespace ea::core {
@@ -285,6 +286,16 @@ bool invoke_contained(Actor& actor, sgxsim::EnclaveId entered);
 // hand this way).
 inline bool invoke_contained(Actor& actor) {
   return invoke_contained(actor, actor.placement());
+}
+
+// Runs a lifecycle hook (construct(), on_restart(), on_quarantine()) inside
+// the actor's enclave, or on the calling side when it is untrusted.
+template <typename Fn>
+void run_in_placement(Actor& actor, Fn&& fn) {
+  if (actor.placement() == sgxsim::kUntrusted) return fn();
+  sgxsim::EnclaveScope scope(
+      *sgxsim::EnclaveManager::instance().find(actor.placement()));
+  fn();
 }
 
 }  // namespace ea::core

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <vector>
 
+#include "core/actor.hpp"
 #include "crypto/rng.hpp"
 #include "sgxsim/attestation.hpp"
 #include "util/failpoint.hpp"
@@ -457,10 +458,19 @@ bool ChannelEnd::send_node(concurrent::NodeLease&& lease) {
   return channel_->send_node_from(side_, std::move(lease));
 }
 
-concurrent::NodeLease ChannelEnd::recv() { return channel_->recv_at(side_); }
+bool ChannelEnd::owner_migrating() const noexcept {
+  const Actor* owner = channel_->owners_[side_];
+  return owner != nullptr && owner->lifecycle() == ActorState::kMigrating;
+}
+
+concurrent::NodeLease ChannelEnd::recv() {
+  if (owner_migrating()) return concurrent::NodeLease();
+  return channel_->recv_at(side_);
+}
 
 std::size_t ChannelEnd::recv_burst(concurrent::NodeLease* out,
                                    std::size_t max) {
+  if (owner_migrating()) return 0;
   return channel_->recv_burst_at(side_, out, max);
 }
 

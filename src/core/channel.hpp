@@ -93,11 +93,15 @@ class ChannelEnd {
   // cross-enclave message fails authentication (it is then dropped).
   // The payload is already decrypted. Batch frames are transparent: their
   // sub-messages are handed out one per recv() in send order (the frame is
-  // unsealed only once, when it is first popped).
+  // unsealed only once, when it is first popped). Also empty once the
+  // end's owner is parked at the migration barrier (kMigrating): a body
+  // that drains until empty then ends its quantum instead of holding the
+  // barrier open while its peer keeps the queue full (DESIGN.md §17); what
+  // stays queued is carried over by rebind_for_migration().
   concurrent::NodeLease recv();
 
   // Dequeues up to `max` messages into `out`; returns the count. Unpacks
-  // batch frames with one unseal per frame.
+  // batch frames with one unseal per frame. Same barrier rule as recv().
   std::size_t recv_burst(concurrent::NodeLease* out, std::size_t max);
 
   // True if a recv() would find a message.
@@ -110,6 +114,7 @@ class ChannelEnd {
 
  private:
   friend class Channel;
+  bool owner_migrating() const noexcept;
   Channel* channel_ = nullptr;
   int side_ = 0;  // 0 = initiator (A), 1 = client (B)
 };

@@ -201,10 +201,8 @@ MigrateResult MigrationCoordinator::migrate(Actor& actor,
   if (source == nullptr) return MigrateResult::kNotFound;
 
   concurrent::HleGuard guard(mu_);
-  for (const auto& [from, to] : quarantined_routes_) {
-    if (from == src_id && to == target.id()) {
-      return MigrateResult::kRouteQuarantined;
-    }
+  if (quarantined_routes_.count({src_id, target.id()}) != 0) {
+    return MigrateResult::kRouteQuarantined;
   }
   return migrate_locked(actor, *source, target);
 }
@@ -212,10 +210,7 @@ MigrateResult MigrationCoordinator::migrate(Actor& actor,
 bool MigrationCoordinator::route_quarantined(sgxsim::EnclaveId source,
                                              sgxsim::EnclaveId target) const {
   concurrent::HleGuard guard(mu_);
-  for (const auto& [from, to] : quarantined_routes_) {
-    if (from == source && to == target) return true;
-  }
-  return false;
+  return quarantined_routes_.count({source, target}) != 0;
 }
 
 MigrationStats MigrationCoordinator::stats() const {
@@ -230,7 +225,7 @@ MigrationStats MigrationCoordinator::stats() const {
 
 void MigrationCoordinator::quarantine_route(sgxsim::EnclaveId source,
                                             sgxsim::EnclaveId target) {
-  quarantined_routes_.emplace_back(source, target);
+  quarantined_routes_.emplace(source, target);
   EA_WARN("core", "migration route %u -> %u quarantined", source, target);
 }
 

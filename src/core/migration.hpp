@@ -52,9 +52,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <set>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "concurrent/hle_lock.hpp"
 #include "core/actor.hpp"
@@ -157,7 +157,7 @@ class MigrationCoordinator {
 
   Runtime& rt_;
   mutable concurrent::HleSpinLock mu_{concurrent::LockRank::kMigration};
-  std::vector<std::pair<sgxsim::EnclaveId, sgxsim::EnclaveId>>
+  std::set<std::pair<sgxsim::EnclaveId, sgxsim::EnclaveId>>
       quarantined_routes_ EA_GUARDED_BY(mu_);
   util::LatencyHist pause_hist_ EA_GUARDED_BY(mu_);
 

@@ -98,14 +98,7 @@ void Runtime::start() {
   // supervisor may later restart it via on_restart().
   for (auto& actor : actors_) {
     try {
-      if (actor->placement() != sgxsim::kUntrusted) {
-        sgxsim::Enclave* e =
-            sgxsim::EnclaveManager::instance().find(actor->placement());
-        sgxsim::EnclaveScope scope(*e);
-        actor->construct(*this);
-      } else {
-        actor->construct(*this);
-      }
+      run_in_placement(*actor, [&] { actor->construct(*this); });
     } catch (const std::exception& e) {
       actor->record_failure(e.what());
     } catch (...) {

@@ -5,29 +5,10 @@
 #include <utility>
 
 #include "core/runtime.hpp"
-#include "sgxsim/transition.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
 
 namespace ea::core {
-
-namespace {
-
-// Runs a lifecycle hook inside the actor's enclave (the same placement rule
-// runtime.cpp applies to construct()).
-template <typename Fn>
-void run_in_placement(Actor& actor, Fn&& fn) {
-  if (actor.placement() != sgxsim::kUntrusted) {
-    sgxsim::Enclave* e =
-        sgxsim::EnclaveManager::instance().find(actor.placement());
-    sgxsim::EnclaveScope scope(*e);
-    fn();
-  } else {
-    fn();
-  }
-}
-
-}  // namespace
 
 SupervisorActor::SupervisorActor(std::string name, Options options)
     : Actor(std::move(name)), options_(options) {

@@ -12,10 +12,13 @@ namespace {
 
 // Parks the thread per the backoff's verdict after an idle round (see
 // IdleBackoff in worker.hpp for the ramp rationale). The sleep only ever
-// runs on the all-idle path — never while any actor makes progress — so it
-// cannot stall the message path the enclave-safety rules protect.
+// runs after a millisecond without progress — never while any actor makes
+// progress — so it cannot stall the message path the enclave-safety rules
+// protect.
 void park_idle(IdleBackoff& backoff) {
-  const std::uint32_t us = backoff.next_idle();
+  const auto now = std::chrono::steady_clock::now().time_since_epoch();
+  const std::uint32_t us = backoff.next_idle(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(now).count()));
   if (us == 0) {
     std::this_thread::yield();
   } else {
@@ -266,8 +269,13 @@ Actor* Worker::try_steal() {
 bool Worker::poll_parked_home() {
   bool progress = false;
   for (Actor* actor : actors_) {
+    // Only Runnable actors wake: dispatch() would skip any other and park
+    // it again, and counting that as progress would keep the worker from
+    // ever backing off. A restart or unpark makes it Runnable again, and
+    // the next tick finds it still parked here.
     if (actor->sched_state_.load(std::memory_order_relaxed) !=
-        SchedState::kParked) {
+            SchedState::kParked ||
+        actor->lifecycle() != ActorState::kRunnable) {
       continue;
     }
     if (actor->has_pending_work()) {

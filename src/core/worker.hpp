@@ -25,6 +25,7 @@
 // transitions only between consecutive actors placed differently.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
@@ -47,45 +48,46 @@ enum class SchedMode : std::uint8_t {
 
 const char* to_string(SchedMode mode) noexcept;
 
-// Idle pacing for a worker's scheduling loop. Real EActors workers spin
-// (they own a hardware thread); on machines with fewer cores than workers
-// the backoff stands in for the hardware thread the paper's testbed would
-// have provided. The ramp is: kYieldRounds consecutive idle rounds of
-// plain yields (cheap, keeps wake latency minimal for bursty traffic),
-// then exponentially growing sleeps from kMinSleepUs capped at kMaxSleepUs
-// so a fully idle worker stops burning an oversubscribed CPU while still
-// observing request_stop() within ~a millisecond. Any progress resets the
-// ramp. It does not touch the cost model.
+// Idle pacing for a worker's scheduling loop. EActors workers own their
+// hardware thread and poll (paper §3.2), so a hand-off between actors costs
+// a cache miss, not a timer wake-up. After a productive round the worker
+// keeps polling, yielding between empty rounds, until it has been idle for
+// kMaxSleepUs; only then does it sleep, doubling from kMinSleepUs up to
+// kMaxSleepUs, so a fully idle worker stops burning an oversubscribed CPU
+// while still observing request_stop() within ~a millisecond. Any progress
+// restarts the idle window. The caller passes the time (steady clock, µs),
+// so the ramp is testable without sleeping. It does not touch the cost
+// model.
 class IdleBackoff {
  public:
-  // kYieldRounds yields before the first sleep; sleeps double from
-  // kMinSleepUs up to kMaxSleepUs (the cap bounds stop/wake latency).
-  static constexpr int kYieldRounds = 16;
+  // The idle window before the first sleep, and the cap on one sleep (it
+  // bounds stop/wake latency); sleeps double from kMinSleepUs.
   static constexpr std::uint32_t kMinSleepUs = 16;
   static constexpr std::uint32_t kMaxSleepUs = 1000;
 
-  // Called after an idle round: returns 0 while still in the yield phase,
-  // otherwise the number of microseconds the caller should sleep.
-  std::uint32_t next_idle() noexcept {
-    if (idle_rounds_ < kYieldRounds) {
-      ++idle_rounds_;
-      return 0;
+  // Called after an idle round at `now_us`: returns 0 (yield) until the
+  // worker has been idle for kMaxSleepUs, then the number of microseconds
+  // the caller should sleep.
+  std::uint32_t next_idle(std::uint64_t now_us) noexcept {
+    if (!idle_) {
+      idle_ = true;
+      idle_since_us_ = now_us;
     }
+    if (now_us - idle_since_us_ < kMaxSleepUs) return 0;
     const std::uint32_t us = sleep_us_;
-    if (sleep_us_ < kMaxSleepUs) {
-      sleep_us_ = sleep_us_ * 2 > kMaxSleepUs ? kMaxSleepUs : sleep_us_ * 2;
-    }
+    sleep_us_ = std::min(sleep_us_ * 2, kMaxSleepUs);
     return us;
   }
 
   // Called after a productive round.
   void reset() noexcept {
-    idle_rounds_ = 0;
+    idle_ = false;
     sleep_us_ = kMinSleepUs;
   }
 
  private:
-  int idle_rounds_ = 0;
+  bool idle_ = false;
+  std::uint64_t idle_since_us_ = 0;
   std::uint32_t sleep_us_ = kMinSleepUs;
 };
 

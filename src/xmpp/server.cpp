@@ -210,9 +210,13 @@ bool XmppActor::body() {
   bool progress = false;
   // Burst-drain the inbox: the READER delivers data nodes in push_chain
   // batches, so pop_burst picks whole bursts up under one lock acquisition.
+  // The drain stops at the migration barrier (DESIGN.md §17): a READER that
+  // keeps the inbox non-empty must not hold the park open; what is left
+  // stays queued for the resumed actor.
   concurrent::Node* burst[net::kReadBurst * 2];
   std::size_t got;
-  while ((got = inbox_.pop_burst(burst, net::kReadBurst * 2)) != 0) {
+  while (lifecycle() != core::ActorState::kMigrating &&
+         (got = inbox_.pop_burst(burst, net::kReadBurst * 2)) != 0) {
     for (std::size_t b = 0; b < got; ++b) {
       concurrent::Node* node = burst[b];
       concurrent::NodeLease lease(node);
@@ -381,28 +385,22 @@ void XmppActor::forward_groupchat(int owner, const XmlNode& stanza,
     return;
   }
   const crypto::AeadKey* key = shared_->transfer_key(index_, owner);
-  bool encrypted = key != nullptr;
+  const bool encrypted = key != nullptr;
+  std::span<const std::uint8_t> payload(
+      reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size());
+  util::Bytes sealed;
   if (encrypted) {
-    std::uint64_t nonce =
+    const std::uint64_t nonce =
         shared_->transfer_nonce.fetch_add(1, std::memory_order_relaxed);
-    util::Bytes sealed = crypto::seal_with_counter(
-        *key, nonce, {},
-        std::span<const std::uint8_t>(
-            reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size()));
-    if (sealed.size() > node->capacity) {
-      concurrent::NodeLease(node).reset();
-      EA_WARN("xmpp", "dropping forwarded groupchat (capacity)");
-      return;
-    }
-    node->fill(sealed);
-  } else {
-    if (wire.size() > node->capacity) {
-      concurrent::NodeLease(node).reset();
-      EA_WARN("xmpp", "dropping forwarded groupchat (capacity)");
-      return;
-    }
-    node->fill(wire);
+    sealed = crypto::seal_with_counter(*key, nonce, {}, payload);
+    payload = sealed;
   }
+  if (payload.size() > node->capacity) {
+    concurrent::NodeLease(node).reset();
+    EA_WARN("xmpp", "dropping forwarded groupchat (capacity)");
+    return;
+  }
+  node->fill(payload);
   node->tag = transfer_tag(index_, encrypted);
   shared_->inboxes[static_cast<std::size_t>(owner)]->push(node);
 }

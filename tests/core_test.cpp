@@ -344,33 +344,51 @@ TEST_F(CoreTest, MixedWorkerTransitionsOnlyOnPlacementChange) {
 }
 
 // --- idle backoff -----------------------------------------------------------
+//
+// The caller passes the time (µs on any steady origin), so the ramp is
+// checked here without sleeping.
 
 TEST(IdleBackoffTest, RampsYieldsThenExponentialSleepCapped) {
   IdleBackoff b;
-  // First kYieldRounds idle rounds are plain yields (no sleeping).
-  for (int i = 0; i < IdleBackoff::kYieldRounds; ++i) {
-    EXPECT_EQ(b.next_idle(), 0u) << "round " << i;
+  constexpr std::uint64_t kT0 = 5'000'000;
+  // Inside the first kMaxSleepUs of idleness every empty round yields, no
+  // matter how many rounds fit in it.
+  for (std::uint64_t t = kT0; t < kT0 + IdleBackoff::kMaxSleepUs; t += 10) {
+    ASSERT_EQ(b.next_idle(t), 0u) << "at +" << t - kT0 << " us";
   }
+  EXPECT_EQ(b.next_idle(kT0 + IdleBackoff::kMaxSleepUs - 1), 0u);
   // Then the sleep doubles from the minimum up to the cap and stays there.
+  std::uint64_t t = kT0 + IdleBackoff::kMaxSleepUs;
   std::uint32_t expected = IdleBackoff::kMinSleepUs;
   std::uint32_t last = 0;
   for (int i = 0; i < 12; ++i) {
-    last = b.next_idle();
+    last = b.next_idle(t);
     EXPECT_EQ(last, expected) << "step " << i;
+    t += last;
     expected = std::min(expected * 2, IdleBackoff::kMaxSleepUs);
   }
   EXPECT_EQ(last, IdleBackoff::kMaxSleepUs);
-  EXPECT_EQ(b.next_idle(), IdleBackoff::kMaxSleepUs);
+  EXPECT_EQ(b.next_idle(t), IdleBackoff::kMaxSleepUs);
 }
 
 TEST(IdleBackoffTest, ProgressResetsTheRamp) {
   IdleBackoff b;
-  for (int i = 0; i < IdleBackoff::kYieldRounds + 5; ++i) b.next_idle();
+  std::uint64_t t = 7'000;
+  EXPECT_EQ(b.next_idle(t), 0u);
+  t += IdleBackoff::kMaxSleepUs;
+  EXPECT_EQ(b.next_idle(t), IdleBackoff::kMinSleepUs);
+  EXPECT_EQ(b.next_idle(t + IdleBackoff::kMinSleepUs),
+            2 * IdleBackoff::kMinSleepUs);
+  // A productive round restarts the window at the next idle round, however
+  // late that comes ...
   b.reset();
-  for (int i = 0; i < IdleBackoff::kYieldRounds; ++i) {
-    EXPECT_EQ(b.next_idle(), 0u) << "round " << i;
+  t += 50'000;
+  for (std::uint64_t dt = 0; dt < IdleBackoff::kMaxSleepUs; dt += 100) {
+    EXPECT_EQ(b.next_idle(t + dt), 0u) << "at +" << dt << " us";
   }
-  EXPECT_EQ(b.next_idle(), IdleBackoff::kMinSleepUs);
+  // ... and the sleeps start over from the minimum.
+  EXPECT_EQ(b.next_idle(t + IdleBackoff::kMaxSleepUs),
+            IdleBackoff::kMinSleepUs);
 }
 
 // An actor that never makes progress: its worker rides the backoff ramp

@@ -10,6 +10,9 @@
 //    names) fires before any state moves;
 //  * a live migration under the stealing scheduler mid-traffic loses and
 //    reorders nothing on an encrypted channel rebound in place;
+//  * the park barrier ends a drain-until-empty quantum — a channel drain
+//    and an XMPP instance's inbox drain — while the input keeps the queue
+//    full, and the queued rest is carried over;
 //  * a live migration under the static scheduler is followed by the
 //    worker: every later activation runs inside the target enclave;
 //  * per-enclave EPC accounting is visible through Runtime::health();
@@ -37,6 +40,7 @@
 #include "sgxsim/monotonic_counter.hpp"
 #include "sgxsim/transition.hpp"
 #include "util/bytes.hpp"
+#include "xmpp/server.hpp"
 
 namespace ea::core {
 namespace {
@@ -352,6 +356,229 @@ TEST_F(MigrationTest, LiveMigrationLosesNoMessageOnEncryptedChannel) {
   EXPECT_EQ(stats.rolled_back, 0u);
   EXPECT_EQ(coordinator.pause_hist().count(),
             static_cast<std::uint64_t>(moves));
+}
+
+// --- the park barrier under continuous input --------------------------------
+
+// Floods a queue with sequence-numbered messages as fast as the pool
+// allows until told to stop or until its own deadline passes, so a park
+// that waits for the input to stop still returns, and the test can tell
+// that it waited.
+class FloodActor : public Actor {
+ public:
+  FloodActor(std::string name, std::chrono::steady_clock::time_point deadline)
+      : Actor(std::move(name)), deadline_(deadline) {}
+
+  bool body() override {
+    if (!stop_.load(std::memory_order_relaxed) &&
+        std::chrono::steady_clock::now() >= deadline_) {
+      deadline_hit_.store(true, std::memory_order_relaxed);
+      stop_.store(true, std::memory_order_relaxed);
+    }
+    if (stop_.load(std::memory_order_relaxed)) {
+      quiet_.store(true, std::memory_order_release);
+      return false;
+    }
+    bool progress = false;
+    for (int i = 0; i < 64 && send_one(next_); ++i) {
+      ++next_;
+      progress = true;
+    }
+    sent_.store(next_, std::memory_order_release);
+    return progress;
+  }
+
+  void stop() { stop_.store(true, std::memory_order_relaxed); }
+  // True once a body has seen the stop: nothing is sent after that.
+  bool quiet() const { return quiet_.load(std::memory_order_acquire); }
+  bool deadline_hit() const {
+    return deadline_hit_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t sent() const { return sent_.load(std::memory_order_acquire); }
+
+ protected:
+  // Sends message `seq`; false when the pool is exhausted.
+  virtual bool send_one(std::uint64_t seq) = 0;
+
+ private:
+  const std::chrono::steady_clock::time_point deadline_;
+  std::uint64_t next_ = 0;
+  std::atomic<std::uint64_t> sent_{0};
+  std::atomic<bool> stop_{false};
+  std::atomic<bool> quiet_{false};
+  std::atomic<bool> deadline_hit_{false};
+};
+
+class ChannelFloodActor : public FloodActor {
+ public:
+  using FloodActor::FloodActor;
+  void construct(Runtime&) override { end_ = connect("flood.chan"); }
+
+ protected:
+  bool send_one(std::uint64_t seq) override {
+    std::uint8_t wire[8];
+    util::store_le64(wire, seq);
+    return end_->send(std::span<const std::uint8_t>(wire, 8));
+  }
+
+ private:
+  ChannelEnd* end_ = nullptr;
+};
+
+// Drains its channel until empty and spends ~4 µs per message, so the
+// flood keeps the queue non-empty and a quantum never ends on its own. Its
+// migratable state is the next sequence number it expects.
+class DrainActor : public MigratoryActor {
+ public:
+  using MigratoryActor::MigratoryActor;
+
+  void construct(Runtime&) override { end_ = connect("flood.chan"); }
+
+  bool body() override {
+    bool progress = false;
+    while (concurrent::NodeLease lease = end_->recv()) {
+      const std::uint64_t seq = lease->data().size() == 8
+                                    ? util::load_le64(lease->data().data())
+                                    : ~0ull;
+      if (seq != value_) violations_.fetch_add(1, std::memory_order_relaxed);
+      value_ = seq + 1;
+      received_.store(value_, std::memory_order_release);
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::microseconds(4);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      progress = true;
+    }
+    return progress;
+  }
+
+  std::uint64_t received() const {
+    return received_.load(std::memory_order_acquire);
+  }
+  std::uint64_t violations() const {
+    return violations_.load(std::memory_order_relaxed);
+  }
+
+ private:
+  ChannelEnd* end_ = nullptr;
+  std::atomic<std::uint64_t> received_{0};
+  std::atomic<std::uint64_t> violations_{0};
+};
+
+// The park barrier waits for the actor's running quantum. A body that
+// drains until empty must end that quantum at the barrier even while its
+// peer keeps the queue full; the rest is carried over by the rebind.
+TEST_F(MigrationTest, ParkEndsDrainingQuantumUnderContinuousInput) {
+  RuntimeOptions options;
+  options.sched = SchedMode::kSteal;
+  Runtime rt(options);
+  rt.enclave("flood.e0");
+  rt.enclave("flood.e1");
+  sgxsim::Enclave& e2 = rt.enclave("flood.e2");
+  auto flood_owned = std::make_unique<ChannelFloodActor>(
+      "flood.src", std::chrono::steady_clock::now() + 5s);
+  ChannelFloodActor* flood = flood_owned.get();
+  rt.add_actor(std::move(flood_owned), "flood.e0");
+  auto drain_owned = std::make_unique<DrainActor>("flood.drain");
+  DrainActor* drain = drain_owned.get();
+  rt.add_actor(std::move(drain_owned), "flood.e1");
+  rt.add_worker("flood.w0", {}, {"flood.src"});
+  rt.add_worker("flood.w1", {}, {"flood.drain"});
+  rt.start();
+
+  MigrationCoordinator coordinator(rt);
+  ASSERT_TRUE(eventually([&] { return drain->received() > 1000; }));
+  ASSERT_EQ(coordinator.migrate(*drain, e2), MigrateResult::kOk);
+  EXPECT_FALSE(flood->deadline_hit())
+      << "migrate() returned only once the input stopped";
+  // The input is still flowing, now into the target enclave.
+  const std::uint64_t sent_at_move = flood->sent();
+  EXPECT_TRUE(eventually([&] { return drain->received() > sent_at_move; }));
+  flood->stop();
+  ASSERT_TRUE(eventually([&] { return flood->quiet(); }));
+  EXPECT_TRUE(
+      eventually([&] { return drain->received() == flood->sent(); }))
+      << "received " << drain->received() << " of " << flood->sent();
+  rt.stop();
+
+  EXPECT_EQ(drain->violations(), 0u) << "flood lost or reordered";
+  EXPECT_EQ(drain->value_, flood->sent());  // carried state kept counting
+  EXPECT_EQ(drain->placement(), e2.id());
+  Channel& chan = rt.channel("flood.chan");
+  EXPECT_TRUE(chan.encrypted());
+  EXPECT_EQ(chan.auth_failures(), 0u);
+  EXPECT_EQ(chan.frame_errors(), 0u);
+  const MigrationStats stats = coordinator.stats();
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.rolled_back, 0u);
+  EXPECT_GT(stats.in_flight_carried, 0u) << "the queue was empty at the move";
+}
+
+// An XMPP protocol instance drains its inbox the same way. Whitespace
+// keep-alives cost it parse time and produce no output, so this flood
+// keeps the inbox non-empty without sockets, a READER or a WRITER.
+class KeepAliveFloodActor : public FloodActor {
+ public:
+  KeepAliveFloodActor(std::string name,
+                      std::chrono::steady_clock::time_point deadline,
+                      concurrent::Mbox& inbox, concurrent::Pool& pool)
+      : FloodActor(std::move(name), deadline), inbox_(inbox), pool_(pool) {}
+
+ protected:
+  bool send_one(std::uint64_t) override {
+    concurrent::Node* node = pool_.get();
+    if (node == nullptr) return false;
+    static const std::string kKeepAlive(1024, ' ');
+    node->fill(kKeepAlive);
+    node->tag = 7;  // one client's socket
+    inbox_.push(node);
+    return true;
+  }
+
+ private:
+  concurrent::Mbox& inbox_;
+  concurrent::Pool& pool_;
+};
+
+TEST_F(MigrationTest, ParkEndsXmppInboxDrainUnderContinuousInput) {
+  RuntimeOptions options;
+  options.sched = SchedMode::kSteal;
+  Runtime rt(options);
+  rt.enclave("xflood.e1");
+  sgxsim::Enclave& e2 = rt.enclave("xflood.e2");
+  auto shared = std::make_shared<xmpp::XmppShared>();
+  shared->pool = &rt.public_pool();
+  shared->instances = 1;  // single-instance deployments are migratable
+  auto instance_owned =
+      std::make_unique<xmpp::XmppActor>("xflood.xmpp", 0, shared);
+  xmpp::XmppActor* instance = instance_owned.get();
+  rt.add_actor(std::move(instance_owned), "xflood.e1");
+  auto flood_owned = std::make_unique<KeepAliveFloodActor>(
+      "xflood.src", std::chrono::steady_clock::now() + 5s, instance->inbox(),
+      rt.public_pool());
+  KeepAliveFloodActor* flood = flood_owned.get();
+  rt.add_actor(std::move(flood_owned));
+  rt.add_worker("xflood.w0", {}, {"xflood.src"});
+  rt.add_worker("xflood.w1", {}, {"xflood.xmpp"});
+  rt.start();
+
+  MigrationCoordinator coordinator(rt);
+  // Draining (over 1000 consumed) with a backlog (over 1000 queued).
+  ASSERT_TRUE(eventually([&] {
+    const std::size_t queued = instance->inbox().size();
+    return queued > 1000 && flood->sent() > queued + 1000;
+  }));
+  ASSERT_EQ(coordinator.migrate(*instance, e2), MigrateResult::kOk);
+  EXPECT_FALSE(flood->deadline_hit())
+      << "migrate() returned only once the input stopped";
+  EXPECT_EQ(instance->placement(), e2.id());
+  // The resumed instance drains what queued up during the pause.
+  flood->stop();
+  ASSERT_TRUE(eventually([&] { return flood->quiet(); }));
+  EXPECT_TRUE(eventually([&] { return instance->inbox().empty(); }));
+  rt.stop();
+  EXPECT_EQ(coordinator.stats().completed, 1u);
+  EXPECT_EQ(coordinator.stats().rolled_back, 0u);
 }
 
 // --- live migration under the static scheduler ------------------------------

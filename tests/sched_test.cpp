@@ -386,6 +386,59 @@ TEST_F(SchedTest, RestartedActorIsRediscoveredByHomePoll) {
   EXPECT_EQ(victim->lifecycle(), ActorState::kRunnable);
 }
 
+// A signalling actor that is not Runnable stays parked while its input
+// keeps arriving: the home poll wakes only Runnable actors, so its worker
+// sees empty rounds and backs off instead of waking it, skipping it and
+// parking it again every round. Once restarted, the same poll finds it.
+TEST_F(SchedTest, NonRunnableActorWithPendingInputStaysParked) {
+  class AlwaysPendingActor : public Actor {
+   public:
+    using Actor::Actor;
+    bool body() override {
+      if (fail_next_.exchange(false, std::memory_order_relaxed)) {
+        throw std::runtime_error("scheduled failure");
+      }
+      return false;
+    }
+    // Input never stops arriving (a net actor under load, say).
+    bool has_pending_work() const override { return true; }
+    std::atomic<bool> fail_next_{false};
+  };
+
+  RuntimeOptions options;
+  options.sched = SchedMode::kSteal;
+  Runtime rt(options);
+  auto owned = std::make_unique<AlwaysPendingActor>("pending");
+  AlwaysPendingActor* actor = owned.get();
+  rt.add_actor(std::move(owned));
+  // The restart waits long enough for the Failed window to be measured.
+  SupervisorActor::Options sup_opts;
+  sup_opts.sweep_interval_us = 0;
+  sup_opts.default_policy.backoff = BackoffPolicy{400'000, 400'000, 1, 0};
+  rt.add_actor(std::make_unique<SupervisorActor>("sup", sup_opts));
+  const Worker& home = rt.add_worker("w0", {}, {"pending"});
+  rt.add_worker("w1", {}, {"sup"});
+  rt.start();
+
+  ASSERT_TRUE(eventually([&] { return actor->invocations() > 50; }));
+  actor->fail_next_.store(true, std::memory_order_relaxed);
+  ASSERT_TRUE(eventually(
+      [&] { return actor->lifecycle() == ActorState::kFailed; }));
+  std::this_thread::sleep_for(10ms);  // the failing dispatch hands it back
+  const std::uint64_t before = home.dispatches();
+  std::this_thread::sleep_for(100ms);
+  const std::uint64_t during = home.dispatches() - before;
+  ASSERT_EQ(actor->restarts(), 0u) << "restarted before the window closed";
+  EXPECT_LE(during, 2u) << "the Failed actor kept being woken and skipped";
+
+  const std::uint64_t invoked = actor->invocations();
+  EXPECT_TRUE(eventually([&] {
+    return actor->restarts() >= 1 && actor->invocations() > invoked + 50;
+  }));
+  rt.stop();
+  EXPECT_EQ(actor->lifecycle(), ActorState::kRunnable);
+}
+
 // --- zero-copy sends --------------------------------------------------------
 
 TEST_F(SchedTest, SendNodeIntraEnclaveIsZeroCopy) {
