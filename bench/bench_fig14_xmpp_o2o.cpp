@@ -20,12 +20,10 @@ using namespace ea;
 
 namespace {
 
-double run_ea(int instances, int clients, double seconds, int idle = 0,
-              core::NetMode net = core::NetMode::kScan) {
+double run_ea(int instances, int clients, double seconds, int idle = 0) {
   core::RuntimeOptions options;
   options.pool_nodes = 8192;
   options.node_payload_bytes = 2048;
-  options.net = net;
   core::Runtime rt(options);
   xmpp::XmppServiceConfig config;
   config.instances = instances;
@@ -78,15 +76,11 @@ int main() {
     bench::row("fig14", "EA/48", clients, ea48, "req/s");
 
     // Connection-count column (EA_XMPP_IDLE_SWEEP=N): the same active
-    // workload with N idle connections as ballast, for both net planes —
-    // the scan sweep pays per idle socket, the readiness core does not.
+    // workload with N idle connections as ballast, which the READER's
+    // epoll set should not charge for.
     if (const int idle = bench::idle_sweep_count(); idle > 0) {
-      const std::string suffix = "+" + std::to_string(idle) + "idle";
-      bench::row("fig14", "EA/3" + suffix, clients,
+      bench::row("fig14", "EA/3+" + std::to_string(idle) + "idle", clients,
                  run_ea(1, clients, seconds, idle), "req/s");
-      bench::row("fig14", "EA/3-epoll" + suffix, clients,
-                 run_ea(1, clients, seconds, idle, core::NetMode::kEpoll),
-                 "req/s");
     }
 
     best_ejb = std::max(best_ejb, ejb);

@@ -14,12 +14,10 @@ using namespace ea;
 
 namespace {
 
-double run_ea(bool trusted, int participants, double seconds, int idle = 0,
-              core::NetMode net = core::NetMode::kScan) {
+double run_ea(bool trusted, int participants, double seconds, int idle = 0) {
   core::RuntimeOptions options;
   options.pool_nodes = 8192;
   options.node_payload_bytes = 2048;
-  options.net = net;
   core::Runtime rt(options);
   xmpp::XmppServiceConfig config;
   config.instances = 1;
@@ -71,16 +69,12 @@ int main() {
     bench::row("fig15", "EA/untrusted", participants, untrusted, "req/s");
 
     // Connection-count column (EA_XMPP_IDLE_SWEEP=N): the same group with N
-    // idle connections as ballast, scan versus the readiness core — the
-    // scan sweep pays per idle socket, epoll does not.
+    // idle connections as ballast, which the READER's epoll set should not
+    // charge for.
     if (const int idle = bench::idle_sweep_count(); idle > 0) {
-      const std::string suffix = "+" + std::to_string(idle) + "idle";
-      bench::row("fig15", "EA/untrusted" + suffix, participants,
+      bench::row("fig15", "EA/untrusted+" + std::to_string(idle) + "idle",
+                 participants,
                  run_ea(/*trusted=*/false, participants, seconds, idle),
-                 "req/s");
-      bench::row("fig15", "EA/untrusted-epoll" + suffix, participants,
-                 run_ea(/*trusted=*/false, participants, seconds, idle,
-                        core::NetMode::kEpoll),
                  "req/s");
     }
 

@@ -27,9 +27,9 @@ namespace ea::bench {
 // A population of connected-and-authenticated clients that never send:
 // ballast for the connection-count sweep (the c100k question scaled into
 // the figure benches — how much does an idle population cost the active
-// one?). Under net=scan every idle connection adds a recv syscall to each
-// READER round; under net=epoll idle connections are free after
-// registration. Connections drop when the object goes out of scope.
+// one?). The READER's epoll set reports only sockets with data, so idle
+// connections cost nothing after registration. Connections drop when the
+// object goes out of scope.
 class IdleClients {
  public:
   // Connects `count` idle clients; returns how many actually made it (the

@@ -22,11 +22,11 @@
 #               sealed handoff, rollback + route quarantine, the
 #               duplicate-resume fork guard and the EPC placement sweeps run
 #               under ASan+UBSan with failpoints and the rank checker live
-#   stress      the scheduler, migration and supervision suites (ctest -L
-#               'sched|migrate|supervise') repeated until one fails, up to
-#               20 rounds, JOBS (default: nproc) tests at a time, on the
-#               TSan sched tree and on the fault tree — races a single
-#               pass misses
+#   stress      the scheduler, migration, supervision and net suites
+#               (ctest -L 'sched|migrate|supervise|net') repeated until one
+#               fails, up to 20 rounds, JOBS (default: nproc) tests at a
+#               time, on the TSan sched tree and on the fault tree — races
+#               a single pass misses
 #   nofailpoint zero-overhead-when-off symbol check on the plain tree
 #   bench       bench smoke: bench_batching + bench_pos + bench_sched +
 #               bench_migrate, JSON schema check (incl. the zero-copy
@@ -38,9 +38,9 @@
 #               throughput claim); skipped with a notice when no baseline
 #               is committed
 #   netperf     perf-regression guard: a fresh `bench_c100k --smoke` sweep
-#               (scan vs epoll) must hold >= 0.8x throughput and <= 2.0x
-#               p99 geomean on the epoll rows of the committed
-#               BENCH_net.json (the readiness-core claim); skipped with a
+#               of the READER's epoll plane must hold >= 0.8x throughput
+#               and <= 2.0x p99 geomean on the epoll rows of the committed
+#               BENCH_net.json (the idle-connection claim); skipped with a
 #               notice when no baseline is committed or the RLIMIT_NOFILE
 #               hard cap is too low for the client sweep
 #   tsa         clang build with -DEA_THREAD_SAFETY=ON: the Clang Thread
@@ -198,9 +198,10 @@ leg migrate "migrate suite (ctest -L migrate, ASan+UBSan, failpoints, lock-rank)
   build_and_test build-fault -L migrate -- "${FAULT_FLAGS[@]}"
 
 # --- stress: timing-dependent protocol races (park barrier, home poll, ----
-# restart rediscovery, steal/migrate interleavings) need many runs on real
-# parallel hardware, not one. Reuses the sched and fault trees.
-STRESS_LABELS='sched|migrate|supervise'
+# restart rediscovery, steal/migrate interleavings, READER subscribe vs
+# CLOSER) need many runs on real parallel hardware, not one. Reuses the
+# sched and fault trees.
+STRESS_LABELS='sched|migrate|supervise|net'
 run_stress() {
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
     build_and_test build-sched -L "$STRESS_LABELS" --repeat until-fail:20 -- \
@@ -347,14 +348,14 @@ else
   fi
 fi
 
-# --- net readiness perf-regression guard: bench_c100k --smoke pins its own -
-# 0.25 s window and sweeps {512, 2048} simulated clients in both net planes
-# (scan and epoll), raising RLIMIT_NOFILE itself. The fresh epoll rows must
-# hold a 0.8x throughput geomean AND stay under a 2.0x p99 latency geomean
-# against the committed BENCH_net.json — a readiness-core regression fails
-# the matrix even when every test still passes. Bounds are loose because CI
-# runs single-core; the committed sweep-top gap (epoll ~100x scan) gives
-# plenty of margin.
+# --- net perf-regression guard: bench_c100k --smoke pins its own 0.25 s ----
+# window and sweeps {512, 2048} simulated clients on the READER's epoll
+# plane (rows labelled `epoll`), raising RLIMIT_NOFILE itself. The fresh
+# rows must hold a 0.8x throughput geomean AND stay under a 2.0x p99
+# latency geomean against the committed BENCH_net.json's epoll rows — a
+# net-plane regression fails the matrix even when every test still passes.
+# Bounds are loose because the committed baseline came from a single-core
+# host.
 run_net_perf_guard() {
   EA_BENCH_JSON=build-check/BENCH_net_smoke.json \
     ./build-check/bench/bench_c100k --smoke >/dev/null || return 1
@@ -378,8 +379,8 @@ fresh = rows(fresh_path)
 committed = rows(committed_path)
 assert committed, f"no c100k rows in {committed_path}"
 # The smoke sweep is a prefix of the committed full sweep; gate only on the
-# epoll rows present in both (scan is the ablation baseline, not the
-# product path).
+# epoll rows present in both (the committed scan rows record the per-socket
+# recv sweep the READER's epoll set replaced).
 keys = sorted(k for k in fresh if k in committed and k[0] == "epoll")
 assert keys, f"no shared epoll rows between {fresh_path} and {committed_path}"
 
@@ -401,7 +402,7 @@ if p99_keys:
     if p99 > 2.0:
         bad.append(f"epoll p99 geomean {p99:.2f}x > 2.0x")
 if bad:
-    print("net readiness core regressed vs committed BENCH_net.json:")
+    print("net plane regressed vs committed BENCH_net.json:")
     for line in bad:
         print("  " + line)
     sys.exit(1)
@@ -421,7 +422,7 @@ elif [[ "$NOFILE_HARD" != "unlimited" && "$NOFILE_HARD" -lt 8192 ]]; then
     note "SKIP netperf — RLIMIT_NOFILE hard cap is $NOFILE_HARD (< 8192), too low for the c100k client sweep"
   fi
 else
-  leg netperf "net readiness perf guard (bench_c100k --smoke vs BENCH_net.json)" \
+  leg netperf "net perf guard (bench_c100k --smoke vs BENCH_net.json)" \
     run_net_perf_guard
 fi
 

@@ -124,25 +124,6 @@ DeploymentConfig DeploymentConfig::parse(std::string_view text) {
       } else {
         fail(line_no, "sched: expected static|steal, got '" + mode + "'");
       }
-    } else if (kind == "net") {
-      // `net epoll` or `net mode=epoll`; default stays kScan so existing
-      // deployment files keep the paper's per-round socket sweep.
-      if (tokens.size() < 2) fail(line_no, "net needs scan|epoll");
-      std::string mode = tokens[1];
-      auto eq = mode.find('=');
-      if (eq != std::string::npos) {
-        if (mode.substr(0, eq) != "mode") {
-          fail(line_no, "net: unknown key '" + mode.substr(0, eq) + "'");
-        }
-        mode = mode.substr(eq + 1);
-      }
-      if (mode == "scan") {
-        config.runtime.net = NetMode::kScan;
-      } else if (mode == "epoll") {
-        config.runtime.net = NetMode::kEpoll;
-      } else {
-        fail(line_no, "net: expected scan|epoll, got '" + mode + "'");
-      }
     } else if (kind == "channel") {
       if (tokens.size() < 2) fail(line_no, "channel needs a name");
       ConfigChannel channel;

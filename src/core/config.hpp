@@ -14,7 +14,6 @@
 //   worker  <name> cpus=<c0,c1,...> actors=<a0,a1,...>
 //   channel <name> [plain]
 //   sched   static|steal          (also: sched mode=static|steal)
-//   net     scan|epoll            (also: net mode=scan|epoll)
 #pragma once
 
 #include <functional>

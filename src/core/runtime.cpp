@@ -7,16 +7,6 @@
 
 namespace ea::core {
 
-const char* to_string(NetMode mode) noexcept {
-  switch (mode) {
-    case NetMode::kScan:
-      return "scan";
-    case NetMode::kEpoll:
-      return "epoll";
-  }
-  return "?";
-}
-
 Runtime::Runtime(RuntimeOptions options)
     : options_(options),
       arena_(options_.pool_nodes, options_.node_payload_bytes) {

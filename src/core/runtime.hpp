@@ -24,19 +24,6 @@
 
 namespace ea::core {
 
-// Network readiness plane (DESIGN.md §16): kScan is the paper's Fig. 6
-// behaviour — READER/WRITER poll every registered socket non-blockingly
-// each round (and the ablation baseline, mirroring SchedMode::kStatic);
-// kEpoll adds an fd-watcher actor per net worker that owns an
-// edge-triggered epoll instance and feeds readiness notes to READER/WRITER
-// so idle sockets cost zero syscalls.
-enum class NetMode : std::uint8_t {
-  kScan = 0,
-  kEpoll = 1,
-};
-
-const char* to_string(NetMode mode) noexcept;
-
 struct RuntimeOptions {
   // Public message pool preallocation.
   std::size_t pool_nodes = 4096;
@@ -45,9 +32,6 @@ struct RuntimeOptions {
   // mapping (and the ablation baseline); kSteal enables per-worker run
   // queues with affinity-filtered work stealing.
   SchedMode sched = SchedMode::kStatic;
-  // Network plane (DESIGN.md §16): scan keeps the paper's per-round
-  // socket sweep; epoll installs the readiness core.
-  NetMode net = NetMode::kScan;
 };
 
 class Runtime {

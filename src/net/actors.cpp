@@ -1,15 +1,20 @@
 #include "net/actors.hpp"
 
+#include <sys/epoll.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstring>
 
 #include "core/runtime.hpp"
-#include "net/readiness.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
 
 namespace ea::net {
 
 namespace {
+
+constexpr int kEpollBatch = 256;  // kernel reports fetched per READER round
 
 // Quarantine path: returns every node still queued in `mbox` to its pool so
 // conservation holds after the supervisor parks the actor.
@@ -29,10 +34,7 @@ void OpenerActor::on_quarantine() { drain_to_pools(requests_); }
 void AccepterActor::on_quarantine() { drain_to_pools(requests_); }
 void CloserActor::on_quarantine() { drain_to_pools(input_); }
 
-void ReaderActor::on_quarantine() {
-  drain_to_pools(requests_);
-  drain_to_pools(ready_);
-}
+void ReaderActor::on_quarantine() { drain_to_pools(requests_); }
 
 bool OpenerActor::body() {
   bool progress = false;
@@ -111,17 +113,32 @@ bool AccepterActor::body() {
   return progress;
 }
 
+ReaderActor::ReaderActor(std::string name, std::shared_ptr<SocketTable> table,
+                         concurrent::Pool& default_pool)
+    : core::Actor(std::move(name)),
+      table_(std::move(table)),
+      default_pool_(default_pool),
+      epfd_(::epoll_create1(EPOLL_CLOEXEC)) {
+  set_priority(core::ActorPriority::kHigh);
+  if (epfd_ < 0) {
+    EA_WARN("net", "reader: epoll_create1 failed (errno=%d)", errno);
+  }
+}
+
+ReaderActor::~ReaderActor() {
+  if (epfd_ >= 0) ::close(epfd_);
+}
+
 // Drains up to kReadBurst reads from one socket, accumulating the data
 // nodes in a private chain handed to the consumer's mbox with a single
 // push_chain — one lock acquisition per burst instead of one per TCP
-// segment. The result classifies why the burst stopped; under epoll that
-// classification IS the re-arm contract (DESIGN.md §16): only kIdle (a
-// read that returned EAGAIN) may clear the socket's ready state, because
-// only then is the next kernel edge guaranteed.
+// segment. A read that does not fill its node emptied the socket, so the
+// burst ends there: level triggering reports the socket again if more
+// bytes arrive, and no EAGAIN read is needed to learn it is dry.
 ReaderActor::Drain ReaderActor::drain_socket(SocketId id, Sub& sub,
                                              bool& progress) {
   concurrent::ChainBuilder chain;
-  Drain result = Drain::kMore;
+  Drain result = Drain::kOpen;
   for (std::size_t b = 0; b < kReadBurst; ++b) {
     // Injected exhaustion of the subscription's pool: the reader must
     // back off for the round without dropping the subscription or data.
@@ -149,12 +166,12 @@ ReaderActor::Drain ReaderActor::drain_socket(SocketId id, Sub& sub,
     }
     if (n == 0) {
       sub.pool->put(node);
-      result = Drain::kIdle;
       break;
     }
     node->tag = static_cast<std::uint64_t>(id);
     node->size = static_cast<std::uint32_t>(n);
     chain.append(node);
+    if (static_cast<std::size_t>(n) < node->writable().size()) break;
   }
   if (!chain.empty()) {
     progress = true;
@@ -163,23 +180,56 @@ ReaderActor::Drain ReaderActor::drain_socket(SocketId id, Sub& sub,
   return result;
 }
 
-void ReaderActor::flush_watch_requests() {
-  while (!unwatched_.empty()) {
-    concurrent::Node* node = watch_pool_->get();
-    if (node == nullptr) return;  // retry next round
-    WatchRequest req;
-    req.op = WatchRequest::kWatch;
-    req.socket = unwatched_.back();
-    req.read_ready = &ready_;
-    write_struct(*node, req);
-    watch_requests_->push(node);
-    unwatched_.pop_back();
+void ReaderActor::subscribe(const ReadSubscribe& req, bool& progress) {
+  auto [it, inserted] = subs_.try_emplace(req.socket);
+  it->second.data = req.data;
+  it->second.pool = req.pool != nullptr ? req.pool : &default_pool_;
+  if (!inserted) return;  // re-subscription: already registered
+  // Registered under the table lock, so a concurrent CLOSER cannot close
+  // the fd, and let it be recycled, between the lookup and epoll_ctl.
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLRDHUP;
+  ev.data.u64 = static_cast<std::uint64_t>(req.socket);
+  int err = 0;
+  const bool alive = table_->with(req.socket, [&](Socket& socket) {
+    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, socket.fd(), &ev) != 0) err = errno;
+  });
+  if (err != 0) EA_WARN("net", "reader: epoll_ctl ADD failed (errno=%d)", err);
+  // Closed before the subscription arrived: its EOF is due now.
+  if (!alive) serve(it, progress);
+}
+
+// Drains one subscription and retires it at EOF. Returns false when the
+// pool ran dry, which ends the round.
+bool ReaderActor::serve(SubIt it, bool& progress) {
+  const Drain result = drain_socket(it->first, it->second, progress);
+  if (result == Drain::kClosed) {
+    // Level triggering would report an EOF socket every round. A socket
+    // closed on this side has already left the set with its fd.
+    table_->with(it->first, [&](Socket& socket) {
+      ::epoll_ctl(epfd_, EPOLL_CTL_DEL, socket.fd(), nullptr);
+    });
+    subs_.erase(it);
   }
+  return result != Drain::kNoNodes;
+}
+
+// A socket closed on this side (SocketTable::close) leaves the epoll set
+// without an event. Each round checks one subscription, in id order,
+// against the table and serves a closed one, which delivers its EOF: a
+// bounded cost per round, and every dead subscription is found within
+// subs_.size() rounds.
+void ReaderActor::probe_one(bool& progress) {
+  auto it = subs_.upper_bound(probe_cursor_);
+  if (it == subs_.end()) it = subs_.begin();
+  const SocketId id = it->first;
+  if (table_->fd(id) < 0 && !serve(it, progress)) return;  // pool dry
+  probe_cursor_ = id;
 }
 
 bool ReaderActor::body() {
   bool progress = false;
-  concurrent::Node* burst[kWriteBurst];
+  concurrent::Node* burst[kRequestBurst];
   std::size_t got;
   while ((got = requests_.pop_burst(burst, kRequestBurst)) != 0) {
     for (std::size_t b = 0; b < got; ++b) {
@@ -187,82 +237,22 @@ bool ReaderActor::body() {
       ReadSubscribe req;
       if (read_struct(*burst[b], req) && req.data != nullptr &&
           req.socket >= 0) {
-        Sub sub;
-        sub.data = req.data;
-        sub.pool = req.pool != nullptr ? req.pool : &default_pool_;
-        subs_[req.socket] = sub;
-        if (watch_requests_ != nullptr) unwatched_.push_back(req.socket);
+        subscribe(req, progress);
         progress = true;
       }
     }
   }
+  if (subs_.empty()) return progress;
 
-  if (watch_requests_ != nullptr) {
-    // Epoll mode: register new subscriptions with the watcher, then drain
-    // only the sockets the readiness core has flagged.
-    flush_watch_requests();
-    while ((got = ready_.pop_burst(burst, kWriteBurst)) != 0) {
-      for (std::size_t b = 0; b < got; ++b) {
-        concurrent::NodeLease note(burst[b]);
-        auto id = static_cast<SocketId>(burst[b]->tag);
-        auto it = subs_.find(id);
-        // Notes for unknown ids (closed mid-flight) or already-ready
-        // sockets are tolerated spurious wakeups: the node just returns
-        // to its pool.
-        if (it == subs_.end() || it->second.ready) continue;
-        it->second.ready = true;
-        ready_ids_.push_back(id);
-      }
-      progress = true;
-    }
-    // Budget = the queue length at round start: a socket re-queued by
-    // kMore yields to every other ready socket before its next burst
-    // (drain fairness), and the round terminates even under a firehose.
-    std::size_t budget = ready_ids_.size();
-    while (budget > 0 && !ready_ids_.empty()) {
-      --budget;
-      SocketId id = ready_ids_.front();
-      ready_ids_.pop_front();
-      auto it = subs_.find(id);
-      if (it == subs_.end()) continue;
-      switch (drain_socket(id, it->second, progress)) {
-        case Drain::kIdle:
-          // EAGAIN seen: the ET re-arm point — the next kernel edge will
-          // flag the socket again.
-          it->second.ready = false;
-          break;
-        case Drain::kMore:
-          ready_ids_.push_back(id);  // still buffered: stays ready
-          break;
-        case Drain::kClosed:
-          subs_.erase(it);
-          break;
-        case Drain::kNoNodes:
-          ready_ids_.push_front(id);  // pool dry: keep FIFO position
-          budget = 0;
-          break;
-      }
-    }
-  } else if (!subs_.empty()) {
-    // Scan mode (the paper's Fig. 6 sweep), rotated like the WRITER's
-    // drain: resume after the id the previous round started at, so a hot
-    // early socket that eats the pool cannot starve later ids round after
-    // round.
-    auto it = subs_.upper_bound(scan_cursor_);
-    if (it == subs_.end()) it = subs_.begin();
-    scan_cursor_ = it->first;
-    std::size_t remaining = subs_.size();
-    while (remaining-- > 0) {
-      SocketId id = it->first;
-      if (drain_socket(id, it->second, progress) == Drain::kClosed) {
-        it = subs_.erase(it);
-      } else {
-        ++it;
-      }
-      if (subs_.empty()) break;
-      if (it == subs_.end()) it = subs_.begin();
-    }
+  epoll_event evs[kEpollBatch];
+  const int n = ::epoll_wait(epfd_, evs, kEpollBatch, 0);
+  const int start =
+      n > 0 ? static_cast<int>(rotation_++ % static_cast<std::size_t>(n)) : 0;
+  for (int i = 0; i < n; ++i) {
+    auto it = subs_.find(static_cast<SocketId>(evs[(start + i) % n].data.u64));
+    if (it != subs_.end() && !serve(it, progress)) break;  // pool dry
   }
+  if (!subs_.empty()) probe_one(progress);
   return progress;
 }
 
@@ -273,34 +263,9 @@ bool WriterActor::body() {
   while ((got = input_.pop_burst(burst, kWriteBurst)) != 0) {
     for (std::size_t b = 0; b < got; ++b) {
       concurrent::Node* node = burst[b];
-      pending_[static_cast<SocketId>(node->tag)].q.push_back(
-          Pending{node, 0});
+      pending_[static_cast<SocketId>(node->tag)].push_back(Pending{node, 0});
     }
     progress = true;
-  }
-
-  if (watch_requests_ != nullptr) {
-    // Epoll mode: EPOLLOUT notes un-park blocked sockets; a hangup note
-    // means the peer is gone, so the queued bytes can never be delivered.
-    while ((got = ready_.pop_burst(burst, kWriteBurst)) != 0) {
-      for (std::size_t b = 0; b < got; ++b) {
-        concurrent::NodeLease note(burst[b]);
-        auto id = static_cast<SocketId>(burst[b]->tag);
-        auto it = pending_.find(id);
-        if (it == pending_.end()) continue;  // spurious: tolerated
-        ReadinessNote rn{};
-        read_struct(*burst[b], rn);
-        if ((rn.mask & kReadinessHup) != 0) {
-          for (Pending& p : it->second.q) {
-            concurrent::NodeLease(p.node).reset();
-          }
-          pending_.erase(it);
-        } else {
-          it->second.writable = true;
-        }
-      }
-      progress = true;
-    }
   }
 
   // Rotate the drain starting point: resume after the id the previous round
@@ -315,13 +280,10 @@ bool WriterActor::body() {
     std::size_t remaining = pending_.size();
     while (remaining-- > 0) {
       SocketId id = it->first;
-      Queue& entry = it->second;
+      std::deque<Pending>& q = it->second;
       bool drop_socket = false;
-      // Epoll mode: a parked socket waits for its EPOLLOUT note instead of
-      // burning a write syscall per round on a full kernel buffer.
-      bool parked = watch_requests_ != nullptr && !entry.writable;
-      while (!parked && !entry.q.empty()) {
-        Pending& p = entry.q.front();
+      while (!q.empty()) {
+        Pending& p = q.front();
         long n = -1;
         bool alive = table_->with(id, [&](Socket& socket) {
           n = socket.write_nb(p.node->data().subspan(p.offset));
@@ -330,37 +292,18 @@ bool WriterActor::body() {
           drop_socket = true;
           break;
         }
-        if (n == 0) {
-          // Kernel buffer full. Epoll mode: arm EPOLLOUT with the watcher
-          // and park until the readiness note arrives (if the request pool
-          // is dry the socket stays un-parked and retries next round, the
-          // scan behaviour). Scan mode: retry next round.
-          if (watch_requests_ != nullptr) {
-            concurrent::Node* rn = watch_pool_->get();
-            if (rn != nullptr) {
-              WatchRequest req;
-              req.op = WatchRequest::kWatch;
-              req.socket = id;
-              req.write_ready = &ready_;
-              write_struct(*rn, req);
-              watch_requests_->push(rn);
-              entry.armed = true;
-              entry.writable = false;
-            }
-          }
-          break;
-        }
+        if (n == 0) break;  // kernel buffer full: retry next round
         p.offset += static_cast<std::size_t>(n);
         progress = true;
         if (p.offset >= p.node->size) {
           concurrent::NodeLease(p.node).reset();  // return to its pool
-          entry.q.pop_front();
+          q.pop_front();
         }
       }
       if (drop_socket) {
-        for (Pending& p : entry.q) concurrent::NodeLease(p.node).reset();
+        for (Pending& p : q) concurrent::NodeLease(p.node).reset();
         it = pending_.erase(it);
-      } else if (entry.q.empty()) {
+      } else if (q.empty()) {
         it = pending_.erase(it);
       } else {
         ++it;
@@ -374,9 +317,8 @@ bool WriterActor::body() {
 
 void WriterActor::park_pending() noexcept {
   drain_to_pools(input_);
-  drain_to_pools(ready_);
-  for (auto& [id, entry] : pending_) {
-    for (Pending& p : entry.q) concurrent::NodeLease(p.node).reset();
+  for (auto& [id, q] : pending_) {
+    for (Pending& p : q) concurrent::NodeLease(p.node).reset();
   }
   pending_.clear();
 }
@@ -425,27 +367,13 @@ NetSubsystem install_networking(core::Runtime& rt,
   sub.writer = writer.get();
   sub.closer = closer.get();
 
-  std::vector<std::string> actor_names;
-  if (rt.options().net == core::NetMode::kEpoll) {
-    // Readiness core in front of READER/WRITER. The watcher runs first in
-    // the worker's round so events translated this round are drained by
-    // the reader/writer in the same round.
-    auto watcher = std::make_unique<FdWatcherActor>(worker_name + ".watcher",
-                                                    sub.table, pool);
-    watcher->set_closer_input(&closer->input());
-    reader->enable_readiness(&watcher->requests(), &pool);
-    writer->enable_readiness(&watcher->requests(), &pool);
-    sub.watcher = watcher.get();
-    rt.add_actor(std::move(watcher));
-    actor_names.push_back(worker_name + ".watcher");
-  }
-
   rt.add_actor(std::move(opener));
   rt.add_actor(std::move(accepter));
   rt.add_actor(std::move(reader));
   rt.add_actor(std::move(writer));
   rt.add_actor(std::move(closer));
 
+  std::vector<std::string> actor_names;
   for (const char* suffix :
        {".opener", ".accepter", ".reader", ".writer", ".closer"}) {
     actor_names.push_back(worker_name + suffix);

@@ -6,7 +6,7 @@
 //
 //   OPENER   creates listening or client sockets on request
 //   ACCEPTER accepts connections on registered listeners
-//   READER   reads registered sockets and forwards data to per-socket mboxes
+//   READER   polls registered sockets and forwards data to per-socket mboxes
 //   WRITER   writes nodes (tagged with a socket id) out to the network
 //   CLOSER   closes sockets
 //
@@ -20,9 +20,8 @@
 #include <cstring>
 #include <deque>
 #include <map>
-#include <vector>
-
 #include <memory>
+#include <vector>
 
 #include "concurrent/mbox.hpp"
 #include "concurrent/pool.hpp"
@@ -124,64 +123,49 @@ class AccepterActor : public core::Actor {
   std::vector<AcceptSubscribe> listeners_;
 };
 
+// The READER owns one level-triggered epoll instance (DESIGN.md §16): a
+// subscription registers its socket once, and each round drains only the
+// sockets the kernel reports readable. Level triggering reports a socket
+// again while bytes remain, so a round cut short by a dry pool or the burst
+// budget loses nothing, and idle sockets cost no syscall.
 class ReaderActor : public core::Actor {
  public:
   ReaderActor(std::string name, std::shared_ptr<SocketTable> table,
-              concurrent::Pool& default_pool)
-      : core::Actor(std::move(name)),
-        table_(std::move(table)),
-        default_pool_(default_pool) {
-    set_priority(core::ActorPriority::kHigh);
-  }
+              concurrent::Pool& default_pool);
+  ~ReaderActor() override;
 
   concurrent::Mbox& requests() noexcept { return requests_; }
-
-  // Epoll mode (DESIGN.md §16): subscriptions are forwarded to the watcher
-  // as WatchRequests drawn from `request_pool`, and the per-round scan is
-  // replaced by draining only the sockets flagged through ready(). Must be
-  // called before the runtime starts.
-  void enable_readiness(concurrent::Mbox* watch_requests,
-                        concurrent::Pool* request_pool) noexcept {
-    watch_requests_ = watch_requests;
-    watch_pool_ = request_pool;
-  }
-  // Readiness notes from the watcher (tag = socket id, ReadinessNote).
-  concurrent::Mbox& ready() noexcept { return ready_; }
-
   bool body() override;
-  bool has_pending_work() const override {
-    return !requests_.empty() || !ready_.empty();
-  }
+  bool has_pending_work() const override { return !requests_.empty(); }
   void on_quarantine() override;
 
  private:
   struct Sub {
     concurrent::Mbox* data = nullptr;
     concurrent::Pool* pool = nullptr;
-    bool ready = false;  // epoll mode: queued in ready_ids_
   };
+  using SubIt = std::map<SocketId, Sub>::iterator;
   enum class Drain {
-    kIdle,     // read_nb hit EAGAIN: socket fully drained
-    kMore,     // kReadBurst exhausted with data still buffered
-    kClosed,   // EOF delivered, subscription dropped by caller
+    kOpen,     // drained or kReadBurst reached: still subscribed
+    kClosed,   // EOF delivered, subscription to be dropped
     kNoNodes,  // pool exhausted: back off, retry next round
   };
   Drain drain_socket(SocketId id, Sub& sub, bool& progress);
-  void flush_watch_requests();
+  void subscribe(const ReadSubscribe& req, bool& progress);
+  bool serve(SubIt it, bool& progress);
+  void probe_one(bool& progress);
 
   std::shared_ptr<SocketTable> table_;
   concurrent::Pool& default_pool_;
   concurrent::Mbox requests_;
-  concurrent::Mbox ready_;
-  concurrent::Mbox* watch_requests_ = nullptr;  // non-null => epoll mode
-  concurrent::Pool* watch_pool_ = nullptr;
+  int epfd_ = -1;
   std::map<SocketId, Sub> subs_;
-  std::deque<SocketId> ready_ids_;    // epoll-mode drain queue
-  std::vector<SocketId> unwatched_;   // awaiting a WatchRequest node
-  // Fairness (scan mode): the id the per-round sweep resumes after, so a
-  // hot early socket cannot starve later ids when the pool runs dry
-  // mid-round (same rotation the WRITER uses).
-  SocketId scan_cursor_ = -1;
+  // Fairness: the kernel reports ready sockets in a stable order, so the
+  // drain starts one report later each round; a hot socket that eats the
+  // pool cannot starve the ones reported after it.
+  std::size_t rotation_ = 0;
+  // The subscription the closed-socket probe checked last (probe_one).
+  SocketId probe_cursor_ = -1;
 };
 
 class WriterActor : public core::Actor {
@@ -198,21 +182,8 @@ class WriterActor : public core::Actor {
   // Push nodes with tag = socket id, payload = bytes to transmit.
   concurrent::Mbox& input() noexcept { return input_; }
 
-  // Epoll mode (DESIGN.md §16): when a write hits a full kernel buffer the
-  // writer arms EPOLLOUT with the watcher (a WatchRequest drawn from
-  // `request_pool`) and parks the socket until a readiness note arrives on
-  // ready(), instead of re-trying the blocked fd every round.
-  void enable_readiness(concurrent::Mbox* watch_requests,
-                        concurrent::Pool* request_pool) noexcept {
-    watch_requests_ = watch_requests;
-    watch_pool_ = request_pool;
-  }
-  concurrent::Mbox& ready() noexcept { return ready_; }
-
   bool body() override;
-  bool has_pending_work() const override {
-    return !input_.empty() || !ready_.empty();
-  }
+  bool has_pending_work() const override { return !input_.empty(); }
   void on_quarantine() override;
 
  private:
@@ -220,19 +191,11 @@ class WriterActor : public core::Actor {
     concurrent::Node* node;
     std::size_t offset;
   };
-  struct Queue {
-    std::deque<Pending> q;
-    bool armed = false;     // epoll mode: EPOLLOUT registration sent
-    bool writable = true;   // epoll mode: false while awaiting EPOLLOUT
-  };
   void park_pending() noexcept;
 
   std::shared_ptr<SocketTable> table_;
   concurrent::Mbox input_;
-  concurrent::Mbox ready_;
-  concurrent::Mbox* watch_requests_ = nullptr;  // non-null => epoll mode
-  concurrent::Pool* watch_pool_ = nullptr;
-  std::map<SocketId, Queue> pending_;
+  std::map<SocketId, std::deque<Pending>> pending_;
   // Fairness: the socket id the per-round drain loop resumes *after*, so a
   // slow-draining early id cannot starve later ids round after round.
   SocketId drain_cursor_ = -1;
@@ -263,11 +226,8 @@ class CloserActor : public core::Actor {
   std::atomic<std::uint64_t> closes_{0};
 };
 
-class FdWatcherActor;  // net/readiness.hpp
-
 // Aggregated networking subsystem: the five actors plus the shared socket
-// table, installed into a runtime in one call. Under NetMode::kEpoll the
-// worker also carries an FdWatcherActor feeding READER/WRITER.
+// table, installed into a runtime in one call.
 struct NetSubsystem {
   std::shared_ptr<SocketTable> table;
   OpenerActor* opener = nullptr;
@@ -275,15 +235,12 @@ struct NetSubsystem {
   ReaderActor* reader = nullptr;
   WriterActor* writer = nullptr;
   CloserActor* closer = nullptr;
-  FdWatcherActor* watcher = nullptr;  // nullptr in scan mode
 };
 
 // Adds the system actors (untrusted) and a worker named `worker_name`
-// executing them. The network plane follows the runtime's
-// RuntimeOptions::net: scan installs the paper's five actors; epoll adds
-// the fd-watcher readiness core in front of READER/WRITER. The SocketTable
-// is owned by the runtime's actor objects (the opener holds it); the
-// returned view stays valid for the runtime's lifetime.
+// executing them. The SocketTable is owned by the runtime's actor objects
+// (the opener holds it); the returned view stays valid for the runtime's
+// lifetime.
 NetSubsystem install_networking(core::Runtime& rt,
                                 const std::string& worker_name,
                                 std::vector<int> cpus);

@@ -5,7 +5,6 @@
 
 #include "crypto/hkdf.hpp"
 #include "crypto/rng.hpp"
-#include "net/readiness.hpp"
 #include "sgxsim/attestation.hpp"
 #include "util/logging.hpp"
 #include "xmpp/e2e.hpp"
@@ -657,7 +656,6 @@ XmppService install_xmpp_service(core::Runtime& rt,
   shared->inboxes.resize(static_cast<std::size_t>(config.instances));
   shared->reader_reqs.resize(static_cast<std::size_t>(config.instances));
   shared->writer_inputs.resize(static_cast<std::size_t>(config.instances));
-  const bool epoll = rt.options().net == core::NetMode::kEpoll;
   for (int i = 0; i < config.instances; ++i) {
     std::string suffix = std::to_string(i);
     auto xmpp = std::make_unique<XmppActor>("xmpp.i" + suffix, i, shared);
@@ -680,26 +678,12 @@ XmppService install_xmpp_service(core::Runtime& rt,
         enclave_name.empty() ? sgxsim::kUntrusted
                              : rt.enclave(enclave_name).id());
 
-    std::vector<std::string> net_actors;
-    if (epoll) {
-      // One watcher per net worker (DESIGN.md §16): this instance's
-      // READER/WRITER drain only sockets its watcher flags, and idle
-      // connections cost the plane nothing.
-      auto watcher = std::make_unique<net::FdWatcherActor>(
-          "xmpp.watcher" + suffix, table, rt.public_pool());
-      watcher->set_closer_input(shared->closer_input);
-      reader->enable_readiness(&watcher->requests(), &rt.public_pool());
-      writer->enable_readiness(&watcher->requests(), &rt.public_pool());
-      rt.add_actor(std::move(watcher));
-      net_actors.push_back("xmpp.watcher" + suffix);
-    }
     rt.add_actor(std::move(reader));
     rt.add_actor(std::move(writer));
-    net_actors.push_back("xmpp.reader" + suffix);
-    net_actors.push_back("xmpp.writer" + suffix);
 
     rt.add_worker("xmpp.app" + suffix, {cpu++}, {"xmpp.i" + suffix});
-    rt.add_worker("xmpp.net" + std::to_string(i + 1), {cpu++}, net_actors);
+    rt.add_worker("xmpp.net" + std::to_string(i + 1), {cpu++},
+                  {"xmpp.reader" + suffix, "xmpp.writer" + suffix});
   }
 
   // Attested session keys between every pair of distinct instance

@@ -487,33 +487,6 @@ TEST(ConfigTest, SchedDirectiveRejectsBadMode) {
   }
 }
 
-TEST(ConfigTest, NetDirectiveSelectsNetworkPlane) {
-  EXPECT_EQ(DeploymentConfig::parse("net epoll").runtime.net,
-            NetMode::kEpoll);
-  EXPECT_EQ(DeploymentConfig::parse("net scan").runtime.net, NetMode::kScan);
-  EXPECT_EQ(DeploymentConfig::parse("net mode=epoll").runtime.net,
-            NetMode::kEpoll);
-  // Default: deployments that don't mention net keep the paper's per-round
-  // socket sweep (the ablation baseline, like sched=static).
-  EXPECT_EQ(DeploymentConfig::parse("enclave e1").runtime.net,
-            NetMode::kScan);
-  EXPECT_EQ(RuntimeOptions{}.net, NetMode::kScan);
-}
-
-TEST(ConfigTest, NetDirectiveRejectsBadMode) {
-  EXPECT_THROW(DeploymentConfig::parse("net"), std::invalid_argument);
-  EXPECT_THROW(DeploymentConfig::parse("net poll"), std::invalid_argument);
-  EXPECT_THROW(DeploymentConfig::parse("net plane=epoll"),
-               std::invalid_argument);
-  try {
-    DeploymentConfig::parse("pool nodes=64\nnet poll\n");
-    FAIL() << "expected throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("poll"), std::string::npos);
-  }
-}
-
 TEST(ConfigTest, RejectsUnknownDirective) {
   EXPECT_THROW(DeploymentConfig::parse("bogus x"), std::invalid_argument);
 }

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "concurrent/arena.hpp"
 #include "concurrent/mbox.hpp"
@@ -270,7 +271,10 @@ TEST_F(NetFaultTest, ReaderInjectedResetDeliversOneEofAndDropsSubscription) {
 
   // A reset mid-connection: exactly one zero-size close-signal node is
   // delivered and the subscription is dropped — further rounds must not
-  // read the (still valid) socket or emit more EOF nodes.
+  // read the (still valid) socket or emit more EOF nodes. The READER only
+  // reads a socket its epoll set reports, so the peer makes it readable
+  // first; the injected reset then hits that read.
+  ASSERT_EQ(peer.write_nb(util::to_bytes("x")), 1);
   ASSERT_TRUE(fp::set("net.socket.read", "once(-1)"));
   reader_.body();
   {
@@ -305,6 +309,40 @@ TEST_F(NetFaultTest, ReaderBacksOffOnPoolExhaustionWithoutDroppingData) {
   concurrent::NodeLease lease(data.pop());
   ASSERT_TRUE(lease);
   EXPECT_EQ(lease->view(), "backpressure");
+}
+
+TEST_F(NetFaultTest, IdleSubscriptionsCostNoReads) {
+  // The READER reads only the sockets its epoll set reports: 64 idle
+  // subscriptions cost no read over 100 rounds, and data on one socket
+  // costs reads on that socket alone.
+  constexpr int kSockets = 64;
+  std::vector<Socket> peers(kSockets);
+  std::vector<SocketId> ids;
+  concurrent::Mbox data;
+  for (Socket& peer : peers) {
+    ids.push_back(make_pair(peer));
+    subscribe_reader(ids.back(), data);
+    reader_.body();  // one subscription node at a time: the pool is small
+  }
+  fp::reset_counters();
+  for (int i = 0; i < 100; ++i) reader_.body();
+  EXPECT_EQ(fp::evals("net.socket.read"), 0u);
+  EXPECT_TRUE(data.empty());
+
+  // One socket gets data: one read returns it (a short read, so the READER
+  // needs no EAGAIN read to learn the socket is dry), and no socket is
+  // read in any later round.
+  ASSERT_EQ(peers[kSockets / 2].write_nb(util::to_bytes("wake")), 4);
+  for (int i = 0; i < 100; ++i) reader_.body();
+  EXPECT_EQ(fp::evals("net.socket.read"), 1u);
+  {
+    concurrent::NodeLease lease(data.pop());
+    ASSERT_TRUE(lease);
+    EXPECT_EQ(lease->view(), "wake");
+    EXPECT_EQ(static_cast<SocketId>(lease->tag), ids[kSockets / 2]);
+  }
+  EXPECT_TRUE(data.empty());
+  expect_pool_full();
 }
 
 TEST_F(NetFaultTest, AcceptFailureIsTransient) {

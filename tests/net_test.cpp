@@ -459,12 +459,12 @@ TEST(InstallNetworking, FullRuntimeEchoThroughSystemActors) {
 }
 
 TEST_F(NetActorsTest, ScanRotationPreventsHotSocketStarvation) {
-  // Regression for the scan-mode drain rotation (the WRITER's pattern,
-  // applied to the READER): a hot low-id socket that eats the entire node
-  // pool every round must not starve a later id forever. The pool holds
-  // exactly one read burst, the hot socket is kept topped up with more
-  // than a burst of buffered data, and the cold socket's delivery depends
-  // on the sweep NOT restarting at the lowest id every round.
+  // Regression for the READER's drain rotation: a hot socket that eats the
+  // entire node pool every round must not starve another ready socket
+  // forever. The pool holds exactly one read burst, the hot socket is kept
+  // topped up with more than a burst of buffered data, and the kernel
+  // reports ready sockets in a stable order, so the cold socket's delivery
+  // depends on the drain NOT restarting at the same report every round.
   concurrent::NodeArena small_arena(kReadBurst, 1024);
   concurrent::Pool small_pool;
   small_pool.adopt(small_arena);
@@ -488,7 +488,7 @@ TEST_F(NetActorsTest, ScanRotationPreventsHotSocketStarvation) {
   auto cold_srv = accept_one();
   ASSERT_TRUE(cold_srv.has_value());
   SocketId cold_id = table_->add(std::move(*cold_srv));
-  ASSERT_LT(hot_id, cold_id);  // sweep order without rotation: hot first
+  ASSERT_LT(hot_id, cold_id);
 
   concurrent::Mbox hot_data, cold_data;
   for (auto& [id, mbox] :
@@ -521,6 +521,53 @@ TEST_F(NetActorsTest, ScanRotationPreventsHotSocketStarvation) {
   concurrent::NodeLease lease(cold_data.pop());
   EXPECT_EQ(lease->tag, static_cast<std::uint64_t>(cold_id));
   EXPECT_GT(lease->size, 0u);
+}
+
+TEST_F(NetActorsTest, LocallyClosedSubscriptionGetsOneEof) {
+  // A socket closed on this side (the CLOSER) leaves the READER's epoll set
+  // without an event; the subscriber must still get exactly one EOF node,
+  // and the READER must drop the subscription.
+  Socket listener = Socket::listen_on(0);
+  Socket client = Socket::connect_to("127.0.0.1", listener.local_port());
+  std::optional<Socket> server;
+  auto deadline = std::chrono::steady_clock::now() + 2s;
+  while (!server.has_value() && std::chrono::steady_clock::now() < deadline) {
+    server = listener.accept_nb();
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(server.has_value());
+  SocketId id = table_->add(std::move(*server));
+
+  concurrent::Mbox data;
+  {
+    ReadSubscribe sub;
+    sub.socket = id;
+    sub.data = &data;
+    concurrent::Node* n = node();
+    write_struct(*n, sub);
+    reader_.requests().push(n);
+  }
+  reader_.body();
+  {
+    concurrent::Node* n = node();
+    n->tag = static_cast<std::uint64_t>(id);
+    closer_.input().push(n);
+  }
+  closer_.body();
+  ASSERT_EQ(closer_.closes(), 1u);
+
+  int eofs = 0;
+  for (int round = 0; round < 10'000; ++round) {
+    reader_.body();
+    while (concurrent::Node* n = data.pop()) {
+      concurrent::NodeLease lease(n);
+      EXPECT_EQ(n->size, 0u);
+      EXPECT_EQ(static_cast<SocketId>(n->tag), id);
+      ++eofs;
+    }
+  }
+  EXPECT_EQ(eofs, 1);
+  EXPECT_EQ(pool_.size(), pool_.capacity());
 }
 
 TEST_F(NetActorsTest, OpenerConnectSucceedsToRealListener) {

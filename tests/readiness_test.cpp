@@ -1,23 +1,17 @@
-// Edge-triggered readiness core tests (DESIGN.md §16): the FdWatcherActor
-// plus the READER/WRITER epoll paths, driven deterministically by calling
-// body() directly (same technique as net_test.cpp). The contracts under
-// test:
-//   * ET re-arm — only a read that returned EAGAIN clears ready state, so
-//     a burst larger than kReadBurst keeps draining without new kernel
-//     edges and the next edge after EAGAIN is still delivered;
-//   * EPOLLHUP → CLOSER — a hangup on a socket with no read subscriber is
-//     routed straight to the CLOSER's input;
-//   * spurious wakeups — notes for unknown/closed/duplicate ids are
-//     tolerated and their nodes conserved;
-//   * no event loss — pool exhaustion defers (coalesced) rather than drops;
-//   * multi-worker stress — two epoll net workers under the stealing
-//     scheduler (the TSan target).
+// READER readiness tests (DESIGN.md §16): the READER polls its own
+// level-triggered epoll set, driven deterministically by calling body()
+// directly (same technique as net_test.cpp). The contracts under test:
+//   * an idle subscribed socket is reported once data arrives;
+//   * level triggering — a socket stays reported while bytes remain, so a
+//     burst larger than kReadBurst drains across rounds with no new data;
+//   * a FIN after data delivers the tail, then exactly one EOF;
+//   * multi-worker stress — two net workers, each READER with its own
+//     epoll set, under the stealing scheduler (the TSan target).
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
-
+#include <atomic>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,7 +20,6 @@
 #include "concurrent/pool.hpp"
 #include "core/runtime.hpp"
 #include "net/actors.hpp"
-#include "net/readiness.hpp"
 #include "net/socket.hpp"
 #include "net/socket_table.hpp"
 #include "util/bytes.hpp"
@@ -39,12 +32,12 @@ namespace {
 using namespace std::chrono_literals;
 
 template <typename Pred>
-bool drive(std::initializer_list<core::Actor*> actors, Pred pred,
+bool drive(core::Actor& actor, Pred pred,
            std::chrono::milliseconds limit = 5s) {
   auto deadline = std::chrono::steady_clock::now() + limit;
   while (std::chrono::steady_clock::now() < deadline) {
     if (pred()) return true;
-    for (core::Actor* actor : actors) actor->body();
+    actor.body();
     std::this_thread::sleep_for(100us);
   }
   return pred();
@@ -73,14 +66,8 @@ class ReadinessTest : public ::testing::Test {
   ReadinessTest()
       : arena_(256, 1024),
         table_(std::make_shared<SocketTable>()),
-        watcher_("watcher", table_, pool_),
-        reader_("reader", table_, pool_),
-        writer_("writer", table_),
-        closer_("closer", table_) {
+        reader_("reader", table_, pool_) {
     pool_.adopt(arena_);
-    watcher_.set_closer_input(&closer_.input());
-    reader_.enable_readiness(&watcher_.requests(), &pool_);
-    writer_.enable_readiness(&watcher_.requests(), &pool_);
   }
 
   // One accepted connection: the client end stays a raw Socket owned by the
@@ -107,72 +94,49 @@ class ReadinessTest : public ::testing::Test {
     return c;
   }
 
-  concurrent::Node* node() {
-    concurrent::Node* n = pool_.get();
-    EXPECT_NE(n, nullptr);
-    return n;
-  }
-
   void subscribe_reader(SocketId id, concurrent::Mbox& data) {
-    concurrent::Node* n = node();
+    concurrent::Node* n = pool_.get();
+    ASSERT_NE(n, nullptr);
     ReadSubscribe sub;
     sub.socket = id;
     sub.data = &data;
     write_struct(*n, sub);
     reader_.requests().push(n);
-  }
-
-  void send_watch(FdWatcherActor& w, SocketId id, concurrent::Mbox* rd,
-                  concurrent::Mbox* wr, std::uint32_t op = WatchRequest::kWatch) {
-    concurrent::Node* n = node();
-    WatchRequest req;
-    req.op = op;
-    req.socket = id;
-    req.read_ready = rd;
-    req.write_ready = wr;
-    write_struct(*n, req);
-    w.requests().push(n);
+    reader_.body();  // consume the subscription: the socket is registered
   }
 
   concurrent::NodeArena arena_;
   concurrent::Pool pool_;
   std::shared_ptr<SocketTable> table_;
-  FdWatcherActor watcher_;
   ReaderActor reader_;
-  WriterActor writer_;
-  CloserActor closer_;
 };
 
 TEST_F(ReadinessTest, DeliversReadEventsThroughReader) {
   Conn c = connect_pair();
   concurrent::Mbox data;
   subscribe_reader(c.server, data);
-
-  ASSERT_TRUE(
-      drive({&reader_, &watcher_}, [&] { return watcher_.watched() == 1; }));
+  for (int i = 0; i < 10; ++i) reader_.body();
+  EXPECT_TRUE(data.empty());  // idle: nothing reported
 
   util::Bytes msg = util::to_bytes("wake on readiness");
   ASSERT_TRUE(write_all(c.client, msg));
-  ASSERT_TRUE(drive({&watcher_, &reader_}, [&] { return !data.empty(); }));
+  ASSERT_TRUE(drive(reader_, [&] { return !data.empty(); }));
 
   concurrent::NodeLease lease(data.pop());
   EXPECT_EQ(lease->view(), "wake on readiness");
   EXPECT_EQ(lease->tag, static_cast<std::uint64_t>(c.server));
-  EXPECT_GE(watcher_.events_delivered(), 1u);
-  EXPECT_EQ(watcher_.events_deferred(), 0u);
 }
 
-TEST_F(ReadinessTest, EdgeTriggeredRearmAfterPartialReads) {
+TEST_F(ReadinessTest, BurstLargerThanReadBurstDrainsAcrossRounds) {
   Conn c = connect_pair();
   concurrent::Mbox data;
   subscribe_reader(c.server, data);
-  ASSERT_TRUE(
-      drive({&reader_, &watcher_}, [&] { return watcher_.watched() == 1; }));
 
-  // First burst: larger than one READER round can drain (kReadBurst nodes
-  // of 1024 bytes), so the socket must stay in the ready ring across
-  // rounds (kMore) without any further kernel edge.
+  // One burst larger than a READER round can drain (kReadBurst nodes of
+  // 1024 bytes): level triggering keeps reporting the socket while bytes
+  // remain, so it drains fully across rounds with no further data.
   const std::size_t kTotal = 20'000;
+  static_assert(kTotal > kReadBurst * 1024);
   std::vector<std::uint8_t> blob(kTotal, 0xEA);
   ASSERT_TRUE(write_all(c.client, blob));
 
@@ -184,43 +148,18 @@ TEST_F(ReadinessTest, EdgeTriggeredRearmAfterPartialReads) {
     }
     return received >= kTotal;
   };
-  ASSERT_TRUE(drive({&watcher_, &reader_}, consume));
+  ASSERT_TRUE(drive(reader_, consume));
   EXPECT_EQ(received, kTotal);
 
-  // The reader has now seen EAGAIN and cleared the socket's ready state —
-  // the ET re-arm point. A second burst must produce a fresh edge that
-  // flows through the watcher again.
+  // Drained to EAGAIN: the next data is reported again.
   received = 0;
-  util::Bytes again = util::to_bytes("second edge");
+  util::Bytes again = util::to_bytes("second burst");
   ASSERT_TRUE(write_all(c.client, again));
-  ASSERT_TRUE(drive({&watcher_, &reader_},
-                    [&] { return consume(), received >= again.size(); }));
+  ASSERT_TRUE(
+      drive(reader_, [&] { return consume(), received >= again.size(); }));
   EXPECT_EQ(received, again.size());
 
-  // Quiescent: every node (data, notes, requests) is back in the pool.
-  EXPECT_EQ(pool_.size(), pool_.capacity());
-}
-
-TEST_F(ReadinessTest, HupWithoutReadSubscriberRoutesToCloser) {
-  Conn c = connect_pair();
-  // Write-only registration: no read subscriber exists, so a hangup cannot
-  // be drained to EOF by the READER — the watcher must route the close
-  // straight to the CLOSER.
-  send_watch(watcher_, c.server, nullptr, &writer_.ready());
-  ASSERT_TRUE(drive({&watcher_}, [&] { return watcher_.watched() == 1; }));
-
-  // SO_LINGER with zero timeout turns close() into a RST, which the server
-  // fd reports as EPOLLERR|EPOLLHUP (orderly FIN would only raise RDHUP).
-  struct linger lg{1, 0};
-  ASSERT_EQ(::setsockopt(c.client.fd(), SOL_SOCKET, SO_LINGER, &lg,
-                         sizeof(lg)),
-            0);
-  c.client.close();
-
-  ASSERT_TRUE(drive({&watcher_, &closer_, &writer_},
-                    [&] { return closer_.closes() == 1; }));
-  EXPECT_EQ(table_->fd(c.server), -1);
-  EXPECT_EQ(watcher_.watched(), 0u);  // hangup retires the registration
+  // Quiescent: every node (data, requests) is back in the pool.
   EXPECT_EQ(pool_.size(), pool_.capacity());
 }
 
@@ -228,296 +167,40 @@ TEST_F(ReadinessTest, OrderlyCloseDrainsTailThenEofThroughReader) {
   Conn c = connect_pair();
   concurrent::Mbox data;
   subscribe_reader(c.server, data);
-  ASSERT_TRUE(
-      drive({&reader_, &watcher_}, [&] { return watcher_.watched() == 1; }));
 
   util::Bytes tail = util::to_bytes("final bytes");
   ASSERT_TRUE(write_all(c.client, tail));
   c.client.close();  // FIN: EPOLLIN|EPOLLRDHUP, data still buffered
 
   std::string got;
-  bool eof = false;
-  ASSERT_TRUE(drive({&watcher_, &reader_}, [&] {
+  int eofs = 0;
+  auto consume = [&] {
     while (concurrent::Node* n = data.pop()) {
       concurrent::NodeLease lease(n);
       if (n->size == 0) {
-        eof = true;
+        ++eofs;
       } else {
+        EXPECT_EQ(eofs, 0) << "data after EOF";
         got += std::string(n->view());
       }
     }
-    return eof;
-  }));
+    return eofs > 0;
+  };
+  ASSERT_TRUE(drive(reader_, consume));
+  // The EOF unregisters the socket: later rounds report it no more.
+  for (int i = 0; i < 100; ++i) reader_.body();
+  consume();
   EXPECT_EQ(got, "final bytes");
-  EXPECT_EQ(closer_.closes(), 0u);  // EOF went through the READER, not CLOSER
+  EXPECT_EQ(eofs, 1);
   EXPECT_EQ(pool_.size(), pool_.capacity());
 }
 
-TEST_F(ReadinessTest, SpuriousWakeupsAreTolerated) {
-  Conn c = connect_pair();
-  concurrent::Mbox data;
-  subscribe_reader(c.server, data);
-  ASSERT_TRUE(
-      drive({&reader_, &watcher_}, [&] { return watcher_.watched() == 1; }));
-
-  // Fake notes: an id nobody subscribed, and a duplicate for the real id.
-  for (concurrent::Mbox* target : {&reader_.ready(), &writer_.ready()}) {
-    concurrent::Node* n = node();
-    n->tag = 9999;
-    write_struct(*n, ReadinessNote{kReadinessIn | kReadinessOut});
-    target->push(n);
-  }
-  for (int i = 0; i < 2; ++i) {
-    concurrent::Node* n = node();
-    n->tag = static_cast<std::uint64_t>(c.server);
-    write_struct(*n, ReadinessNote{kReadinessIn});
-    reader_.ready().push(n);
-  }
-  // A watch request for an id the table has never seen must be dropped.
-  send_watch(watcher_, 4242, &reader_.ready(), nullptr);
-
-  ASSERT_TRUE(drive({&watcher_, &reader_, &writer_}, [&] {
-    return reader_.ready().empty() && writer_.ready().empty() &&
-           watcher_.requests().empty();
-  }));
-  EXPECT_EQ(watcher_.watched(), 1u);
-
-  // The plane still works after the noise.
-  util::Bytes msg = util::to_bytes("still alive");
-  ASSERT_TRUE(write_all(c.client, msg));
-  ASSERT_TRUE(drive({&watcher_, &reader_}, [&] { return !data.empty(); }));
-  concurrent::NodeLease lease(data.pop());
-  EXPECT_EQ(lease->view(), "still alive");
-  lease.reset();
-  EXPECT_EQ(pool_.size(), pool_.capacity());
-}
-
-TEST_F(ReadinessTest, PoolExhaustionDefersEventsWithoutLoss) {
-  // The watcher draws notes from a dedicated two-node pool the test can
-  // starve without touching the control-plane pool.
-  concurrent::NodeArena tiny_arena(2, 256);
-  concurrent::Pool tiny_pool;
-  tiny_pool.adopt(tiny_arena);
-  FdWatcherActor starved("starved", table_, tiny_pool);
-
-  Conn c = connect_pair();
-  concurrent::Mbox notes;
-  send_watch(starved, c.server, &notes, nullptr);
-  ASSERT_TRUE(drive({&starved}, [&] { return starved.watched() == 1; }));
-
-  concurrent::Node* held_a = tiny_pool.get();
-  concurrent::Node* held_b = tiny_pool.get();
-  ASSERT_NE(held_a, nullptr);
-  ASSERT_NE(held_b, nullptr);
-  ASSERT_EQ(tiny_pool.get(), nullptr);
-
-  util::Bytes msg = util::to_bytes("deferred edge");
-  ASSERT_TRUE(write_all(c.client, msg));
-  ASSERT_TRUE(drive({&starved}, [&] { return starved.events_deferred() >= 1; }));
-  EXPECT_TRUE(notes.empty());          // not delivered yet...
-  EXPECT_TRUE(starved.has_pending_work());  // ...but not dropped either
-
-  tiny_pool.put(held_a);
-  tiny_pool.put(held_b);
-  ASSERT_TRUE(drive({&starved}, [&] { return !notes.empty(); }));
-  concurrent::NodeLease lease(notes.pop());
-  EXPECT_EQ(lease->tag, static_cast<std::uint64_t>(c.server));
-  ReadinessNote rn{};
-  ASSERT_TRUE(read_struct(*lease.get(), rn));
-  EXPECT_NE(rn.mask & kReadinessIn, 0u);
-}
-
-TEST_F(ReadinessTest, UnwatchStopsDelivery) {
-  Conn c = connect_pair();
-  concurrent::Mbox notes;
-  send_watch(watcher_, c.server, &notes, nullptr);
-  ASSERT_TRUE(drive({&watcher_}, [&] { return watcher_.watched() == 1; }));
-
-  send_watch(watcher_, c.server, nullptr, nullptr, WatchRequest::kUnwatch);
-  ASSERT_TRUE(drive({&watcher_}, [&] { return watcher_.watched() == 0; }));
-
-  util::Bytes msg = util::to_bytes("into the void");
-  ASSERT_TRUE(write_all(c.client, msg));
-  for (int i = 0; i < 50; ++i) {
-    watcher_.body();
-    std::this_thread::sleep_for(100us);
-  }
-  EXPECT_TRUE(notes.empty());
-  EXPECT_EQ(watcher_.events_delivered(), 0u);
-  EXPECT_EQ(pool_.size(), pool_.capacity());
-}
-
-TEST_F(ReadinessTest, WriterArmsEpolloutAndResumesOnReadiness) {
-  Conn c = connect_pair();
-  // Clamp the server-side send buffer so the kernel fills up quickly and
-  // the writer actually blocks (the client is not reading yet).
-  table_->with(c.server, [](Socket& s) {
-    int v = 4096;
-    ::setsockopt(s.fd(), SOL_SOCKET, SO_SNDBUF, &v, sizeof(v));
-  });
-
-  // More data than SNDBUF + the client's receive buffer can hold.
-  const std::size_t kNodes = 200;
-  const std::size_t kNodeBytes = 1000;
-  for (std::size_t i = 0; i < kNodes; ++i) {
-    concurrent::Node* n = node();
-    std::memset(n->writable().data(), 'w', kNodeBytes);
-    n->size = static_cast<std::uint32_t>(kNodeBytes);
-    n->tag = static_cast<std::uint64_t>(c.server);
-    writer_.input().push(n);
-  }
-
-  // Drive the writer alone until it wedges on the full buffer: it must
-  // have armed EPOLLOUT with the watcher rather than spinning.
-  for (int i = 0; i < 100; ++i) writer_.body();
-  ASSERT_TRUE(drive({&watcher_}, [&] { return watcher_.watched() == 1; }));
-
-  // Now the client drains; EPOLLOUT edges must un-park the writer until
-  // every byte is delivered and every node returned to the pool.
-  std::size_t received = 0;
-  util::Bytes buf(8192, 0);
-  ASSERT_TRUE(drive(
-      {&watcher_, &writer_},
-      [&] {
-        long n = c.client.read_nb(buf);
-        if (n > 0) received += static_cast<std::size_t>(n);
-        return received >= kNodes * kNodeBytes &&
-               pool_.size() == pool_.capacity();
-      },
-      10s));
-  EXPECT_EQ(received, kNodes * kNodeBytes);
-  EXPECT_GE(watcher_.events_delivered(), 1u);
-}
-
-TEST(InstallNetworkingEpoll, WatcherInstalledAndEchoWorks) {
-  core::RuntimeOptions options;
-  options.net = core::NetMode::kEpoll;
-  core::Runtime rt(options);
-  NetSubsystem net = install_networking(rt, "netw", {0});
-  ASSERT_NE(net.watcher, nullptr);
-
-  concurrent::Mbox open_reply, accepted, data;
-  rt.start();
-
-  {
-    concurrent::Node* n = rt.public_pool().get();
-    OpenRequest req;
-    req.kind = OpenRequest::kListen;
-    req.reply = &open_reply;
-    write_struct(*n, req);
-    net.opener->requests().push(n);
-  }
-  OpenReply listen_reply;
-  {
-    auto deadline = std::chrono::steady_clock::now() + 5s;
-    concurrent::Node* n = nullptr;
-    while (n == nullptr && std::chrono::steady_clock::now() < deadline) {
-      n = open_reply.pop();
-      std::this_thread::sleep_for(1ms);
-    }
-    ASSERT_NE(n, nullptr);
-    concurrent::NodeLease lease(n);
-    ASSERT_TRUE(read_struct(*n, listen_reply));
-    ASSERT_GE(listen_reply.id, 0);
-  }
-
-  {
-    concurrent::Node* n = rt.public_pool().get();
-    AcceptSubscribe sub;
-    sub.listener = listen_reply.id;
-    sub.reply = &accepted;
-    write_struct(*n, sub);
-    net.accepter->requests().push(n);
-  }
-  Socket client = Socket::connect_to("127.0.0.1", listen_reply.port);
-  ASSERT_TRUE(client.valid());
-  SocketId server_conn = -1;
-  {
-    auto deadline = std::chrono::steady_clock::now() + 5s;
-    while (server_conn < 0 && std::chrono::steady_clock::now() < deadline) {
-      if (concurrent::Node* n = accepted.pop()) {
-        concurrent::NodeLease lease(n);
-        server_conn = static_cast<SocketId>(n->tag);
-      }
-      std::this_thread::sleep_for(1ms);
-    }
-    ASSERT_GE(server_conn, 0);
-  }
-
-  {
-    concurrent::Node* n = rt.public_pool().get();
-    ReadSubscribe sub;
-    sub.socket = server_conn;
-    sub.data = &data;
-    write_struct(*n, sub);
-    net.reader->requests().push(n);
-  }
-  util::Bytes msg = util::to_bytes("epoll end to end");
-  {
-    auto deadline = std::chrono::steady_clock::now() + 5s;
-    std::size_t off = 0;
-    while (off < msg.size() &&
-           std::chrono::steady_clock::now() < deadline) {
-      long n = client.write_nb(std::span<const std::uint8_t>(msg).subspan(off));
-      if (n > 0) off += static_cast<std::size_t>(n);
-      else std::this_thread::sleep_for(1ms);
-    }
-    ASSERT_EQ(off, msg.size());
-  }
-  {
-    auto deadline = std::chrono::steady_clock::now() + 5s;
-    concurrent::Node* n = nullptr;
-    while (n == nullptr && std::chrono::steady_clock::now() < deadline) {
-      n = data.pop();
-      std::this_thread::sleep_for(1ms);
-    }
-    ASSERT_NE(n, nullptr);
-    concurrent::NodeLease lease(n);
-    EXPECT_EQ(n->view(), "epoll end to end");
-  }
-
-  // Echo back through the WRITER (exercises the epoll writer path with a
-  // running watcher), then close via the CLOSER.
-  {
-    concurrent::Node* n = rt.public_pool().get();
-    n->fill("echo back");
-    n->tag = static_cast<std::uint64_t>(server_conn);
-    net.writer->input().push(n);
-  }
-  {
-    util::Bytes buf(64, 0);
-    long got = 0;
-    auto deadline = std::chrono::steady_clock::now() + 5s;
-    while (got <= 0 && std::chrono::steady_clock::now() < deadline) {
-      got = client.read_nb(buf);
-      std::this_thread::sleep_for(1ms);
-    }
-    ASSERT_GT(got, 0);
-    EXPECT_EQ(util::to_string(std::span<const std::uint8_t>(
-                  buf.data(), static_cast<std::size_t>(got))),
-              "echo back");
-  }
-  {
-    concurrent::Node* n = rt.public_pool().get();
-    n->tag = static_cast<std::uint64_t>(server_conn);
-    net.closer->input().push(n);
-  }
-  auto deadline = std::chrono::steady_clock::now() + 5s;
-  while (net.table->fd(server_conn) != -1 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(1ms);
-  }
-  EXPECT_EQ(net.table->fd(server_conn), -1);
-  rt.stop();
-}
-
-// The TSan target: two XMPP instances (two epoll net workers, each with
-// its own watcher) under the stealing scheduler, hammered by concurrent
-// client threads. Any lock-discipline slip between watcher, reader,
-// writer, the stealing workers and the sharded tables shows up here.
+// The TSan target: two XMPP instances (two net workers, each READER with
+// its own epoll set) under the stealing scheduler, hammered by concurrent
+// client threads. Any lock-discipline slip between reader, writer, the
+// stealing workers and the sharded tables shows up here.
 TEST(ReadinessStress, MultiWorkerWatchersUnderStealingScheduler) {
   core::RuntimeOptions options;
-  options.net = core::NetMode::kEpoll;
   options.sched = core::SchedMode::kSteal;
   core::Runtime rt(options);
 
