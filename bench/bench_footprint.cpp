@@ -67,7 +67,7 @@ int main() {
                                : 0;
   bench::note("delivered %d/50 messages; paper: ~500 KiB per XMPP enclave "
               "(here %.0f KiB avg incl. actor state), TCB < 3.3 kLoC "
-              "(count ea_core+ea_concurrent+ea_crypto with cloc)",
+              "(core + concurrent: python3 tools/enclave_lint.py --tcb)",
               delivered, per_enclave_kib);
   bench::note("steady-state ecalls stay constant (workers never exit): "
               "%llu ecalls total for the whole run",

@@ -10,7 +10,7 @@
 #include <cstdio>
 #include <thread>
 
-#include "core/config.hpp"
+#include "deploy/config.hpp"
 #include "sgxsim/transition.hpp"
 
 using namespace ea;
@@ -89,7 +89,7 @@ worker w2 cpus=1 actors=source,sink
 )";
 
 void run(const char* label, const char* config_text) {
-  core::ActorRegistry registry;
+  deploy::ActorRegistry registry;
   Sink* sink_ptr = nullptr;
   registry.register_type("source", [](const std::string& name) {
     return std::make_unique<Source>(name);
@@ -100,8 +100,8 @@ void run(const char* label, const char* config_text) {
     return sink;
   });
 
-  auto config = core::DeploymentConfig::parse(config_text);
-  auto rt = core::build_runtime(config, registry);
+  auto config = deploy::DeploymentConfig::parse(config_text);
+  auto rt = deploy::build_runtime(config, registry);
   sgxsim::reset_transition_stats();
   rt->start();
   while (sink_ptr->count() < 1000) {

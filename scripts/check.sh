@@ -5,7 +5,9 @@
 #               the lint's own fixture self-test
 #   tcb         TCB budget: code lines per trusted module (the
 #               [modules].trusted list of tools/enclave_policy.toml) must
-#               not exceed the budgets committed next to that list
+#               not exceed the budgets committed next to that list, and
+#               core + concurrent must stay under the paper's §6.1 bound
+#               of 3,300 (PAPER_TCB_BOUND), whatever the budgets say
 #   plain       plain build (+ -Werror) and the entire ctest suite
 #   asan        ASan+UBSan build, entire ctest suite
 #   tsan        TSan build, concurrency suite (ctest -L tsan)
@@ -20,7 +22,7 @@
 #               fault tree, where EA_LOCK_RANK=ON makes the checker live
 #   migrate     live-migration suite (ctest -L migrate) on the fault tree:
 #               sealed handoff, rollback + route quarantine, the
-#               duplicate-resume fork guard and the EPC placement sweeps run
+#               duplicate-resume fork guard and the EPC accounting run
 #               under ASan+UBSan with failpoints and the rank checker live
 #   stress      the scheduler, migration, supervision and net suites
 #               (ctest -L 'sched|migrate|supervise|net') repeated until one
@@ -138,8 +140,11 @@ leg lint "enclave-lint (src/ + fixture self-test)" bash -c "
   python3 tools/enclave_lint.py --self-test"
 
 # --- TCB budget: per trusted module, comment-stripped code lines against ---
-# tools/enclave_policy.toml's [modules.tcb_budget] (also prints core +
-# concurrent against the paper's §6.1 bound of < 3.3 kLoC).
+# tools/enclave_policy.toml's [modules.tcb_budget]; fails too when core +
+# concurrent reach the paper's §6.1 bound of < 3.3 kLoC (PAPER_TCB_BOUND in
+# enclave_lint.py), so raising two budgets cannot carry them past it. The
+# lint leg's `deploy-include` rule keeps the untrusted config parser
+# (src/deploy) out of every trusted module, so it stays out of this count.
 leg tcb "TCB budget (enclave_lint.py --tcb)" \
   python3 tools/enclave_lint.py --tcb
 
@@ -190,10 +195,10 @@ leg lockrank "lock-rank regression (ctest -L lockrank, checker on)" \
   build_and_test build-fault -L lockrank -- "${FAULT_FLAGS[@]}"
 
 # --- live migration: sealed-state handoff, rollback + route quarantine, the
-# duplicate-resume fork guard and the EPC placement sweeps, plus the XMPP
-# mid-traffic soak. Reuses the fault tree so every rollback path runs under
-# ASan+UBSan with injection compiled in and park/rebind ordering
-# rank-checked.
+# duplicate-resume fork guard and the EPC accounting that follows a live
+# move, plus the XMPP mid-traffic soak. Reuses the fault tree so every
+# rollback path runs under ASan+UBSan with injection compiled in and
+# park/rebind ordering rank-checked.
 leg migrate "migrate suite (ctest -L migrate, ASan+UBSan, failpoints, lock-rank)" \
   build_and_test build-fault -L migrate -- "${FAULT_FLAGS[@]}"
 

@@ -54,8 +54,9 @@ struct WorkerHealth {
 // Per-enclave EPC accounting (DESIGN.md §17): `committed` is the enclave's
 // registered footprint (base pages + actor state, migration moves the
 // actor's share between enclaves), `epc_usable` the machine-wide usable EPC
-// from the cost model (~93 MiB before paging). The placement controller
-// watches committed/epc_usable per enclave against its watermark.
+// from the cost model (~93 MiB before paging). Every enclave shares that
+// one EPC: sgxsim charges paging on the sum of `committed` over all
+// enclaves (EnclaveManager::overflow_pages()), which no migration changes.
 struct EnclaveHealth {
   sgxsim::EnclaveId id = sgxsim::kUntrusted;
   std::string name;

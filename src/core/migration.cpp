@@ -11,7 +11,6 @@
 #include "crypto/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "sgxsim/attested_exchange.hpp"
-#include "sgxsim/cost_model.hpp"
 #include "sgxsim/monotonic_counter.hpp"
 #include "sgxsim/sealing.hpp"
 #include "sgxsim/transition.hpp"
@@ -193,8 +192,7 @@ MigrateResult MigrationCoordinator::migrate(Actor& actor,
                                             sgxsim::Enclave& target) {
   if (!actor.migratable()) return MigrateResult::kNotMigratable;
   const sgxsim::EnclaveId src_id = actor.placement();
-  // Untrusted actors have no sealed identity to hand off (and nothing an
-  // EPC watermark would want to move).
+  // Untrusted actors have no sealed identity to hand off.
   if (src_id == sgxsim::kUntrusted) return MigrateResult::kNotMigratable;
   if (src_id == target.id()) return MigrateResult::kSamePlacement;
   sgxsim::Enclave* source = sgxsim::EnclaveManager::instance().find(src_id);
@@ -462,86 +460,6 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
           actor.name().c_str(), source.name().c_str(), target.name().c_str(),
           carried);
   return MigrateResult::kOk;
-}
-
-// --- placement controller ---------------------------------------------------
-
-PlacementControllerActor::PlacementControllerActor(
-    MigrationCoordinator& coordinator, PlacementControllerOptions options)
-    : Actor("core.placement"), coordinator_(coordinator), options_(options) {
-  // Pressure response should not queue behind bulk message churn.
-  set_priority(ActorPriority::kHigh);
-}
-
-bool PlacementControllerActor::body() {
-  const std::uint64_t now_us = steady_now_us();
-  if (now_us - last_sweep_us_ < options_.sweep_interval_us) return false;
-  last_sweep_us_ = now_us;
-  return sweep();
-}
-
-bool PlacementControllerActor::sweep() {
-  probes_.fetch_add(1, std::memory_order_relaxed);
-  Runtime& rt = coordinator_.runtime();
-  const std::uint64_t budget = options_.epc_budget_bytes != 0
-                                   ? options_.epc_budget_bytes
-                                   : sgxsim::cost_model().epc_usable_bytes;
-  const auto watermark_bytes = static_cast<std::uint64_t>(
-      options_.watermark * static_cast<double>(budget));
-
-  // Probe every enclave; the worst overcommitted one is the eviction
-  // source. The failpoint overrides the probed value so tests can model an
-  // enclave marching toward the cliff without allocating 90 MiB.
-  sgxsim::Enclave* worst = nullptr;
-  std::uint64_t worst_committed = 0;
-  for (const auto& [name, enclave] : rt.enclaves()) {
-    long probed = static_cast<long>(enclave->committed_bytes());
-    (void)EA_FAIL_VALUE("migrate.epc.probe", probed);
-    const auto committed = static_cast<std::uint64_t>(probed);
-    if (committed >= watermark_bytes && committed > worst_committed) {
-      worst = enclave;
-      worst_committed = committed;
-    }
-  }
-  if (worst == nullptr) return false;
-
-  // Cheapest-to-move: the migratable Runnable actor with the smallest
-  // declared state footprint (smallest pause, smallest transfer).
-  Actor* victim = nullptr;
-  for (const auto& a : rt.actors()) {
-    if (a->placement() != worst->id()) continue;
-    if (!a->migratable() || a->lifecycle() != ActorState::kRunnable) continue;
-    if (victim == nullptr || a->state_bytes() < victim->state_bytes()) {
-      victim = a.get();
-    }
-  }
-  if (victim == nullptr) return false;
-
-  // Target: the least-committed other enclave reachable over a clean route.
-  sgxsim::Enclave* target = nullptr;
-  for (const auto& [name, enclave] : rt.enclaves()) {
-    if (enclave == worst) continue;
-    if (coordinator_.route_quarantined(worst->id(), enclave->id())) continue;
-    if (target == nullptr ||
-        enclave->committed_bytes() < target->committed_bytes()) {
-      target = enclave;
-    }
-  }
-  if (target == nullptr) return false;
-
-  const MigrateResult r = coordinator_.migrate(*victim, *target);
-  if (r == MigrateResult::kOk) {
-    migrations_triggered_.fetch_add(1, std::memory_order_relaxed);
-    EA_INFO("core",
-            "placement: evicted %s off %s (%llu committed >= watermark %llu)",
-            victim->name().c_str(), worst->name().c_str(),
-            static_cast<unsigned long long>(worst_committed),
-            static_cast<unsigned long long>(watermark_bytes));
-    return true;
-  }
-  EA_DEBUG("core", "placement: eviction of %s failed: %s",
-           victim->name().c_str(), to_string(r));
-  return false;
 }
 
 }  // namespace ea::core

@@ -1,11 +1,9 @@
 // Live actor migration with sealed-state handoff (DESIGN.md §17).
 //
 // The paper's deployment flexibility is static: actor-to-enclave placement
-// is fixed by the config at startup, so an enclave drifting toward the
-// ~93 MiB EPC cliff degrades every co-located actor with no recourse. This
-// module makes placement dynamic, following *Migrating SGX Enclaves with
-// Persistent State* for the handoff protocol and *SGX-Aware Container
-// Orchestration* for the EPC-driven placement policy:
+// is fixed by the config at startup. This module makes placement dynamic,
+// following *Migrating SGX Enclaves with Persistent State* for the handoff
+// protocol:
 //
 //   park ──▶ export ──▶ seal ──▶ transfer ──▶ consume-ticket ──▶ resume
 //     │         │         │          │              │
@@ -44,10 +42,8 @@
 //                resumes at the source and later migrations simply avoid
 //                the bad route.
 //
-// PlacementControllerActor closes the loop: it polls per-enclave EPC
-// accounting (sgxsim committed-bytes, surfaced through Runtime::health())
-// and migrates the cheapest-to-move actor off any enclave crossing a
-// configurable EPC watermark.
+// The caller picks the actor and the target; no policy in this module
+// moves actors on its own.
 #pragma once
 
 #include <atomic>
@@ -122,10 +118,6 @@ class MigrationCoordinator {
   // Migration pause time (park → resume) in microseconds.
   const util::LatencyHist& pause_hist() const noexcept { return pause_hist_; }
 
-  // The runtime this coordinator migrates within (the placement controller
-  // walks its enclave and actor tables).
-  Runtime& runtime() const noexcept { return rt_; }
-
  private:
   struct Bundle;
 
@@ -166,47 +158,6 @@ class MigrationCoordinator {
   std::atomic<std::uint64_t> rolled_back_{0};
   std::atomic<std::uint64_t> forks_prevented_{0};
   std::atomic<std::uint64_t> in_flight_carried_{0};
-};
-
-// EPC-watermark placement policy (the *SGX-Aware Container Orchestration*
-// idea at actor granularity): watch per-enclave committed bytes and evict
-// the cheapest migratable actor BEFORE an enclave crosses the paging cliff.
-struct PlacementControllerOptions {
-  // Fraction of the EPC budget at which an enclave is considered
-  // overcommitted and an eviction is triggered.
-  double watermark = 0.80;
-  // Per-enclave EPC budget in bytes; 0 uses the machine-wide usable EPC
-  // from the cost model (~93 MiB). Tests set a small budget so the
-  // watermark is reachable without allocating real memory.
-  std::uint64_t epc_budget_bytes = 0;
-  // Minimum microseconds between probe sweeps (the controller is a normal
-  // actor; its body paces itself and reports no pending work).
-  std::uint64_t sweep_interval_us = 2000;
-};
-
-class PlacementControllerActor : public Actor {
- public:
-  PlacementControllerActor(MigrationCoordinator& coordinator,
-                           PlacementControllerOptions options = {});
-
-  bool body() override;
-
-  std::uint64_t migrations_triggered() const noexcept {
-    return migrations_triggered_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t probes() const noexcept {
-    return probes_.load(std::memory_order_relaxed);
-  }
-
- private:
-  // One sweep: probe every enclave, evict off the worst overcommitted one.
-  bool sweep();
-
-  MigrationCoordinator& coordinator_;
-  PlacementControllerOptions options_;
-  std::uint64_t last_sweep_us_ = 0;
-  std::atomic<std::uint64_t> migrations_triggered_{0};
-  std::atomic<std::uint64_t> probes_{0};
 };
 
 }  // namespace ea::core

@@ -2,7 +2,7 @@
 //
 // A worker manages one POSIX thread, is bound to a CPU set, and executes
 // eactor body functions. One loop serves both schedulers, selected per
-// deployment (`sched=static|steal` in the config grammar); they differ only
+// deployment (`sched static|steal` in the config grammar); they differ only
 // in which actors a round dispatches:
 //
 //  * kStatic — the paper's scheduler and the ablation baseline: a round

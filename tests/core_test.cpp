@@ -4,9 +4,9 @@
 #include <chrono>
 #include <thread>
 
-#include "core/config.hpp"
 #include "core/runtime.hpp"
 #include "core/worker.hpp"
+#include "deploy/config.hpp"
 #include "sgxsim/cost_model.hpp"
 #include "sgxsim/transition.hpp"
 #include "util/bytes.hpp"
@@ -432,6 +432,10 @@ TEST_F(CoreTest, WorkerWithUnknownActorThrows) {
 
 // --- DeploymentConfig ----------------------------------------------------------
 
+using deploy::ActorRegistry;
+using deploy::build_runtime;
+using deploy::DeploymentConfig;
+
 TEST(ConfigTest, ParsesFullGrammar) {
   auto config = DeploymentConfig::parse(R"(
 # comment line
@@ -465,8 +469,6 @@ TEST(ConfigTest, SchedDirectiveSelectsScheduler) {
             SchedMode::kSteal);
   EXPECT_EQ(DeploymentConfig::parse("sched static").runtime.sched,
             SchedMode::kStatic);
-  EXPECT_EQ(DeploymentConfig::parse("sched mode=steal").runtime.sched,
-            SchedMode::kSteal);
   // Default: deployments that don't mention sched keep the paper's fixed
   // static mapping.
   EXPECT_EQ(DeploymentConfig::parse("enclave e1").runtime.sched,
@@ -477,6 +479,9 @@ TEST(ConfigTest, SchedDirectiveRejectsBadMode) {
   EXPECT_THROW(DeploymentConfig::parse("sched"), std::invalid_argument);
   EXPECT_THROW(DeploymentConfig::parse("sched greedy"), std::invalid_argument);
   EXPECT_THROW(DeploymentConfig::parse("sched policy=steal"),
+               std::invalid_argument);
+  // One syntax per directive: the key=value spelling is not an alias.
+  EXPECT_THROW(DeploymentConfig::parse("sched mode=steal"),
                std::invalid_argument);
   try {
     DeploymentConfig::parse("pool nodes=64\nsched greedy\n");
@@ -504,6 +509,16 @@ TEST(ConfigTest, RejectsWorkerWithoutActors) {
 TEST(ConfigTest, RejectsBadInteger) {
   EXPECT_THROW(DeploymentConfig::parse("pool nodes=abc"),
                std::invalid_argument);
+  // Sizes below 1 and negative CPUs: a negative size would wrap once cast
+  // to size_t (a huge node payload, or a 0-byte arena), and a negative
+  // CPU would be skipped by the pinning call.
+  for (const char* text :
+       {"pool nodes=4 payload=-1", "pool nodes=-1 payload=0",
+        "pool nodes=0", "pool payload=0", "worker w cpus=-7 actors=a",
+        "worker w cpus=0,-1 actors=a"}) {
+    EXPECT_THROW(DeploymentConfig::parse(text), std::invalid_argument)
+        << text;
+  }
 }
 
 TEST(ConfigTest, ErrorMessagesCarryLineNumbers) {

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <thread>
 
-#include "core/config.hpp"
 #include "core/runtime.hpp"
 #include "pos/cleaner_actor.hpp"
 #include "pos/pos.hpp"

@@ -1,7 +1,7 @@
 // Migration fault-injection tests (ctest labels: fault, migrate;
 // EA_FAILPOINTS builds only).
 //
-// The five shipped migration failpoints, each proving a DESIGN.md §17
+// The four shipped migration failpoints, each proving a DESIGN.md §17
 // rollback property:
 //
 //   migrate.seal.fail     export/seal dies source-locally → the actor
@@ -15,10 +15,7 @@
 //                         the route quarantined;
 //   migrate.resume.dup    a duplicate resume of the same bundle → the
 //                         monotonic-counter consume refuses it (the
-//                         resume-twice fork is counted, not executed);
-//   migrate.epc.probe     injected per-enclave committed bytes → the
-//                         placement controller evicts without having to
-//                         allocate real EPC-scale state.
+//                         resume-twice fork is counted, not executed).
 //
 // Plus the one rollback exit no failpoint is needed for: a running home
 // worker whose affinity table is full (kAffinityFailed) rolls back without
@@ -30,7 +27,6 @@
 #include <memory>
 #include <string>
 
-#include "core/health.hpp"
 #include "core/migration.hpp"
 #include "core/runtime.hpp"
 #include "core/worker.hpp"
@@ -288,37 +284,6 @@ TEST_F(MigrationFaultTest, ImportFailureRollsBackPlacementAndAccounting) {
   EXPECT_EQ(d.dst->committed_bytes(), d.dst_base);
   EXPECT_TRUE(coordinator.route_quarantined(d.src->id(), d.dst->id()));
   EXPECT_EQ(coordinator.stats().rolled_back, 1u);
-}
-
-TEST_F(MigrationFaultTest, EpcProbeFailpointDrivesTheController) {
-  Runtime rt;
-  // Map order decides probe order: "epcfp.a" is probed first, so the
-  // injected value lands on it.
-  sgxsim::Enclave& a = rt.enclave("epcfp.a");
-  sgxsim::Enclave& b = rt.enclave("epcfp.b");
-  auto owned = std::make_unique<VictimActor>("epcfp.victim");
-  VictimActor* victim = owned.get();
-  rt.add_actor(std::move(owned), "epcfp.a");
-
-  MigrationCoordinator coordinator(rt);
-  PlacementControllerOptions po;
-  po.watermark = 0.80;
-  po.epc_budget_bytes = 64 * 1024 * 1024;
-  po.sweep_interval_us = 0;
-  PlacementControllerActor controller(coordinator, po);
-
-  // Without injection the enclave is far below the watermark: no eviction.
-  EXPECT_FALSE(controller.body());
-  EXPECT_EQ(victim->placement(), a.id());
-
-  // Inject one probe reading of 60 MiB (>= 0.8 * 64 MiB): the controller
-  // must evict the victim off epcfp.a without any real allocation.
-  ASSERT_TRUE(fp::set("migrate.epc.probe", "once(62914560)"));
-  EXPECT_TRUE(controller.body());
-  EXPECT_EQ(fp::hits("migrate.epc.probe"), 1u);
-  EXPECT_EQ(victim->placement(), b.id());
-  EXPECT_EQ(controller.migrations_triggered(), 1u);
-  EXPECT_EQ(coordinator.stats().completed, 1u);
 }
 
 }  // namespace

@@ -9,15 +9,14 @@
 //  * every refusal code (not-migratable, untrusted, same placement, unknown
 //    names) fires before any state moves;
 //  * a live migration under the stealing scheduler mid-traffic loses and
-//    reorders nothing on an encrypted channel rebound in place;
+//    reorders nothing on an encrypted channel rebound in place, and the
+//    EPC accounting in Runtime::health() follows the actor;
 //  * the park barrier ends a drain-until-empty quantum — a channel drain
 //    and an XMPP instance's inbox drain — while the input keeps the queue
 //    full, and the queued rest is carried over;
 //  * a live migration under the static scheduler is followed by the
 //    worker: every later activation runs inside the target enclave;
-//  * per-enclave EPC accounting is visible through Runtime::health();
-//  * the placement controller evicts the cheapest actor off an enclave
-//    crossing the EPC watermark before the paging cliff.
+//  * per-enclave EPC accounting is visible through Runtime::health().
 
 #include <gtest/gtest.h>
 
@@ -305,6 +304,8 @@ TEST_F(MigrationTest, LiveMigrationLosesNoMessageOnEncryptedChannel) {
   rt.enclave("live.e0");
   sgxsim::Enclave& e1 = rt.enclave("live.e1");
   sgxsim::Enclave& e2 = rt.enclave("live.e2");
+  const std::uint64_t e1_base = e1.committed_bytes();
+  const std::uint64_t e2_base = e2.committed_bytes();
 
   constexpr std::uint64_t kTotal = 60000;
   // The ping side sits in its own enclave so the channel crosses enclave
@@ -356,6 +357,16 @@ TEST_F(MigrationTest, LiveMigrationLosesNoMessageOnEncryptedChannel) {
   EXPECT_EQ(stats.rolled_back, 0u);
   EXPECT_EQ(coordinator.pause_hist().count(),
             static_cast<std::uint64_t>(moves));
+
+  // The EPC accounting followed the echo across the live moves: its final
+  // enclave carries its state on top of the baseline, the other is back
+  // at its own baseline.
+  const bool at_e1 = echo->placement() == e1.id();
+  HealthSnapshot snap = rt.health();
+  EXPECT_EQ(snap.enclave_by_name(at_e1 ? "live.e1" : "live.e2")->committed,
+            (at_e1 ? e1_base : e2_base) + echo->state_bytes());
+  EXPECT_EQ(snap.enclave_by_name(at_e1 ? "live.e2" : "live.e1")->committed,
+            at_e1 ? e2_base : e1_base);
 }
 
 // --- the park barrier under continuous input --------------------------------
@@ -658,65 +669,6 @@ TEST_F(MigrationTest, EpcAccountingVisibleInHealth) {
   EXPECT_NE(snap.to_string().find(std::to_string(e->committed) +
                                   " bytes committed"),
             std::string::npos);
-}
-
-TEST_F(MigrationTest, PlacementControllerEvictsBeforeEpcWatermark) {
-  RuntimeOptions options;
-  options.sched = SchedMode::kSteal;
-  Runtime rt(options);
-  sgxsim::Enclave& hot = rt.enclave("wm.hot");
-  sgxsim::Enclave& cold = rt.enclave("wm.cold");
-
-  // 600 + 300 KiB of actor state on top of the enclave-creation baseline.
-  // The budget is chosen so the watermark line sits at baseline + 750 KiB:
-  // the loaded enclave (baseline + 900 KiB) is over the line but under the
-  // cliff, and EITHER actor alone is under it — exactly one eviction (of
-  // the cheaper actor) reaches a steady state with no ping-pong.
-  const std::uint64_t base = hot.committed_bytes();
-  const std::uint64_t cold_base = cold.committed_bytes();
-  auto big_owned = std::make_unique<MigratoryActor>("wm.big");
-  MigratoryActor* big = big_owned.get();
-  big->state_bytes_ = 600 * 1024;
-  rt.add_actor(std::move(big_owned), "wm.hot");
-  auto small_owned = std::make_unique<MigratoryActor>("wm.small");
-  MigratoryActor* small = small_owned.get();
-  small->state_bytes_ = 300 * 1024;
-  rt.add_actor(std::move(small_owned), "wm.hot");
-
-  MigrationCoordinator coordinator(rt);
-  PlacementControllerOptions po;
-  po.watermark = 0.80;
-  po.epc_budget_bytes =
-      static_cast<std::uint64_t>((base + 750.0 * 1024) / 0.80);
-  po.sweep_interval_us = 200;
-  auto ctl_owned = std::make_unique<PlacementControllerActor>(coordinator, po);
-  PlacementControllerActor* ctl = ctl_owned.get();
-  rt.add_actor(std::move(ctl_owned), "");
-  rt.add_worker("wm.w1", {}, {"wm.big", "wm.small"});
-  rt.add_worker("wm.w2", {}, {"core.placement"});
-  rt.start();
-
-  // One eviction: the CHEAPEST actor moves off the hot enclave, and the
-  // enclave drops below the watermark before ever reaching the cliff.
-  ASSERT_TRUE(eventually([&] { return ctl->migrations_triggered() >= 1; }));
-  ASSERT_TRUE(eventually([&] { return small->placement() == cold.id(); }));
-  EXPECT_EQ(big->placement(), hot.id()) << "controller moved the wrong actor";
-  // Let several more sweeps run: under the watermark, nothing else moves.
-  std::this_thread::sleep_for(50ms);
-  rt.stop();
-
-  HealthSnapshot snap = rt.health();
-  EXPECT_EQ(snap.enclave_by_name("wm.hot")->committed,
-            base + big->state_bytes_);
-  EXPECT_EQ(snap.enclave_by_name("wm.cold")->committed,
-            cold_base + small->state_bytes_);
-  // The hot enclave never reached the cliff: accounting peaked at the
-  // pre-eviction total, below the budget.
-  EXPECT_LT(base + big->state_bytes_ + small->state_bytes_,
-            po.epc_budget_bytes);
-  EXPECT_EQ(ctl->migrations_triggered(), 1u);
-  EXPECT_GE(ctl->probes(), 1u);
-  EXPECT_EQ(coordinator.stats().completed, 1u);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <deque>
 #include <thread>
 
-#include "core/config.hpp"
 #include "core/runtime.hpp"
 #include "crypto/rng.hpp"
 #include "pos/pos.hpp"

@@ -48,7 +48,8 @@ stripping, the same stripping the rules use — per trusted module and
 fails (exit 1) when a module exceeds its budget in the policy's
 `[modules.tcb_budget]` table, or has none. It also prints core +
 concurrent, the framework code an enclave must trust, against the paper's
-§6.1 bound of < 3.3 kLoC of enclave-resident code.
+§6.1 bound of < 3.3 kLoC of enclave-resident code, and fails when they
+reach it: raising two budgets cannot carry the framework past the bound.
 
 Self-test mode (`--self-test`) runs the lint over tools/lint_fixtures/ and
 checks that every `// EXPECT: rule-name` annotation fires on exactly that
@@ -74,6 +75,9 @@ WAIVER_LINE = re.compile(r"//\s*ea-lint:\s*allow\(([\w\-, ]+)\)")
 WAIVER_NEXT = re.compile(r"//\s*ea-lint:\s*allow-next-line\(([\w\-, ]+)\)")
 WAIVER_FILE = re.compile(r"//\s*ea-lint:\s*allow-file\(([\w\-, ]+)\)")
 EXPECT_RE = re.compile(r"//\s*EXPECT:\s*([\w\-]+)")
+# A quoted #include operand is a header name, not a string literal: the
+# stripping keeps it so pattern rules can match include paths.
+INCLUDE_QUOTED = re.compile(r'\s*#\s*include\s*"[^"]*"')
 
 # sizeof(T) on a line that also touches a node payload — T is (heuristically)
 # a type whose bytes cross the enclave boundary inside a node.
@@ -250,6 +254,10 @@ def strip_comments_and_strings(lines: list[str]) -> list[str]:
         buf = []
         i = 0
         n = len(line)
+        include = None if in_block else INCLUDE_QUOTED.match(line)
+        if include:
+            buf.append(include.group(0))
+            i = include.end()
         while i < n:
             if in_block:
                 end = line.find("*/", i)
@@ -862,7 +870,7 @@ def lint_file(
 
 # --- scan cache (satellite: skip unchanged files) ---------------------------
 
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 
 
 def scan_to_jsonable(scan: FileScan) -> dict:
@@ -1137,11 +1145,15 @@ def tcb_report(root: Path, policy: Policy) -> int:
         print(f"  {module:<12} {counts[module]:>6} code lines  {verdict}")
     print(f"  {'total':<12} {sum(counts.values()):>6} code lines")
     framework = sum(counts.get(m, 0) for m in FRAMEWORK_MODULES)
-    holds = "holds" if framework < PAPER_TCB_BOUND else "does not hold"
+    holds = framework < PAPER_TCB_BOUND
     print(f"  {' + '.join(FRAMEWORK_MODULES)}: {framework} code lines; paper "
-          f"§6.1 bound < {PAPER_TCB_BOUND} ({holds})")
+          f"§6.1 bound < {PAPER_TCB_BOUND} "
+          f"({'holds' if holds else 'does not hold'})")
     if failed:
         print("enclave-lint --tcb: budget check failed")
+        return 1
+    if not holds:
+        print("enclave-lint --tcb: the paper's §6.1 bound does not hold")
         return 1
     print("enclave-lint --tcb: every trusted module within budget")
     return 0
