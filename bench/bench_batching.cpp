@@ -3,8 +3,8 @@
 //
 //   mbox       — push/pop vs push_chain/pop_burst on one shared MPMC mbox,
 //                w producers + w consumers;
-//   channel    — per-message send/recv vs send_batch/recv_burst over an
-//                encrypted cross-enclave channel (software AEAD), one
+//   channel    — per-message send/recv over an encrypted cross-enclave
+//                channel (software AEAD and the hardware-speed model), one
 //                channel pair per worker;
 //   transition — one ECall per message vs one ECall per batch (the enclave
 //                transition amortisation the paper's design is built on);
@@ -119,12 +119,11 @@ double run_mbox(std::size_t workers, bool burst) {
 // --- channel: encrypted cross-enclave transfer, one pair per worker ---------
 
 // Channel messages are small control messages — 16 B, the smallest message
-// size of the paper's ping-pong figure — where per-message costs dominate
-// and coalescing pays. A 4 KiB node fits 64 of them per sealed frame.
+// size of the paper's ping-pong figure — where per-message costs dominate.
 constexpr std::size_t kChanMsgBytes = 16;
-constexpr std::size_t kChanBurst = 64;
+constexpr std::size_t kChanWindow = 128;
 
-double run_channel(std::size_t workers, bool batch, core::CipherModel cipher) {
+double run_channel(std::size_t workers, core::CipherModel cipher) {
   auto& mgr = sgxsim::EnclaveManager::instance();
   std::vector<std::unique_ptr<concurrent::NodeArena>> arenas;
   std::vector<std::unique_ptr<concurrent::Pool>> pools;
@@ -162,33 +161,17 @@ double run_channel(std::size_t workers, bool batch, core::CipherModel cipher) {
     threads.emplace_back([&, i] {
       std::uint8_t payload[kChanMsgBytes];
       std::memset(payload, 0x5a, sizeof(payload));
-      std::vector<std::span<const std::uint8_t>> msgs(
-          kChanBurst, std::span<const std::uint8_t>(payload, kChanMsgBytes));
-      const std::size_t window = 2 * kChanBurst;
       std::uint64_t local = 0;
       while (!stop.load(std::memory_order_relaxed)) {
         std::size_t sent = 0;
-        if (batch) {
-          while (sent < window) {
-            std::size_t n = tx[i]->send_batch(msgs);
-            if (n == 0) break;
-            sent += n;
-          }
-        } else {
-          while (sent < window &&
-                 tx[i]->send(std::span<const std::uint8_t>(
-                     payload, kChanMsgBytes))) {
-            ++sent;
-          }
+        while (sent < kChanWindow &&
+               tx[i]->send(std::span<const std::uint8_t>(payload,
+                                                         kChanMsgBytes))) {
+          ++sent;
         }
         std::size_t drained = 0;
         while (drained < sent) {
-          if (batch) {
-            concurrent::NodeLease out[2 * kChanBurst];
-            drained += rx[i]->recv_burst(out, 2 * kChanBurst);
-          } else {
-            if (rx[i]->recv()) ++drained;
-          }
+          if (rx[i]->recv()) ++drained;
         }
         local += sent;
       }
@@ -282,7 +265,7 @@ int main() {
   bench::csv_header();
   util::BenchReport report("batching");
 
-  double mbox_ratio4 = 0, chan_ratio4 = 0;
+  double mbox_ratio4 = 0;
   for (std::size_t w : kWorkerCounts) {
     double per_node = run_mbox(w, /*burst=*/false);
     double burst = run_mbox(w, /*burst=*/true);
@@ -295,37 +278,22 @@ int main() {
     if (w == 4) mbox_ratio4 = burst / per_node;
   }
 
-  // The gating encrypted-channel series uses the channel's default cipher
-  // (ChaCha20-Poly1305): per-message sealing pays the full AEAD setup —
-  // Poly1305 key derivation, MAC init/finalise — for every 16 B message,
-  // while a batch frame pays it once per 64 messages. The hardware-speed
-  // cipher model (bench_fig11's EA-ENC-HW) is reported alongside; its
-  // setup is nearly free, so it isolates the node/mbox bookkeeping share.
+  // The encrypted-channel series uses the channel's default cipher
+  // (ChaCha20-Poly1305): every 16 B message pays the full AEAD setup —
+  // Poly1305 key derivation, MAC init/finalise. The hardware-speed cipher
+  // model (bench_fig11's EA-ENC-HW) is reported alongside; its setup is
+  // nearly free, so it isolates the node/mbox bookkeeping share.
   for (std::size_t w : kWorkerCounts) {
-    double per_msg = run_channel(w, /*batch=*/false,
-                                 core::CipherModel::kSoftwareAead);
-    double batch = run_channel(w, /*batch=*/true,
-                               core::CipherModel::kSoftwareAead);
+    double per_msg = run_channel(w, core::CipherModel::kSoftwareAead);
     bench::row("batching", "channel_enc.per_msg", static_cast<double>(w),
                per_msg, "msg/s");
-    bench::row("batching", "channel_enc.batch", static_cast<double>(w), batch,
-               "msg/s");
     report.add("channel_enc", "per_msg", static_cast<double>(w), per_msg,
                "msg/s");
-    report.add("channel_enc", "batch", static_cast<double>(w), batch, "msg/s");
-    if (w == 4) chan_ratio4 = batch / per_msg;
 
-    double hw_per_msg = run_channel(w, /*batch=*/false,
-                                    core::CipherModel::kHardwareModel);
-    double hw_batch = run_channel(w, /*batch=*/true,
-                                  core::CipherModel::kHardwareModel);
+    double hw_per_msg = run_channel(w, core::CipherModel::kHardwareModel);
     bench::row("batching", "channel_enc_hw.per_msg", static_cast<double>(w),
                hw_per_msg, "msg/s");
-    bench::row("batching", "channel_enc_hw.batch", static_cast<double>(w),
-               hw_batch, "msg/s");
     report.add("channel_enc_hw", "per_msg", static_cast<double>(w), hw_per_msg,
-               "msg/s");
-    report.add("channel_enc_hw", "batch", static_cast<double>(w), hw_batch,
                "msg/s");
   }
 
@@ -359,8 +327,6 @@ int main() {
     return 1;
   }
   bench::note("wrote %s (%zu results)", path.c_str(), report.size());
-  bench::note("burst/per-node at 4 workers: mbox %.2fx, encrypted channel "
-              "%.2fx (target: >= 2x on the channel path)",
-              mbox_ratio4, chan_ratio4);
+  bench::note("burst/per-node at 4 workers: mbox %.2fx", mbox_ratio4);
   return 0;
 }

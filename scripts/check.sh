@@ -24,9 +24,9 @@
 #               sealed handoff, rollback + route quarantine, the
 #               duplicate-resume fork guard and the EPC accounting run
 #               under ASan+UBSan with failpoints and the rank checker live
-#   stress      the scheduler, migration, supervision and net suites
-#               (ctest -L 'sched|migrate|supervise|net') repeated until one
-#               fails, up to 20 rounds, JOBS (default: nproc) tests at a
+#   stress      the scheduler, migration, supervision, net and POS suites
+#               (ctest -L 'sched|migrate|supervise|net|pos') repeated until
+#               one fails, up to 20 rounds, JOBS (default: nproc) tests at a
 #               time, on the TSan sched tree and on the fault tree — races
 #               a single pass misses
 #   nofailpoint zero-overhead-when-off symbol check on the plain tree
@@ -204,9 +204,9 @@ leg migrate "migrate suite (ctest -L migrate, ASan+UBSan, failpoints, lock-rank)
 
 # --- stress: timing-dependent protocol races (park barrier, home poll, ----
 # restart rediscovery, steal/migrate interleavings, READER subscribe vs
-# CLOSER) need many runs on real parallel hardware, not one. Reuses the
-# sched and fault trees.
-STRESS_LABELS='sched|migrate|supervise|net'
+# CLOSER, POS epoch reclamation under randomized interleavings) need many
+# runs on real parallel hardware, not one. Reuses the sched and fault trees.
+STRESS_LABELS='sched|migrate|supervise|net|pos'
 run_stress() {
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
     build_and_test build-sched -L "$STRESS_LABELS" --repeat until-fail:20 -- \

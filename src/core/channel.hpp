@@ -51,12 +51,6 @@ struct ChannelOptions {
   CipherModel cipher = CipherModel::kSoftwareAead;
 };
 
-// Node tag marking a coalesced multi-message frame produced by
-// ChannelEnd::send_batch. The tag travels through untrusted memory, so it
-// is also bound into the AEAD associated data — a runtime flipping it makes
-// authentication fail instead of confusing frame layouts.
-inline constexpr std::uint64_t kBatchFrameTag = 0xEAB10000000001ull;
-
 // One side of a channel. send() never blocks: it fails (returns false) when
 // the node pool is exhausted, and the actor retries on its next activation.
 class ChannelEnd {
@@ -68,14 +62,6 @@ class ChannelEnd {
     return send(std::span<const std::uint8_t>(
         reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
   }
-
-  // Coalesces as many of `msgs` as fit into ONE node and ONE counter-sealed
-  // AEAD frame, so the crypto setup (key schedule, Poly1305 init), the
-  // counter bump and the mailbox lock are paid once per frame instead of
-  // once per message. Returns how many messages were packed and sent (0 on
-  // pool exhaustion or when the first message does not fit); callers loop
-  // over the remainder. FIFO order is preserved.
-  std::size_t send_batch(std::span<const std::span<const std::uint8_t>> msgs);
 
   // Zero-copy send: donates an owned node (payload at offset 0, node.size
   // set) to the peer. On a plain channel — in particular between co-located
@@ -91,18 +77,13 @@ class ChannelEnd {
 
   // Dequeues the next message; empty lease when the mailbox is empty or a
   // cross-enclave message fails authentication (it is then dropped).
-  // The payload is already decrypted. Batch frames are transparent: their
-  // sub-messages are handed out one per recv() in send order (the frame is
-  // unsealed only once, when it is first popped). Also empty once the
+  // Every node carries one message, opened in place: the payload is
+  // already decrypted and no second node is drawn. Also empty once the
   // end's owner is parked at the migration barrier (kMigrating): a body
   // that drains until empty then ends its quantum instead of holding the
   // barrier open while its peer keeps the queue full (DESIGN.md §17); what
   // stays queued is carried over by rebind_for_migration().
   concurrent::NodeLease recv();
-
-  // Dequeues up to `max` messages into `out`; returns the count. Unpacks
-  // batch frames with one unseal per frame. Same barrier rule as recv().
-  std::size_t recv_burst(concurrent::NodeLease* out, std::size_t max);
 
   // True if a recv() would find a message.
   bool pending() const;
@@ -143,12 +124,13 @@ class Channel {
   // Rewrites the placement of every end owned by `owner` to
   // `new_placement` and re-derives the wire format (plain vs encrypted,
   // session key) for the new enclave pair. Messages already queued were
-  // sealed under the OLD format, so both directions are drained (decrypted,
-  // batch frames unpacked) and re-injected under the new format, preserving
-  // FIFO order. Caller contract (MigrationCoordinator): BOTH endpoint
-  // actors are parked, so no concurrent send/recv runs. Returns the number
-  // of in-flight messages carried across; messages that cannot be re-sealed
-  // (pool exhaustion mid-unpack) are counted in frame_errors().
+  // sealed under the OLD format, so both directions are drained (each
+  // node opened in place, so the drain needs no free node) and the same
+  // nodes are re-injected under the new format, preserving FIFO order.
+  // Caller contract (MigrationCoordinator): BOTH endpoint actors are
+  // parked, so no concurrent send/recv runs. Returns the number of
+  // in-flight messages carried across; a message too large to re-seal
+  // under the new format is dropped and counted in frame_errors().
   std::size_t rebind_for_migration(const Actor& owner,
                                    sgxsim::EnclaveId new_placement);
 
@@ -159,15 +141,15 @@ class Channel {
     return auth_failures_.load(std::memory_order_relaxed);
   }
 
-  // Messages dropped because a batch frame was malformed after successful
-  // authentication (only possible on plain channels or a buggy peer).
+  // Messages dropped by rebind_for_migration() because they no longer fit
+  // their node once sealed under the new wire format.
   std::uint64_t frame_errors() const noexcept {
     return frame_errors_.load(std::memory_order_relaxed);
   }
 
-  // Send-side payload copies performed by this channel: one per message for
-  // send()/send_batch() (the memcpy into the fresh node) and one per
-  // send_node() on an encrypted channel (the stage-to-wire-offset move).
+  // Send-side payload copies performed by this channel: one per send()
+  // (the memcpy into the fresh node) and one per send_node() on an
+  // encrypted channel (the stage-to-wire-offset move).
   // Intra-enclave send_node() performs none — the zero-copy tests and the
   // bench assert this counter stays at zero on that path.
   std::uint64_t payload_copies() const noexcept {
@@ -182,41 +164,21 @@ class Channel {
  private:
   friend class ChannelEnd;
 
-  // A batch frame being handed out message-by-message at one side. Owned by
-  // the receiving actor's thread (channel ends are point-to-point), i.e.
-  // protected by thread affinity rather than a lock — a protocol the
-  // thread-safety analysis cannot express (DESIGN.md §13), so it stays
-  // unannotated and relies on the TSan matrix leg instead. The underlying
-  // mboxes carry their own capability annotations.
-  struct PendingBatch {
-    concurrent::NodeLease frame;
-    std::uint32_t remaining = 0;
-    std::size_t offset = 0;
-  };
-
   bool send_from(int side, std::span<const std::uint8_t> bytes);
-  std::size_t send_batch_from(int side,
-                              std::span<const std::span<const std::uint8_t>> msgs);
   bool send_node_from(int side, concurrent::NodeLease&& lease);
   concurrent::NodeLease recv_at(int side);
-  std::size_t recv_burst_at(int side, concurrent::NodeLease* out,
-                            std::size_t max);
-  concurrent::NodeLease next_from_batch(int side);
   // Byte offset inside a node payload where plaintext begins for this
   // channel's wire format (after the nonce / counter header), and the
-  // total cipher expansion. Batch frames are assembled directly at the
-  // offset so sealing never copies or allocates.
+  // total cipher expansion.
   std::size_t plaintext_offset() const noexcept;
   std::size_t cipher_overhead() const noexcept;
   // Seals the `len` plaintext bytes already sitting at plaintext_offset()
   // inside `node`; writes header and trailer in place and sets node.size.
-  // `batch` selects the batch AAD domain.
-  void seal_in_place(int side, concurrent::Node& node, std::size_t len,
-                     bool batch);
+  void seal_in_place(int side, concurrent::Node& node, std::size_t len);
   // Copies `bytes` into `node` and seals; false if they cannot fit.
   bool seal_into(int side, concurrent::Node& node,
-                 std::span<const std::uint8_t> bytes, bool batch);
-  bool open_in_place(int side, concurrent::Node& node, bool batch);
+                 std::span<const std::uint8_t> bytes);
+  bool open_in_place(int side, concurrent::Node& node);
 
   std::string name_;
   ChannelOptions options_;
@@ -232,8 +194,6 @@ class Channel {
   int connected_ = 0;
 
   concurrent::Mbox dir_[2];  // dir_[0]: A->B, dir_[1]: B->A
-
-  PendingBatch pending_batch_[2];
 
   bool encrypted_ = false;
   std::optional<crypto::AeadKey> key_;

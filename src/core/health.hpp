@@ -33,7 +33,7 @@ struct ChannelHealth {
   std::string name;
   bool encrypted = false;
   std::uint64_t auth_failures = 0;  // dropped: AEAD authentication failed
-  std::uint64_t frame_errors = 0;   // dropped: malformed batch frame
+  std::uint64_t frame_errors = 0;   // dropped: failed re-seal on a rebind
 };
 
 struct PoolHealth {

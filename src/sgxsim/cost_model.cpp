@@ -1,29 +1,10 @@
 #include "sgxsim/cost_model.hpp"
 
-#include <mutex>
-
-#include "util/env.hpp"
-
 namespace ea::sgxsim {
 
 CostModel& cost_model() {
   static CostModel model;
   return model;
-}
-
-void load_cost_model_env() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    CostModel& m = cost_model();
-    m.ecall_cycles = static_cast<std::uint64_t>(
-        util::env_int("EA_SGX_ECALL_CYCLES", static_cast<std::int64_t>(m.ecall_cycles)));
-    m.ocall_cycles = static_cast<std::uint64_t>(
-        util::env_int("EA_SGX_OCALL_CYCLES", static_cast<std::int64_t>(m.ocall_cycles)));
-    m.rng_cycles_per_byte = static_cast<std::uint64_t>(
-        util::env_int("EA_SGX_RNG_CPB", static_cast<std::int64_t>(m.rng_cycles_per_byte)));
-    m.mutex_spin_iterations = static_cast<std::uint64_t>(
-        util::env_int("EA_SGX_MUTEX_SPIN", static_cast<std::int64_t>(m.mutex_spin_iterations)));
-  });
 }
 
 ScopedCostModel::ScopedCostModel() : saved_(cost_model()) {}

@@ -13,8 +13,8 @@
 //    and slow; the paper identifies it as the SMC bottleneck (§6.3.1).
 //  * sgx_mutex — spins briefly, then *exits the enclave* to sleep (Fig. 1).
 //
-// All knobs are env-overridable (EA_SGX_*) so ablation benches can zero a
-// cost and observe its contribution.
+// Ablation benches and tests set the fields directly (cost_model(),
+// ScopedCostModel) to zero a cost and observe its contribution.
 #pragma once
 
 #include <cstdint>
@@ -52,10 +52,6 @@ struct CostModel {
 // The process-wide cost model. Mutable; benchmarks adjust it before starting
 // worker threads. Reads are not synchronised — configure before use.
 CostModel& cost_model();
-
-// Loads EA_SGX_ECALL_CYCLES, EA_SGX_OCALL_CYCLES, EA_SGX_RNG_CPB,
-// EA_SGX_MUTEX_SPIN overrides. Called by EnclaveManager on first use.
-void load_cost_model_env();
 
 // RAII save/restore for tests and ablation benches.
 class ScopedCostModel {

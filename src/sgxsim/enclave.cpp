@@ -15,10 +15,7 @@ EnclaveManager& EnclaveManager::instance() {
   return manager;
 }
 
-EnclaveManager::EnclaveManager() {
-  load_cost_model_env();
-  crypto::secure_random(device_root_key_);
-}
+EnclaveManager::EnclaveManager() { crypto::secure_random(device_root_key_); }
 
 Enclave& EnclaveManager::create(std::string name, std::uint64_t base_bytes) {
   EnclaveId id = next_id_.fetch_add(1, std::memory_order_relaxed);

@@ -10,20 +10,6 @@
 namespace ea::smc {
 namespace {
 
-// Deterministic initial secrets so tests can predict the expected sum
-// (same generator as the channel ring deployment).
-Vec initial_secret(int index, std::size_t dim) {
-  Vec v(dim);
-  std::uint64_t x = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(index + 1);
-  for (std::size_t i = 0; i < dim; ++i) {
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    v[i] = static_cast<Element>(z ^ (z >> 31));
-  }
-  return v;
-}
-
 // Wire frame: [u32 len][u32 epoch][u64 ctr][sealed], len covering
 // everything after itself. The AEAD nonce counter is (epoch << 32) | ctr
 // and the AAD binds {epoch, ctr, sender index}, so a frame can neither be

@@ -3,22 +3,6 @@
 #include "util/logging.hpp"
 
 namespace ea::smc {
-namespace {
-
-// Deterministic initial secrets so tests can predict the expected sum.
-Vec initial_secret(int index, std::size_t dim) {
-  Vec v(dim);
-  std::uint64_t x = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(index + 1);
-  for (std::size_t i = 0; i < dim; ++i) {
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    v[i] = static_cast<Element>(z ^ (z >> 31));
-  }
-  return v;
-}
-
-}  // namespace
 
 PartyActor::PartyActor(std::string name, int index, SmcConfig config,
                        concurrent::Mbox* requests, concurrent::Mbox* results,

@@ -7,30 +7,22 @@
 #include "sgxsim/trusted_rng.hpp"
 
 namespace ea::smc {
-namespace {
 
-Vec initial_secret(int index, std::size_t dim) {
-  Vec v(dim);
-  std::uint64_t x = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(index + 1);
-  for (std::size_t i = 0; i < dim; ++i) {
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    v[i] = static_cast<Element>(z ^ (z >> 31));
+SdkSecureSum::SdkSecureSum(SmcConfig config, std::vector<Vec> secrets)
+    : config_(config) {
+  if (!secrets.empty() &&
+      secrets.size() != static_cast<std::size_t>(config_.parties)) {
+    throw std::invalid_argument("one secret per party");
   }
-  return v;
-}
-
-}  // namespace
-
-SdkSecureSum::SdkSecureSum(SmcConfig config) : config_(config) {
   auto& mgr = sgxsim::EnclaveManager::instance();
   parties_.resize(static_cast<std::size_t>(config_.parties));
   for (int i = 0; i < config_.parties; ++i) {
     Party& p = parties_[static_cast<std::size_t>(i)];
     p.enclave = &mgr.create("smc.sdk.e" + std::to_string(i));
     p.enclave->add_committed(config_.dim * sizeof(Element) * 2);
-    p.secret = initial_secret(i, config_.dim);
+    p.secret = secrets.empty()
+                   ? initial_secret(i, config_.dim)
+                   : std::move(secrets[static_cast<std::size_t>(i)]);
     if (i == 0) p.rnd.resize(config_.dim);
   }
   // Pairwise session keys between ring neighbours via local attestation —

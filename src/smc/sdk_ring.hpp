@@ -20,7 +20,9 @@ namespace ea::smc {
 
 class SdkSecureSum {
  public:
-  explicit SdkSecureSum(SmcConfig config);
+  // Party i starts from `secrets[i]` (config.dim elements each) when
+  // given, else from initial_secret(i, config.dim).
+  explicit SdkSecureSum(SmcConfig config, std::vector<Vec> secrets = {});
 
   // Executes one invocation of the protocol; returns the computed sum.
   Vec run_once();

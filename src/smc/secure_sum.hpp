@@ -64,6 +64,10 @@ inline Vec deserialize(std::span<const std::uint8_t> bytes) {
   return v;
 }
 
+// Deterministic initial secret of party `index`, so tests can predict the
+// expected sum; every deployment of the ring starts from it.
+Vec initial_secret(int index, std::size_t dim);
+
 // Fills `v` with fresh randomness from the *trusted* RNG — this is the
 // sgx_read_rand path the paper identifies as the large-vector bottleneck.
 void refill_random_trusted(Vec& v);

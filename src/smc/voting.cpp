@@ -2,11 +2,7 @@
 
 #include <stdexcept>
 
-#include "crypto/aead.hpp"
-#include "sgxsim/attestation.hpp"
-#include "sgxsim/enclave.hpp"
-#include "sgxsim/transition.hpp"
-#include "sgxsim/trusted_rng.hpp"
+#include "smc/sdk_ring.hpp"
 
 namespace ea::smc {
 
@@ -27,63 +23,20 @@ std::size_t winner(const Vec& tally) {
 
 Vec run_election_sdk(const std::vector<std::size_t>& votes,
                      std::size_t candidates) {
-  // The secure-sum ring with ballots as the secret vectors. Mirrors
-  // SdkSecureSum::run_once but with caller-supplied secrets.
-  const std::size_t k = votes.size();
-  if (k < 2) throw std::invalid_argument("election needs >= 2 voters");
-
-  struct Voter {
-    sgxsim::Enclave* enclave = nullptr;
-    Vec ballot;
-    crypto::AeadKey next_key{};
-    crypto::AeadKey prev_key{};
-    std::uint64_t counter = 0;
-  };
-  auto& mgr = sgxsim::EnclaveManager::instance();
-  std::vector<Voter> voters(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    auto ballot = encode_ballot(votes[i], candidates);
+  // The secure-sum ring with ballots as the secret vectors.
+  if (votes.size() < 2) {
+    throw std::invalid_argument("election needs >= 2 voters");
+  }
+  std::vector<Vec> ballots;
+  for (std::size_t vote : votes) {
+    auto ballot = encode_ballot(vote, candidates);
     if (!ballot.has_value()) throw std::invalid_argument("invalid vote");
-    voters[i].enclave = &mgr.create("vote.e" + std::to_string(i));
-    voters[i].ballot = std::move(*ballot);
+    ballots.push_back(std::move(*ballot));
   }
-  for (std::size_t i = 0; i < k; ++i) {
-    Voter& a = voters[i];
-    Voter& b = voters[(i + 1) % k];
-    auto key = sgxsim::establish_session_key(*a.enclave, *b.enclave);
-    if (!key.has_value()) throw std::runtime_error("attestation failed");
-    a.next_key = *key;
-    b.prev_key = *key;
-  }
-
-  Vec rnd(candidates);
-  util::Bytes wire;
-  sgxsim::ecall(*voters[0].enclave, [&] {
-    refill_random_trusted(rnd);
-    Vec m = voters[0].ballot;
-    add_in_place(m, rnd);
-    wire = crypto::seal_with_counter(voters[0].next_key,
-                                     voters[0].counter++, {}, serialize(m));
-  });
-  for (std::size_t i = 1; i < k; ++i) {
-    Voter& v = voters[i];
-    sgxsim::ecall(*v.enclave, [&] {
-      auto plain = crypto::open_framed(v.prev_key, {}, wire);
-      if (!plain.has_value()) throw std::runtime_error("vote hop auth failed");
-      Vec m = deserialize(*plain);
-      add_in_place(m, v.ballot);
-      wire = crypto::seal_with_counter(v.next_key, v.counter++, {},
-                                       serialize(m));
-    });
-  }
-  Vec tally;
-  sgxsim::ecall(*voters[0].enclave, [&] {
-    auto plain = crypto::open_framed(voters[0].prev_key, {}, wire);
-    if (!plain.has_value()) throw std::runtime_error("vote final auth failed");
-    tally = deserialize(*plain);
-    sub_in_place(tally, rnd);
-  });
-  return tally;
+  SmcConfig config;
+  config.parties = static_cast<int>(votes.size());
+  config.dim = candidates;
+  return SdkSecureSum(config, std::move(ballots)).run_once();
 }
 
 }  // namespace ea::smc

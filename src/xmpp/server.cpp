@@ -384,14 +384,14 @@ void XmppActor::forward_groupchat(int owner, const XmlNode& stanza,
     return;
   }
   const crypto::AeadKey* key = shared_->transfer_key(index_, owner);
-  const bool encrypted = key != nullptr;
   std::span<const std::uint8_t> payload(
       reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size());
   util::Bytes sealed;
-  if (encrypted) {
+  if (key != nullptr) {
     const std::uint64_t nonce =
         shared_->transfer_nonce.fetch_add(1, std::memory_order_relaxed);
-    sealed = crypto::seal_with_counter(*key, nonce, {}, payload);
+    sealed = crypto::seal_with_counter(*key, nonce,
+                                       transfer_aad(index_, owner), payload);
     payload = sealed;
   }
   if (payload.size() > node->capacity) {
@@ -400,18 +400,24 @@ void XmppActor::forward_groupchat(int owner, const XmlNode& stanza,
     return;
   }
   node->fill(payload);
-  node->tag = transfer_tag(index_, encrypted);
+  node->tag = transfer_tag(index_);
   shared_->inboxes[static_cast<std::size_t>(owner)]->push(node);
 }
 
 void XmppActor::handle_transfer(const concurrent::Node& node) {
+  const std::uint64_t sender = node.tag & ~kTransferFlag;
+  if (sender >= static_cast<std::uint64_t>(shared_->instances)) {
+    EA_WARN("xmpp", "transfer from unknown instance dropped");
+    return;
+  }
+  const int from_instance = static_cast<int>(sender);
   std::string wire;
-  if (node.tag & kTransferEncrypted) {
-    int from_instance = static_cast<int>(node.tag & 0xffffffffull);
-    const crypto::AeadKey* key = shared_->transfer_key(from_instance, index_);
-    if (key == nullptr) return;
-    std::optional<util::Bytes> plain =
-        crypto::open_framed(*key, {}, node.data());
+  // Whenever the pair has a key the transfer must open under it, whatever
+  // the node claims.
+  if (const crypto::AeadKey* key =
+          shared_->transfer_key(from_instance, index_)) {
+    std::optional<util::Bytes> plain = crypto::open_framed(
+        *key, transfer_aad(from_instance, index_), node.data());
     if (!plain.has_value()) {
       EA_WARN("xmpp", "transfer failing authentication dropped");
       return;

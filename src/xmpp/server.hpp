@@ -247,14 +247,25 @@ class XmppActor : public core::Actor {
 
 // Forwarded-stanza nodes in instance inboxes carry a transfer tag instead
 // of a socket id (socket ids are small positive integers, so the high
-// range is free): flag bit, optional encrypted bit, and the sending
-// instance index in the low bits.
+// range is free): flag bit plus the sending instance index. The tag sits in
+// untrusted node memory, so the receiver range-checks the index and takes
+// plain vs sealed from its own transfer_key(), never from the node.
 inline constexpr std::uint64_t kTransferFlag = 1ull << 63;
-inline constexpr std::uint64_t kTransferEncrypted = 1ull << 62;
 
-inline std::uint64_t transfer_tag(int from_instance, bool encrypted) {
-  return kTransferFlag | (encrypted ? kTransferEncrypted : 0) |
-         static_cast<std::uint64_t>(from_instance);
+inline std::uint64_t transfer_tag(int from_instance) {
+  return kTransferFlag | static_cast<std::uint64_t>(from_instance);
+}
+
+// Associated data of a sealed transfer: sender and receiver instance, so a
+// runtime can neither reflect a transfer back to its sender nor redirect it
+// to another instance sealed under the same pair key (Channel binds its
+// direction byte the same way).
+inline std::array<std::uint8_t, 8> transfer_aad(int from_instance,
+                                                int to_instance) {
+  std::array<std::uint8_t, 8> aad{};
+  util::store_le32(aad.data(), static_cast<std::uint32_t>(from_instance));
+  util::store_le32(aad.data() + 4, static_cast<std::uint32_t>(to_instance));
+  return aad;
 }
 
 struct XmppServiceConfig {

@@ -1,27 +1,21 @@
 // Batched message plane tests (ctest label: tsan).
 //
 // Covers the burst APIs introduced with the contention-free messaging work:
-// Mbox::push_chain/pop_burst, ChainBuilder, the pool magazine layer, and
-// channel batch framing (send_batch/recv_burst). The concurrency tests are
-// property tests — per-producer FIFO and node conservation must hold for
-// every interleaving — and are sized to give TSan real schedules to check.
+// Mbox::push_chain/pop_burst, ChainBuilder and the pool magazine layer. The
+// concurrency tests are property tests — per-producer FIFO and node
+// conservation must hold for every interleaving — and are sized to give
+// TSan real schedules to check.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <cstring>
-#include <span>
 #include <thread>
 #include <vector>
 
 #include "concurrent/arena.hpp"
 #include "concurrent/mbox.hpp"
 #include "concurrent/pool.hpp"
-#include "core/channel.hpp"
-#include "crypto/aead.hpp"
-#include "sgxsim/enclave.hpp"
-#include "util/bytes.hpp"
 
 namespace {
 
@@ -29,7 +23,6 @@ using ea::concurrent::ChainBuilder;
 using ea::concurrent::Mbox;
 using ea::concurrent::Node;
 using ea::concurrent::NodeArena;
-using ea::concurrent::NodeLease;
 using ea::concurrent::Pool;
 
 constexpr std::uint64_t make_tag(unsigned producer, std::uint64_t seq) {
@@ -226,219 +219,6 @@ TEST(BatchingStress, PoolMagazineConservation) {
         << "magazines=" << magazines
         << ": nodes cached per-thread must be accounted and conserved";
   }
-}
-
-TEST(Batching, ChannelBatchRoundTripAndBurst) {
-  auto& mgr = ea::sgxsim::EnclaveManager::instance();
-  auto& ea1 = mgr.create("batching.a");
-  auto& ea2 = mgr.create("batching.b");
-
-  NodeArena arena(64, 512);
-  Pool pool;
-  pool.adopt(arena);
-
-  ea::core::Channel channel("batching.rt", {}, pool);
-  ea::core::ChannelEnd* a = channel.connect(ea1.id());
-  ea::core::ChannelEnd* b = channel.connect(ea2.id());
-  ASSERT_NE(a, nullptr);
-  ASSERT_NE(b, nullptr);
-  ASSERT_TRUE(channel.encrypted());
-
-  // Variable-length messages, including an empty one, plus interleaved
-  // single sends: the receiver must observe global FIFO order.
-  std::vector<ea::util::Bytes> sent;
-  for (std::uint32_t i = 0; i < 9; ++i) {
-    ea::util::Bytes m(i == 4 ? 0 : 5 + 13 * i);
-    for (std::size_t j = 0; j < m.size(); ++j) {
-      m[j] = static_cast<std::uint8_t>(i * 31 + j);
-    }
-    sent.push_back(std::move(m));
-  }
-  std::vector<std::span<const std::uint8_t>> first(sent.begin(),
-                                                   sent.begin() + 6);
-  ASSERT_EQ(a->send_batch(first), 6u);
-  ASSERT_TRUE(a->send(std::span<const std::uint8_t>(sent[6])));
-  std::vector<std::span<const std::uint8_t>> second(sent.begin() + 7,
-                                                    sent.end());
-  ASSERT_EQ(a->send_batch(second), 2u);
-
-  // recv() unpacks batch frames transparently; drain the first four one at
-  // a time and the rest as one burst.
-  for (std::size_t i = 0; i < 4; ++i) {
-    ASSERT_TRUE(b->pending());
-    NodeLease m = b->recv();
-    ASSERT_TRUE(m) << "message " << i;
-    ASSERT_EQ(m->size, sent[i].size());
-    EXPECT_EQ(std::memcmp(m->payload(), sent[i].data(), m->size), 0);
-  }
-  NodeLease rest[8];
-  std::size_t got = b->recv_burst(rest, 8);
-  ASSERT_EQ(got, 5u);
-  for (std::size_t i = 0; i < got; ++i) {
-    const auto& expect = sent[4 + i];
-    ASSERT_EQ(rest[i]->size, expect.size());
-    if (!expect.empty()) {
-      EXPECT_EQ(std::memcmp(rest[i]->payload(), expect.data(), expect.size()),
-                0);
-    }
-    rest[i].reset();
-  }
-  EXPECT_FALSE(b->pending());
-  EXPECT_EQ(channel.auth_failures(), 0u);
-  EXPECT_EQ(channel.frame_errors(), 0u);
-  EXPECT_EQ(pool.size(), arena.count());
-}
-
-// A batch frame that cannot be fully unpacked (pool exhausted) parks
-// without losing messages; progress resumes as nodes free up.
-TEST(Batching, ChannelBatchSurvivesPoolExhaustion) {
-  auto& mgr = ea::sgxsim::EnclaveManager::instance();
-  auto& ea1 = mgr.create("batching.exh.a");
-  auto& ea2 = mgr.create("batching.exh.b");
-
-  NodeArena arena(4, 512);
-  Pool pool;
-  pool.adopt(arena);
-
-  ea::core::Channel channel("batching.exh", {}, pool);
-  ea::core::ChannelEnd* a = channel.connect(ea1.id());
-  ea::core::ChannelEnd* b = channel.connect(ea2.id());
-  ASSERT_TRUE(channel.encrypted());
-
-  std::uint8_t payload[8];
-  std::vector<std::span<const std::uint8_t>> msgs;
-  for (int i = 0; i < 6; ++i) {
-    msgs.emplace_back(payload, sizeof(payload));
-  }
-  std::memset(payload, 0x42, sizeof(payload));
-  ASSERT_EQ(a->send_batch(msgs), 6u);  // frame occupies 1 of 4 nodes
-
-  std::vector<NodeLease> held;
-  std::size_t received = 0;
-  // Hold every delivered lease: after the 3 free nodes are consumed the
-  // channel must stall rather than drop the remaining messages.
-  while (received < 6) {
-    NodeLease m = b->recv();
-    if (!m) {
-      ASSERT_FALSE(held.empty()) << "no progress with free nodes available";
-      ASSERT_LT(received, 6u);
-      // Free one node; the parked frame must resume exactly where it was.
-      held.erase(held.begin());
-      continue;
-    }
-    EXPECT_EQ(m->size, sizeof(payload));
-    ++received;
-    held.push_back(std::move(m));
-  }
-  EXPECT_EQ(received, 6u);
-  EXPECT_FALSE(b->pending());
-  EXPECT_EQ(channel.frame_errors(), 0u);
-  held.clear();
-  EXPECT_EQ(pool.size(), arena.count());
-}
-
-// Regression for the parked-frame resume path when the node that unblocks
-// it comes back through a *different* thread's magazine flush: the freeing
-// thread caches the node in its own magazine, and only its thread-exit
-// flush (PoolThreadCache destructor) publishes it to the shared list. The
-// receiving thread's next recv() must refill from there and resume the
-// frame — the test above only covers a same-thread put().
-TEST(Batching, ParkedFrameResumesAfterForeignMagazineFlush) {
-  auto& mgr = ea::sgxsim::EnclaveManager::instance();
-  auto& ea1 = mgr.create("batching.fmf.a");
-  auto& ea2 = mgr.create("batching.fmf.b");
-
-  NodeArena arena(4, 512);
-  Pool pool(/*use_magazines=*/true);
-  pool.adopt(arena);
-
-  ea::core::Channel channel("batching.fmf", {}, pool);
-  ea::core::ChannelEnd* a = channel.connect(ea1.id());
-  ea::core::ChannelEnd* b = channel.connect(ea2.id());
-  ASSERT_TRUE(channel.encrypted());
-
-  std::vector<ea::util::Bytes> sent;
-  std::vector<std::span<const std::uint8_t>> msgs;
-  for (std::uint8_t i = 0; i < 6; ++i) {
-    sent.emplace_back(8, static_cast<std::uint8_t>(0x10 + i));
-    msgs.emplace_back(sent.back());
-  }
-  ASSERT_EQ(a->send_batch(msgs), 6u);  // frame occupies 1 of 4 nodes
-
-  std::vector<NodeLease> held;
-  std::size_t received = 0;
-  while (received < 6) {
-    NodeLease m = b->recv();
-    if (!m) {
-      ASSERT_FALSE(held.empty()) << "no progress with free nodes available";
-      // Free the oldest held node on a foreign thread and let that thread
-      // exit: the node must come back via its magazine flush.
-      NodeLease victim = std::move(held.front());
-      held.erase(held.begin());
-      std::thread flusher([lease = std::move(victim)]() mutable {
-        lease.reset();
-      });
-      flusher.join();
-      continue;
-    }
-    ASSERT_EQ(m->size, 8u);
-    EXPECT_EQ(m->payload()[0], static_cast<std::uint8_t>(0x10 + received));
-    ++received;
-    held.push_back(std::move(m));
-  }
-  EXPECT_EQ(received, 6u);
-  EXPECT_FALSE(b->pending());
-  EXPECT_EQ(channel.frame_errors(), 0u);
-  EXPECT_EQ(channel.auth_failures(), 0u);
-  held.clear();
-  EXPECT_EQ(pool.size(), arena.count());
-}
-
-// The batch AAD domain is bound into the seal: a frame sealed as a batch
-// cannot be opened as a single message (and vice versa), so a malicious
-// runtime re-tagging nodes produces authentication failures, not confused
-// frame parsing.
-TEST(Batching, BatchAadDomainSeparation) {
-  ea::crypto::AeadKey key{};
-  for (std::size_t i = 0; i < key.size(); ++i) {
-    key[i] = static_cast<std::uint8_t>(i * 7 + 3);
-  }
-  const std::uint8_t aad_single[1] = {0};
-  const std::uint8_t aad_batch[2] = {0, 1};
-
-  ea::util::Bytes frame(ea::crypto::kAeadOverhead + 24);
-  for (std::size_t i = 0; i < 24; ++i) {
-    frame[ea::crypto::kAeadNonceSize + i] = static_cast<std::uint8_t>(i);
-  }
-  ea::util::Bytes plain(frame.begin() + ea::crypto::kAeadNonceSize,
-                        frame.begin() + ea::crypto::kAeadNonceSize + 24);
-  ea::crypto::seal_framed_into(key, 9, std::span(aad_batch), frame);
-
-  // Opening with the batch AAD succeeds and round-trips in place.
-  ea::util::Bytes copy = frame;
-  std::size_t len = 0;
-  ASSERT_TRUE(
-      ea::crypto::open_framed_in_place(key, std::span(aad_batch), copy, len));
-  ASSERT_EQ(len, 24u);
-  EXPECT_EQ(std::memcmp(copy.data() + ea::crypto::kAeadNonceSize,
-                        plain.data(), len),
-            0);
-
-  // Re-tagging (single AAD against a batch seal) must fail authentication.
-  copy = frame;
-  EXPECT_FALSE(ea::crypto::open_framed_in_place(key, std::span(aad_single),
-                                                copy, len));
-  // A flipped ciphertext byte must fail too.
-  copy = frame;
-  copy[ea::crypto::kAeadNonceSize + 3] ^= 0x20;
-  EXPECT_FALSE(ea::crypto::open_framed_in_place(key, std::span(aad_batch),
-                                                copy, len));
-
-  // The in-place sealer interoperates with the allocating opener.
-  auto opened =
-      ea::crypto::open_framed(key, std::span(aad_batch), std::span(frame));
-  ASSERT_TRUE(opened.has_value());
-  EXPECT_EQ(*opened, plain);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "concurrent/arena.hpp"
 #include "concurrent/hle_lock.hpp"
@@ -126,6 +127,29 @@ TEST(Pool, NodeLeaseMoveSemantics) {
   c = std::move(b);
   EXPECT_TRUE(c);
   EXPECT_EQ(pool.size(), 1u);  // the node previously in c went home
+}
+
+// A node put by a thread that then exits sits in that thread's magazine
+// until the exit flush hands it to the shared list; a get() on another
+// thread that finds its own magazine and the shared list empty refills
+// from there.
+TEST(Pool, GetReturnsNodeFlushedByExitedThread) {
+  NodeArena arena(4, 64);
+  Pool pool(/*use_magazines=*/true);
+  pool.adopt(arena);
+  std::vector<Node*> held;
+  while (Node* n = pool.get()) held.push_back(n);
+  ASSERT_EQ(held.size(), arena.count());
+
+  Node* victim = held.back();
+  held.pop_back();
+  std::thread([&pool, victim] { pool.put(victim); }).join();
+  EXPECT_EQ(pool.get(), victim);
+  EXPECT_EQ(pool.get(), nullptr);
+
+  held.push_back(victim);
+  for (Node* n : held) pool.put(n);
+  EXPECT_EQ(pool.size(), arena.count());
 }
 
 TEST(Mbox, FifoSemantics) {

@@ -247,6 +247,42 @@ TEST(Aead, FramedTooShortRejected) {
   EXPECT_FALSE(open_framed(key, {}, garbage).has_value());
 }
 
+// A frame sealed in place opens in place only under the AAD it was sealed
+// with and only while intact; the allocating opener reads it too.
+TEST(Aead, FramedInPlaceBindsAadAndRejectsFlippedByte) {
+  AeadKey key{};
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  const std::uint8_t aad[1] = {0};
+  const std::uint8_t other_aad[1] = {1};
+  Bytes frame(kAeadOverhead + 24);
+  for (std::size_t i = 0; i < 24; ++i) {
+    frame[kAeadNonceSize + i] = static_cast<std::uint8_t>(i);
+  }
+  const Bytes plain(frame.begin() + kAeadNonceSize,
+                    frame.begin() + kAeadNonceSize + 24);
+  seal_framed_into(key, 9, aad, frame);
+
+  Bytes copy = frame;
+  std::size_t len = 0;
+  ASSERT_TRUE(open_framed_in_place(key, aad, copy, len));
+  ASSERT_EQ(len, 24u);
+  EXPECT_EQ(Bytes(copy.begin() + kAeadNonceSize,
+                  copy.begin() + kAeadNonceSize + 24),
+            plain);
+
+  copy = frame;
+  EXPECT_FALSE(open_framed_in_place(key, other_aad, copy, len));
+  copy = frame;
+  copy[kAeadNonceSize + 3] ^= 0x20;
+  EXPECT_FALSE(open_framed_in_place(key, aad, copy, len));
+
+  auto opened = open_framed(key, aad, frame);
+  ASSERT_TRUE(opened.has_value());
+  EXPECT_EQ(*opened, plain);
+}
+
 class AeadSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(AeadSizes, RoundTripAllSizes) {

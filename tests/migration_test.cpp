@@ -11,6 +11,8 @@
 //  * a live migration under the stealing scheduler mid-traffic loses and
 //    reorders nothing on an encrypted channel rebound in place, and the
 //    EPC accounting in Runtime::health() follows the actor;
+//  * a channel rebind with no free pool node carries every queued message,
+//    plain -> encrypted and encrypted -> encrypted;
 //  * the park barrier ends a drain-until-empty quantum — a channel drain
 //    and an XMPP instance's inbox drain — while the input keeps the queue
 //    full, and the queued rest is carried over;
@@ -28,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "concurrent/arena.hpp"
 #include "core/channel.hpp"
 #include "core/health.hpp"
 #include "core/migration.hpp"
@@ -367,6 +370,59 @@ TEST_F(MigrationTest, LiveMigrationLosesNoMessageOnEncryptedChannel) {
             (at_e1 ? e1_base : e2_base) + echo->state_bytes());
   EXPECT_EQ(snap.enclave_by_name(at_e1 ? "live.e2" : "live.e1")->committed,
             at_e1 ? e2_base : e1_base);
+}
+
+// The rebind drain opens each queued node in place and re-seals that same
+// node, so it carries every message even when the pool has no free node:
+// plain -> encrypted (a co-located pair splits) and encrypted -> encrypted
+// (a new pair key).
+TEST_F(MigrationTest, RebindWithNoFreeNodeCarriesEveryMessage) {
+  auto& mgr = sgxsim::EnclaveManager::instance();
+  for (const bool start_encrypted : {false, true}) {
+    SCOPED_TRACE(start_encrypted ? "encrypted -> encrypted"
+                                 : "plain -> encrypted");
+    const std::string tag = start_encrypted ? "enc" : "plain";
+    const sgxsim::EnclaveId e1 = mgr.create("rebind." + tag + ".e1").id();
+    const sgxsim::EnclaveId e2 = mgr.create("rebind." + tag + ".e2").id();
+    const sgxsim::EnclaveId e3 = mgr.create("rebind." + tag + ".e3").id();
+    concurrent::NodeArena arena(8, 256);
+    concurrent::Pool pool;
+    pool.adopt(arena);
+    MigratoryActor mover("rebind.mover"), peer("rebind.peer");
+    Channel chan("rebind." + tag, {}, pool);
+    ChannelEnd* a = chan.connect(e1, &mover);
+    ChannelEnd* b = chan.connect(start_encrypted ? e2 : e1, &peer);
+    ASSERT_EQ(chan.encrypted(), start_encrypted);
+
+    // Queue messages both ways until the pool is dry.
+    std::vector<std::string> a_to_b, b_to_a;
+    for (int i = 0;; ++i) {
+      const std::string msg = "msg-" + std::to_string(i);
+      if (!(i % 2 == 0 ? a : b)->send(msg)) break;
+      (i % 2 == 0 ? a_to_b : b_to_a).push_back(msg);
+    }
+    ASSERT_EQ(a_to_b.size() + b_to_a.size(), arena.count());
+    ASSERT_EQ(pool.size(), 0u);
+
+    EXPECT_EQ(chan.rebind_for_migration(mover, start_encrypted ? e3 : e2),
+              arena.count());
+    EXPECT_TRUE(chan.encrypted());
+    EXPECT_EQ(chan.frame_errors(), 0u);
+    EXPECT_EQ(chan.auth_failures(), 0u);
+    for (const std::string& msg : a_to_b) {
+      concurrent::NodeLease got = b->recv();
+      ASSERT_TRUE(got);
+      EXPECT_EQ(got->view(), msg);
+    }
+    for (const std::string& msg : b_to_a) {
+      concurrent::NodeLease got = a->recv();
+      ASSERT_TRUE(got);
+      EXPECT_EQ(got->view(), msg);
+    }
+    EXPECT_FALSE(a->pending());
+    EXPECT_FALSE(b->pending());
+    EXPECT_EQ(pool.size(), arena.count());
+  }
 }
 
 // --- the park barrier under continuous input --------------------------------

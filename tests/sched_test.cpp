@@ -495,23 +495,6 @@ TEST_F(SchedTest, SendNodeCrossEnclaveSealsWithOneCopy) {
   EXPECT_EQ(got->view(), "crosses the boundary sealed");
 }
 
-TEST_F(SchedTest, SendNodeClearsReservedBatchTag) {
-  Runtime rt;
-  Channel& ch = rt.channel("c");
-  ChannelEnd* a = ch.connect(sgxsim::kUntrusted);
-  ChannelEnd* b = ch.connect(sgxsim::kUntrusted);
-  concurrent::Node* raw = rt.public_pool().get();
-  ASSERT_NE(raw, nullptr);
-  raw->fill("not a batch frame");
-  raw->tag = kBatchFrameTag;  // a donated node must not impersonate a frame
-  ASSERT_TRUE(a->send_node(concurrent::NodeLease(raw)));
-  concurrent::NodeLease got = b->recv();
-  ASSERT_TRUE(got);
-  EXPECT_EQ(got->tag, 0u);
-  EXPECT_EQ(got->view(), "not a batch frame");
-  EXPECT_EQ(ch.frame_errors(), 0u);
-}
-
 // --- run queue unit behaviour -----------------------------------------------
 
 TEST(RunQueueTest, FifoWithLifoFrontAndFilteredSteal) {

@@ -457,6 +457,54 @@ TEST_F(XmppServiceTest, GroupChatAcrossEnclavesUsesEncryptedTransfers) {
   rt.stop();
 }
 
+// Transfer tags sit in untrusted node memory. A forged transfer — naming an
+// instance that does not exist, carrying plaintext between instances whose
+// enclave pair has a key, or a sealed transfer re-addressed back to its
+// sender or to another instance under the same pair key — is dropped; the
+// genuine sealed transfer still delivers.
+TEST_F(XmppServiceTest, ForgedTransfersAreDropped) {
+  core::Runtime rt(service_runtime_options());
+  XmppServiceConfig config;
+  config.instances = 3;
+  config.enclaves = 2;  // instances 0 and 2 share an enclave, 1 has its own
+  XmppService service = install_xmpp_service(rt, config);
+  XmppShared& shared = *service.shared;
+  const crypto::AeadKey* key = shared.transfer_key(1, 0);
+  ASSERT_NE(key, nullptr);
+  ASSERT_EQ(shared.transfer_key(1, 2), key);  // one key per enclave pair
+
+  // The runtime is not started: the test runs the instance bodies itself,
+  // and nothing drains the WRITER input of instance 0, where the room's one
+  // member is routed. Every groupchat an instance accepts lands there.
+  shared.directory.put("member", Route{/*socket=*/7, /*instance=*/0});
+  shared.rooms.join("room", "member");
+  concurrent::Mbox& delivered = *shared.writer_inputs[0];
+  const std::string stanza = make_groupchat_message(
+      "sender", "room", seal_body(user_key("sender", kCtxGroupUp), 1, "hi"));
+  const util::Bytes plain = util::to_bytes(stanza);
+  const util::Bytes sealed_1_to_0 =
+      crypto::seal_with_counter(*key, 1, transfer_aad(1, 0), plain);
+  auto deliver = [&](int to, std::uint64_t tag, const util::Bytes& bytes) {
+    concurrent::Node* node = shared.pool->get();
+    ASSERT_NE(node, nullptr);
+    node->fill(bytes);
+    node->tag = tag;
+    shared.inboxes[static_cast<std::size_t>(to)]->push(node);
+    service.instances[static_cast<std::size_t>(to)]->body();
+  };
+
+  deliver(0, transfer_tag(3), plain);               // no instance 3
+  deliver(0, kTransferFlag | (1ull << 40), plain);  // junk in the index
+  deliver(0, transfer_tag(1), plain);               // plaintext across a key
+  deliver(1, transfer_tag(0), sealed_1_to_0);       // reflected to its sender
+  deliver(2, transfer_tag(1), sealed_1_to_0);       // redirected in the pair
+  EXPECT_EQ(delivered.size(), 0u);
+
+  deliver(0, transfer_tag(1), sealed_1_to_0);
+  EXPECT_EQ(delivered.size(), 1u);
+  rt.stop();
+}
+
 TEST_F(XmppServiceTest, SingleEnclavePackingUsesPlainTransfers) {
   core::Runtime rt(service_runtime_options());
   XmppServiceConfig config;
