@@ -4,8 +4,7 @@
 //   mbox       — push/pop vs push_chain/pop_burst on one shared MPMC mbox,
 //                w producers + w consumers;
 //   channel    — per-message send/recv over an encrypted cross-enclave
-//                channel (software AEAD and the hardware-speed model), one
-//                channel pair per worker;
+//                channel (ChaCha20-Poly1305), one channel pair per worker;
 //   transition — one ECall per message vs one ECall per batch (the enclave
 //                transition amortisation the paper's design is built on);
 //   pool       — get/put churn with per-thread magazines vs the bare
@@ -123,7 +122,7 @@ double run_mbox(std::size_t workers, bool burst) {
 constexpr std::size_t kChanMsgBytes = 16;
 constexpr std::size_t kChanWindow = 128;
 
-double run_channel(std::size_t workers, core::CipherModel cipher) {
+double run_channel(std::size_t workers) {
   auto& mgr = sgxsim::EnclaveManager::instance();
   std::vector<std::unique_ptr<concurrent::NodeArena>> arenas;
   std::vector<std::unique_ptr<concurrent::Pool>> pools;
@@ -133,10 +132,9 @@ double run_channel(std::size_t workers, core::CipherModel cipher) {
     arenas.push_back(std::make_unique<concurrent::NodeArena>(256, 4096));
     pools.push_back(std::make_unique<concurrent::Pool>());
     pools[i]->adopt(*arenas[i]);
-    core::ChannelOptions ch_options;
-    ch_options.cipher = cipher;
     channels.push_back(std::make_unique<core::Channel>(
-        "bench.batching." + std::to_string(i), ch_options, *pools[i]));
+        "bench.batching." + std::to_string(i), core::ChannelOptions{},
+        *pools[i]));
     sgxsim::Enclave& a =
         mgr.create("bench.batching.a" + std::to_string(i));
     sgxsim::Enclave& b =
@@ -278,22 +276,14 @@ int main() {
     if (w == 4) mbox_ratio4 = burst / per_node;
   }
 
-  // The encrypted-channel series uses the channel's default cipher
-  // (ChaCha20-Poly1305): every 16 B message pays the full AEAD setup —
-  // Poly1305 key derivation, MAC init/finalise. The hardware-speed cipher
-  // model (bench_fig11's EA-ENC-HW) is reported alongside; its setup is
-  // nearly free, so it isolates the node/mbox bookkeeping share.
+  // The encrypted-channel series seals every 16 B message with
+  // ChaCha20-Poly1305 and so pays the full AEAD setup per message —
+  // Poly1305 key derivation, MAC init/finalise.
   for (std::size_t w : kWorkerCounts) {
-    double per_msg = run_channel(w, core::CipherModel::kSoftwareAead);
+    double per_msg = run_channel(w);
     bench::row("batching", "channel_enc.per_msg", static_cast<double>(w),
                per_msg, "msg/s");
     report.add("channel_enc", "per_msg", static_cast<double>(w), per_msg,
-               "msg/s");
-
-    double hw_per_msg = run_channel(w, core::CipherModel::kHardwareModel);
-    bench::row("batching", "channel_enc_hw.per_msg", static_cast<double>(w),
-               hw_per_msg, "msg/s");
-    report.add("channel_enc_hw", "per_msg", static_cast<double>(w), hw_per_msg,
                "msg/s");
   }
 

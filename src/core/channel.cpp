@@ -4,52 +4,11 @@
 #include <vector>
 
 #include "core/actor.hpp"
-#include "crypto/rng.hpp"
 #include "sgxsim/attestation.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
 
 namespace ea::core {
-namespace {
-
-// --- hardware-AEAD performance model (see CipherModel::kHardwareModel) ----
-//
-// Frame: counter(8) || body (payload XOR keystream) || checksum(8).
-
-std::uint64_t key_seed(const crypto::AeadKey& key) {
-  return util::load_le64(key.data());
-}
-
-void fast_transform(std::uint64_t seed, std::span<std::uint8_t> body) {
-  crypto::FastRng rng(seed);
-  std::size_t i = 0;
-  while (i + 8 <= body.size()) {
-    std::uint64_t ks = rng.next();
-    std::uint64_t word = util::load_le64(body.data() + i);
-    util::store_le64(body.data() + i, word ^ ks);
-    i += 8;
-  }
-  if (i < body.size()) {
-    std::uint64_t ks = rng.next();
-    for (std::size_t j = 0; i + j < body.size(); ++j) {
-      body[i + j] ^= static_cast<std::uint8_t>(ks >> (8 * j));
-    }
-  }
-}
-
-std::uint64_t fast_checksum(std::uint64_t seed,
-                            std::span<const std::uint8_t> body) {
-  std::uint64_t sum = seed * 0x9e3779b97f4a7c15ull;
-  std::size_t i = 0;
-  while (i + 8 <= body.size()) {
-    sum += util::load_le64(body.data() + i) * 0xff51afd7ed558ccdull;
-    i += 8;
-  }
-  for (; i < body.size(); ++i) sum += std::uint64_t{body[i]} << (i % 56);
-  return sum;
-}
-
-}  // namespace
 
 Channel::Channel(std::string name, ChannelOptions options,
                  concurrent::Pool& pool)
@@ -147,17 +106,11 @@ std::size_t Channel::rebind_for_migration(const Actor& owner,
 // --- sealing / opening ------------------------------------------------------
 
 std::size_t Channel::plaintext_offset() const noexcept {
-  if (!encrypted_) return 0;
-  return options_.cipher == CipherModel::kHardwareModel
-             ? 8  // counter header
-             : crypto::kAeadNonceSize;
+  return encrypted_ ? crypto::kAeadNonceSize : 0;
 }
 
 std::size_t Channel::cipher_overhead() const noexcept {
-  if (!encrypted_) return 0;
-  return options_.cipher == CipherModel::kHardwareModel
-             ? 16  // counter(8) + checksum(8)
-             : crypto::kAeadOverhead;
+  return encrypted_ ? crypto::kAeadOverhead : 0;
 }
 
 void Channel::seal_in_place(int side, concurrent::Node& node,
@@ -169,16 +122,6 @@ void Channel::seal_in_place(int side, concurrent::Node& node,
   }
   std::uint64_t ctr =
       send_counter_[side].fetch_add(1, std::memory_order_relaxed);
-  if (options_.cipher == CipherModel::kHardwareModel) {
-    std::uint64_t seed = key_seed(*key_) ^ (ctr * 2 + side);
-    util::store_le64(p, ctr);
-    std::uint64_t sum =
-        fast_checksum(seed, std::span<const std::uint8_t>(p + 8, len));
-    fast_transform(seed, std::span<std::uint8_t>(p + 8, len));
-    util::store_le64(p + 8 + len, sum);
-    node.size = static_cast<std::uint32_t>(len + 16);
-    return;
-  }
   // The AAD pins direction so a malicious runtime cannot reflect messages
   // back at their sender.
   const std::uint8_t aad[1] = {static_cast<std::uint8_t>(side)};
@@ -202,20 +145,6 @@ bool Channel::open_in_place(int side, concurrent::Node& node) {
   if (!encrypted_) return true;
   const int sender = 1 - side;
   std::uint8_t* p = node.payload();
-  if (options_.cipher == CipherModel::kHardwareModel) {
-    if (node.size < 16) return false;
-    std::size_t body_len = node.size - 16;
-    std::uint64_t ctr = util::load_le64(p);
-    std::uint64_t seed = key_seed(*key_) ^ (ctr * 2 + sender);
-    fast_transform(seed, std::span<std::uint8_t>(p + 8, body_len));
-    std::uint64_t expected = util::load_le64(p + 8 + body_len);
-    std::uint64_t actual =
-        fast_checksum(seed, std::span<const std::uint8_t>(p + 8, body_len));
-    if (expected != actual) return false;
-    std::memmove(p, p + 8, body_len);
-    node.size = static_cast<std::uint32_t>(body_len);
-    return true;
-  }
   const std::uint8_t aad[1] = {static_cast<std::uint8_t>(sender)};
   std::size_t plain_len = 0;
   if (!crypto::open_framed_in_place(

@@ -3,10 +3,12 @@
 // A Channel is a bi-directional link between two eactors built from two
 // mboxes. Channels hide the location of the endpoints: if both eactors sit
 // in the same enclave (or both untrusted) messages travel in plaintext; if
-// they sit in *different* enclaves the channel transparently encrypts every
-// message with a session key established via (simulated) SGX local
-// attestation — the underlying node memory is untrusted, so the runtime
-// must not be able to read or forge messages. A channel can also be
+// they sit in *different* enclaves the channel transparently seals every
+// message with ChaCha20-Poly1305 (crypto/aead.hpp) under a session key
+// established via (simulated) SGX local attestation — the underlying node
+// memory is untrusted, so the runtime must not be able to read or forge
+// messages. The frame is nonce(12) || ciphertext || tag(16), sealed and
+// opened in place inside the node. A channel can also be
 // explicitly configured plain (§3.3: "except if the channel is configured
 // as non-encrypted").
 //
@@ -31,24 +33,10 @@ class Actor;
 class Runtime;
 class Channel;
 
-// How a cross-enclave channel protects messages.
-enum class CipherModel {
-  // Real ChaCha20-Poly1305 (default). Software implementation: ~15-20
-  // cycles/byte, an order of magnitude slower than the AES-NI hardware the
-  // paper's testbed used.
-  kSoftwareAead,
-  // Performance model of AES-NI-class hardware AEAD (~2 cycles/byte):
-  // a keyed XOR stream plus an additive checksum. NOT cryptographically
-  // secure — exists so throughput benchmarks can reproduce the paper's
-  // encrypted-channel numbers; never use outside benchmarks.
-  kHardwareModel,
-};
-
 struct ChannelOptions {
   // Forces plaintext even across enclaves (the application may do its own
   // end-to-end encryption, as the XMPP service does).
   bool force_plain = false;
-  CipherModel cipher = CipherModel::kSoftwareAead;
 };
 
 // One side of a channel. send() never blocks: it fails (returns false) when

@@ -18,14 +18,9 @@ PolyTag compute_tag(const AeadKey& key, const AeadNonce& nonce,
   Poly1305 mac(poly_key);
   static constexpr std::uint8_t kZeros[16] = {};
   mac.update(aad);
-  if (aad.size() % 16 != 0) {
-    mac.update(std::span<const std::uint8_t>(kZeros, 16 - aad.size() % 16));
-  }
+  mac.update(std::span(kZeros, (16 - aad.size() % 16) % 16));
   mac.update(ciphertext);
-  if (ciphertext.size() % 16 != 0) {
-    mac.update(
-        std::span<const std::uint8_t>(kZeros, 16 - ciphertext.size() % 16));
-  }
+  mac.update(std::span(kZeros, (16 - ciphertext.size() % 16) % 16));
   std::uint8_t lengths[16];
   util::store_le64(lengths, aad.size());
   util::store_le64(lengths + 8, ciphertext.size());
@@ -65,13 +60,12 @@ std::optional<util::Bytes> aead_decrypt(const AeadKey& key,
 util::Bytes seal_with_counter(const AeadKey& key, std::uint64_t counter,
                               std::span<const std::uint8_t> aad,
                               std::span<const std::uint8_t> plaintext) {
-  AeadNonce nonce{};
-  util::store_le64(nonce.data() + 4, counter);
-  util::Bytes body = aead_encrypt(key, nonce, aad, plaintext);
-  util::Bytes out;
-  out.reserve(nonce.size() + body.size());
-  out.insert(out.end(), nonce.begin(), nonce.end());
-  out.insert(out.end(), body.begin(), body.end());
+  util::Bytes out(kAeadOverhead + plaintext.size());
+  if (!plaintext.empty()) {
+    std::memcpy(out.data() + kAeadNonceSize, plaintext.data(),
+                plaintext.size());
+  }
+  seal_framed_into(key, counter, aad, out);
   return out;
 }
 

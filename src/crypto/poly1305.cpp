@@ -5,68 +5,60 @@
 #include "util/bytes.hpp"
 
 namespace ea::crypto {
+namespace {
+
+using U128 = unsigned __int128;
+
+constexpr std::uint64_t kMask44 = 0xfffffffffff;
+constexpr std::uint64_t kMask42 = 0x3ffffffffff;
+
+}  // namespace
 
 Poly1305::Poly1305(const PolyKey& key) {
   // r is clamped per RFC 8439 §2.5.
-  std::uint32_t t0 = util::load_le32(key.data() + 0);
-  std::uint32_t t1 = util::load_le32(key.data() + 4);
-  std::uint32_t t2 = util::load_le32(key.data() + 8);
-  std::uint32_t t3 = util::load_le32(key.data() + 12);
-  r_[0] = t0 & 0x3ffffff;
-  r_[1] = ((t0 >> 26) | (t1 << 6)) & 0x3ffff03;
-  r_[2] = ((t1 >> 20) | (t2 << 12)) & 0x3ffc0ff;
-  r_[3] = ((t2 >> 14) | (t3 << 18)) & 0x3f03fff;
-  r_[4] = (t3 >> 8) & 0x00fffff;
-  std::memcpy(pad_, key.data() + 16, 16);
+  const std::uint64_t t0 = util::load_le64(key.data() + 0);
+  const std::uint64_t t1 = util::load_le64(key.data() + 8);
+  r_[0] = t0 & 0xffc0fffffff;
+  r_[1] = ((t0 >> 44) | (t1 << 20)) & 0xfffffc0ffff;
+  r_[2] = (t1 >> 24) & 0x00ffffffc0f;
+  pad_[0] = util::load_le64(key.data() + 16);
+  pad_[1] = util::load_le64(key.data() + 24);
 }
 
-void Poly1305::process_block(const std::uint8_t block[16], bool final_partial) {
-  const std::uint32_t hibit = final_partial ? 0 : (1u << 24);
-  std::uint32_t t0 = util::load_le32(block + 0);
-  std::uint32_t t1 = util::load_le32(block + 4);
-  std::uint32_t t2 = util::load_le32(block + 8);
-  std::uint32_t t3 = util::load_le32(block + 12);
+void Poly1305::process_blocks(const std::uint8_t* m, std::size_t blocks,
+                              bool final_partial) {
+  const std::uint64_t hibit = final_partial ? 0 : (std::uint64_t{1} << 40);
+  const std::uint64_t r0 = r_[0], r1 = r_[1], r2 = r_[2];
+  // 2^130 = 5 (mod p), and the limbs sit at 2^0, 2^44 and 2^88, so the
+  // products that land at 2^132 fold back multiplied by 4 * 5.
+  const std::uint64_t s1 = r1 * 20, s2 = r2 * 20;
+  std::uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
 
-  std::uint64_t h0 = h_[0] + (t0 & 0x3ffffff);
-  std::uint64_t h1 = h_[1] + (((t0 >> 26) | (t1 << 6)) & 0x3ffffff);
-  std::uint64_t h2 = h_[2] + (((t1 >> 20) | (t2 << 12)) & 0x3ffffff);
-  std::uint64_t h3 = h_[3] + (((t2 >> 14) | (t3 << 18)) & 0x3ffffff);
-  std::uint64_t h4 = h_[4] + ((t3 >> 8) | hibit);
+  for (; blocks > 0; --blocks, m += 16) {
+    const std::uint64_t t0 = util::load_le64(m + 0);
+    const std::uint64_t t1 = util::load_le64(m + 8);
+    h0 += t0 & kMask44;
+    h1 += ((t0 >> 44) | (t1 << 20)) & kMask44;
+    h2 += ((t1 >> 24) & kMask42) | hibit;
 
-  const std::uint64_t r0 = r_[0], r1 = r_[1], r2 = r_[2], r3 = r_[3], r4 = r_[4];
-  const std::uint64_t s1 = r1 * 5, s2 = r2 * 5, s3 = r3 * 5, s4 = r4 * 5;
+    const U128 d0 = U128{h0} * r0 + U128{h1} * s2 + U128{h2} * s1;
+    U128 d1 = U128{h0} * r1 + U128{h1} * r0 + U128{h2} * s2;
+    U128 d2 = U128{h0} * r2 + U128{h1} * r1 + U128{h2} * r0;
 
-  std::uint64_t d0 = h0 * r0 + h1 * s4 + h2 * s3 + h3 * s2 + h4 * s1;
-  std::uint64_t d1 = h0 * r1 + h1 * r0 + h2 * s4 + h3 * s3 + h4 * s2;
-  std::uint64_t d2 = h0 * r2 + h1 * r1 + h2 * r0 + h3 * s4 + h4 * s3;
-  std::uint64_t d3 = h0 * r3 + h1 * r2 + h2 * r1 + h3 * r0 + h4 * s4;
-  std::uint64_t d4 = h0 * r4 + h1 * r3 + h2 * r2 + h3 * r1 + h4 * r0;
+    // Partial carry: h stays below 2^130 plus a few bits, as in donna.
+    d1 += d0 >> 44;
+    d2 += d1 >> 44;
+    h0 = static_cast<std::uint64_t>(d0) & kMask44;
+    h1 = static_cast<std::uint64_t>(d1) & kMask44;
+    h2 = static_cast<std::uint64_t>(d2) & kMask42;
+    h0 += static_cast<std::uint64_t>(d2 >> 42) * 5;
+    h1 += h0 >> 44;
+    h0 &= kMask44;
+  }
 
-  std::uint64_t c;
-  c = d0 >> 26;
-  h0 = d0 & 0x3ffffff;
-  d1 += c;
-  c = d1 >> 26;
-  h1 = d1 & 0x3ffffff;
-  d2 += c;
-  c = d2 >> 26;
-  h2 = d2 & 0x3ffffff;
-  d3 += c;
-  c = d3 >> 26;
-  h3 = d3 & 0x3ffffff;
-  d4 += c;
-  c = d4 >> 26;
-  h4 = d4 & 0x3ffffff;
-  h0 += c * 5;
-  c = h0 >> 26;
-  h0 &= 0x3ffffff;
-  h1 += c;
-
-  h_[0] = static_cast<std::uint32_t>(h0);
-  h_[1] = static_cast<std::uint32_t>(h1);
-  h_[2] = static_cast<std::uint32_t>(h2);
-  h_[3] = static_cast<std::uint32_t>(h3);
-  h_[4] = static_cast<std::uint32_t>(h4);
+  h_[0] = h0;
+  h_[1] = h1;
+  h_[2] = h2;
 }
 
 void Poly1305::update(std::span<const std::uint8_t> data) {
@@ -77,14 +69,13 @@ void Poly1305::update(std::span<const std::uint8_t> data) {
     buffer_len_ += take;
     pos += take;
     if (buffer_len_ == 16) {
-      process_block(buffer_, /*final_partial=*/false);
+      process_blocks(buffer_, 1, /*final_partial=*/false);
       buffer_len_ = 0;
     }
   }
-  while (data.size() - pos >= 16) {
-    process_block(data.data() + pos, /*final_partial=*/false);
-    pos += 16;
-  }
+  const std::size_t blocks = (data.size() - pos) / 16;
+  process_blocks(data.data() + pos, blocks, /*final_partial=*/false);
+  pos += blocks * 16;
   if (pos < data.size()) {
     std::memcpy(buffer_, data.data() + pos, data.size() - pos);
     buffer_len_ = data.size() - pos;
@@ -96,72 +87,35 @@ PolyTag Poly1305::finish() {
     // Pad the final partial block with 0x01 then zeros; the hibit is omitted.
     buffer_[buffer_len_] = 1;
     std::memset(buffer_ + buffer_len_ + 1, 0, 16 - buffer_len_ - 1);
-    process_block(buffer_, /*final_partial=*/true);
+    process_blocks(buffer_, 1, /*final_partial=*/true);
     buffer_len_ = 0;
   }
 
-  std::uint32_t h0 = h_[0], h1 = h_[1], h2 = h_[2], h3 = h_[3], h4 = h_[4];
-  std::uint32_t c;
-  c = h1 >> 26;
-  h1 &= 0x3ffffff;
-  h2 += c;
-  c = h2 >> 26;
-  h2 &= 0x3ffffff;
-  h3 += c;
-  c = h3 >> 26;
-  h3 &= 0x3ffffff;
-  h4 += c;
-  c = h4 >> 26;
-  h4 &= 0x3ffffff;
-  h0 += c * 5;
-  c = h0 >> 26;
-  h0 &= 0x3ffffff;
-  h1 += c;
+  // Carry h fully (two passes, as poly1305-donna-64), then subtract p
+  // = 2^130 - 5 in constant time when h >= p.
+  std::uint64_t h0 = h_[0], h1 = h_[1], h2 = h_[2];
+  for (int pass = 0; pass < 2; ++pass) {
+    h2 += h1 >> 44;
+    h1 &= kMask44;
+    h0 += (h2 >> 42) * 5;
+    h2 &= kMask42;
+    h1 += h0 >> 44;
+    h0 &= kMask44;
+  }
+  const std::uint64_t g0 = h0 + 5;
+  const std::uint64_t g1 = h1 + (g0 >> 44);
+  const std::uint64_t g2 = h2 + (g1 >> 44) - (std::uint64_t{1} << 42);
+  const std::uint64_t keep = 0 - (g2 >> 63);  // all-ones if h < p
+  h0 = (h0 & keep) | (g0 & kMask44 & ~keep);
+  h1 = (h1 & keep) | (g1 & kMask44 & ~keep);
+  h2 = (h2 & keep) | (g2 & ~keep);
 
-  // Compute h + -p and select.
-  std::uint32_t g0 = h0 + 5;
-  c = g0 >> 26;
-  g0 &= 0x3ffffff;
-  std::uint32_t g1 = h1 + c;
-  c = g1 >> 26;
-  g1 &= 0x3ffffff;
-  std::uint32_t g2 = h2 + c;
-  c = g2 >> 26;
-  g2 &= 0x3ffffff;
-  std::uint32_t g3 = h3 + c;
-  c = g3 >> 26;
-  g3 &= 0x3ffffff;
-  std::uint32_t g4 = h4 + c - (1u << 26);
-
-  std::uint32_t mask = (g4 >> 31) - 1;  // all-ones if h >= p
-  g0 &= mask;
-  g1 &= mask;
-  g2 &= mask;
-  g3 &= mask;
-  g4 &= mask;
-  mask = ~mask;
-  h0 = (h0 & mask) | g0;
-  h1 = (h1 & mask) | g1;
-  h2 = (h2 & mask) | g2;
-  h3 = (h3 & mask) | g3;
-  h4 = (h4 & mask) | g4;
-
-  // Serialise to 128 bits and add the pad.
-  std::uint32_t f0 = h0 | (h1 << 26);
-  std::uint32_t f1 = (h1 >> 6) | (h2 << 20);
-  std::uint32_t f2 = (h2 >> 12) | (h3 << 14);
-  std::uint32_t f3 = (h3 >> 18) | (h4 << 8);
-
-  std::uint64_t acc;
+  // The tag is (h + pad) mod 2^128.
+  const U128 tag_value = U128{h0} + (U128{h1} << 44) + (U128{h2} << 88) +
+                         ((U128{pad_[1]} << 64) | pad_[0]);
   PolyTag tag{};
-  acc = std::uint64_t{f0} + util::load_le32(pad_ + 0);
-  util::store_le32(tag.data() + 0, static_cast<std::uint32_t>(acc));
-  acc = std::uint64_t{f1} + util::load_le32(pad_ + 4) + (acc >> 32);
-  util::store_le32(tag.data() + 4, static_cast<std::uint32_t>(acc));
-  acc = std::uint64_t{f2} + util::load_le32(pad_ + 8) + (acc >> 32);
-  util::store_le32(tag.data() + 8, static_cast<std::uint32_t>(acc));
-  acc = std::uint64_t{f3} + util::load_le32(pad_ + 12) + (acc >> 32);
-  util::store_le32(tag.data() + 12, static_cast<std::uint32_t>(acc));
+  util::store_le64(tag.data() + 0, static_cast<std::uint64_t>(tag_value));
+  util::store_le64(tag.data() + 8, static_cast<std::uint64_t>(tag_value >> 64));
   return tag;
 }
 

@@ -22,12 +22,15 @@ class Poly1305 {
   PolyTag finish();
 
  private:
-  void process_block(const std::uint8_t block[16], bool final_partial);
+  // Absorbs `blocks` whole 16-byte blocks; the final padded partial block
+  // passes final_partial to omit the 2^128 bit.
+  void process_blocks(const std::uint8_t* m, std::size_t blocks,
+                      bool final_partial);
 
-  // 26-bit limb representation as in the reference "floodyberry" design.
-  std::uint32_t r_[5]{};
-  std::uint32_t h_[5]{};
-  std::uint8_t pad_[16]{};
+  // 44/44/42-bit limbs with 128-bit products, as in poly1305-donna-64.
+  std::uint64_t r_[3]{};
+  std::uint64_t h_[3]{};
+  std::uint64_t pad_[2]{};
   std::uint8_t buffer_[16]{};
   std::size_t buffer_len_ = 0;
 };

@@ -32,13 +32,12 @@ inline constexpr std::string_view kCtxGroupUp = "grpup";  // sender -> server
 
 inline crypto::AeadKey user_key(std::string_view jid, std::string_view ctx) {
   static constexpr std::uint8_t kMaster[] = "ea-xmpp-deployment-master";
-  util::Bytes info;
-  info.insert(info.end(), ctx.begin(), ctx.end());
-  info.push_back(0);
-  info.insert(info.end(), jid.begin(), jid.end());
+  std::string info(ctx);
+  info.push_back('\0');
+  info.append(jid);
   util::Bytes okm = crypto::hkdf(
-      std::span<const std::uint8_t>(kMaster, sizeof(kMaster) - 1),
-      {}, info, crypto::kAeadKeySize);
+      std::span<const std::uint8_t>(kMaster, sizeof(kMaster) - 1), {},
+      util::to_bytes(info), crypto::kAeadKeySize);
   crypto::AeadKey key;
   std::memcpy(key.data(), okm.data(), key.size());
   return key;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "crypto/aead.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/deterministic.hpp"
@@ -9,6 +12,7 @@
 #include "crypto/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/x25519.hpp"
+#include "crypto_reference.hpp"
 #include "util/bytes.hpp"
 
 namespace ea::crypto {
@@ -298,6 +302,223 @@ TEST_P(AeadSizes, RoundTripAllSizes) {
 INSTANTIATE_TEST_SUITE_P(Sizes, AeadSizes,
                          ::testing::Values(0, 1, 15, 16, 17, 63, 64, 65, 255,
                                            1024, 65536));
+
+// seal_with_counter lays the frame out and seals it through
+// seal_framed_into, so the two give the same bytes at every size.
+TEST(Aead, SealWithCounterMatchesFramedInto) {
+  AeadKey key{};
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(i * 5 + 1);
+  }
+  const Bytes aad = util::to_bytes("aad");
+  for (std::size_t n : {0u, 1u, 4000u, 65536u}) {
+    const Bytes msg = util::to_bytes(util::random_printable(n + 3, n));
+    Bytes frame(kAeadOverhead + n);
+    std::copy(msg.begin(), msg.end(), frame.begin() + kAeadNonceSize);
+    seal_framed_into(key, 77, aad, frame);
+    EXPECT_EQ(seal_with_counter(key, 77, aad, msg), frame) << "n=" << n;
+  }
+}
+
+// --- Differential: fast code against the reference implementations ---------
+//
+// The RFC vectors are all shorter than 256 bytes, so they never reach
+// chacha20_xor's four-block path; these cases compare it, and the 64-bit
+// Poly1305, with tests/crypto_reference.hpp byte for byte.
+
+// Keys, nonces and Poly1305 keys are all byte arrays.
+template <class Array>
+Array random_array(FastRng& rng) {
+  Array out;
+  rng.fill(out);
+  return out;
+}
+
+Bytes random_bytes(FastRng& rng, std::size_t n) {
+  Bytes out(n);
+  rng.fill(out);
+  return out;
+}
+
+// XORs `n` random bytes, at byte offset `misalign` inside a larger buffer
+// whose guard bytes must stay untouched, under a random key and nonce, and
+// checks the result against the reference.
+void expect_xor_matches(FastRng& rng, std::uint32_t counter, std::size_t n,
+                        std::size_t misalign) {
+  const auto key = random_array<ChaChaKey>(rng);
+  const auto nonce = random_array<ChaChaNonce>(rng);
+  const Bytes data = random_bytes(rng, n);
+  Bytes expected = data;
+  reference::ref_chacha20_xor(key, counter, nonce, expected);
+  Bytes buffer(n + misalign + 16, 0xA5);
+  std::copy(data.begin(), data.end(), buffer.begin() + misalign);
+  chacha20_xor(key, counter, nonce,
+               std::span<std::uint8_t>(buffer.data() + misalign, n));
+  ASSERT_TRUE(std::equal(expected.begin(), expected.end(),
+                         buffer.begin() + misalign))
+      << "len=" << n << " misalign=" << misalign << " counter=" << counter;
+  for (std::size_t i = 0; i < misalign; ++i) ASSERT_EQ(buffer[i], 0xA5);
+  for (std::size_t i = misalign + n; i < buffer.size(); ++i) {
+    ASSERT_EQ(buffer[i], 0xA5);
+  }
+}
+
+TEST(ChaCha20Diff, EveryLengthUpTo1100) {
+  FastRng rng(1);
+  for (std::size_t n = 0; n <= 1100; ++n) {
+    const auto counter = static_cast<std::uint32_t>(rng.next());
+    expect_xor_matches(rng, counter, n, n % 16);
+  }
+}
+
+TEST(ChaCha20Diff, RandomLengthsUpTo70KiB) {
+  FastRng rng(2);
+  for (int i = 0; i < 48; ++i) {
+    const std::size_t n = rng.next_below(70 * 1024 + 1);
+    const std::size_t misalign = rng.next_below(16);
+    const auto counter = static_cast<std::uint32_t>(rng.next());
+    expect_xor_matches(rng, counter, n, misalign);
+  }
+}
+
+TEST(ChaCha20Diff, AllSixteenMisalignments) {
+  FastRng rng(3);
+  for (std::size_t misalign = 0; misalign < 16; ++misalign) {
+    for (std::size_t n : {1u, 63u, 255u, 256u, 257u, 511u, 512u, 4103u}) {
+      expect_xor_matches(rng, 1, n, misalign);
+    }
+  }
+}
+
+// Each four-block group gives its lanes counter..counter+3 with 32-bit
+// wrap-around, exactly as the block loop's counter++ does.
+TEST(ChaCha20Diff, CounterWrapsLikeTheBlockLoop) {
+  FastRng rng(5);
+  for (std::uint32_t counter = 0xFFFFFFFC; counter != 0; ++counter) {
+    for (std::size_t n : {64u, 256u, 320u, 64u * 9 + 13, 1024u, 2048u}) {
+      expect_xor_matches(rng, counter, n, 0);
+    }
+  }
+}
+
+PolyTag reference_tag(const PolyKey& key, std::span<const std::uint8_t> msg) {
+  reference::RefPoly1305 mac(key);
+  mac.update(msg);
+  return mac.finish();
+}
+
+TEST(Poly1305Diff, RandomKeysAndLengths) {
+  FastRng rng(6);
+  for (std::size_t n = 0; n <= 300; ++n) {
+    const auto key = random_array<PolyKey>(rng);
+    const Bytes msg = random_bytes(rng, n);
+    ASSERT_EQ(poly1305(key, msg), reference_tag(key, msg)) << "n=" << n;
+  }
+  for (int i = 0; i < 32; ++i) {
+    const auto key = random_array<PolyKey>(rng);
+    const Bytes msg = random_bytes(rng, rng.next_below(70 * 1024 + 1));
+    ASSERT_EQ(poly1305(key, msg), reference_tag(key, msg))
+        << "n=" << msg.size();
+  }
+}
+
+// All-ones keys and messages keep h next to p and make the final pad
+// addition carry through every limb.
+TEST(Poly1305Diff, CarryHeavyInputs) {
+  PolyKey key;
+  key.fill(0xFF);
+  for (std::size_t n : {0u, 1u, 15u, 16u, 17u, 64u, 1000u, 4096u}) {
+    const Bytes ones(n, 0xFF);
+    EXPECT_EQ(poly1305(key, ones), reference_tag(key, ones)) << "n=" << n;
+    const Bytes zeros(n, 0x00);
+    EXPECT_EQ(poly1305(key, zeros), reference_tag(key, zeros)) << "n=" << n;
+  }
+}
+
+TEST(Poly1305Diff, SplitAtEveryOffset) {
+  FastRng rng(7);
+  for (std::size_t n : {0u, 1u, 16u, 31u, 48u, 49u, 100u, 1000u}) {
+    const auto key = random_array<PolyKey>(rng);
+    const Bytes msg = random_bytes(rng, n);
+    const PolyTag expected = reference_tag(key, msg);
+    for (std::size_t split = 0; split <= std::min<std::size_t>(48, n);
+         ++split) {
+      Poly1305 mac(key);
+      mac.update(std::span<const std::uint8_t>(msg.data(), split));
+      mac.update(std::span<const std::uint8_t>(msg.data() + split, n - split));
+      ASSERT_EQ(mac.finish(), expected) << "n=" << n << " split=" << split;
+    }
+  }
+}
+
+TEST(Poly1305Diff, ByteAtATime) {
+  FastRng rng(8);
+  for (std::size_t n : {0u, 1u, 15u, 16u, 17u, 255u, 256u, 257u, 1000u}) {
+    const auto key = random_array<PolyKey>(rng);
+    const Bytes msg = random_bytes(rng, n);
+    Poly1305 mac(key);
+    for (std::size_t i = 0; i < n; ++i) {
+      mac.update(std::span<const std::uint8_t>(msg.data() + i, 1));
+    }
+    ASSERT_EQ(mac.finish(), reference_tag(key, msg)) << "n=" << n;
+  }
+}
+
+TEST(AeadDiff, SealAndOpenMatchReferenceComposition) {
+  FastRng rng(9);
+  std::vector<std::size_t> sizes = {0, 1, 255, 256, 257, 4000, 65536};
+  for (int i = 0; i < 24; ++i) sizes.push_back(rng.next_below(70 * 1024 + 1));
+  for (std::size_t n : sizes) {
+    const auto key = random_array<AeadKey>(rng);
+    const std::uint64_t counter = rng.next();
+    const Bytes aad = random_bytes(rng, rng.next_below(40));
+    const Bytes msg = random_bytes(rng, n);
+    const Bytes expected =
+        reference::ref_seal_with_counter(key, counter, aad, msg);
+
+    // Out of place: the allocating sealer and opener.
+    ASSERT_EQ(seal_with_counter(key, counter, aad, msg), expected)
+        << "n=" << n;
+    auto opened = open_framed(key, aad, expected);
+    ASSERT_TRUE(opened.has_value()) << "n=" << n;
+    ASSERT_EQ(*opened, msg) << "n=" << n;
+
+    // In place: the channel fast path's sealer and opener.
+    Bytes frame(kAeadOverhead + n);
+    std::copy(msg.begin(), msg.end(), frame.begin() + kAeadNonceSize);
+    seal_framed_into(key, counter, aad, frame);
+    ASSERT_EQ(frame, expected) << "n=" << n;
+    std::size_t len = 0;
+    ASSERT_TRUE(open_framed_in_place(key, aad, frame, len)) << "n=" << n;
+    ASSERT_EQ(len, n);
+    ASSERT_TRUE(std::equal(msg.begin(), msg.end(),
+                           frame.begin() + kAeadNonceSize));
+  }
+}
+
+// On a frame long enough to take the four-block path, flipping the low or
+// the high bit of a nonce, ciphertext (either side of the first 256-byte
+// group) or tag byte fails authentication.
+TEST(AeadDiff, TamperRejectedOnFourBlockFrame) {
+  FastRng rng(10);
+  const auto key = random_array<AeadKey>(rng);
+  const Bytes aad = util::to_bytes("dir");
+  const Bytes msg = random_bytes(rng, 1000);
+  const Bytes frame = seal_with_counter(key, 3, aad, msg);
+  ASSERT_GE(frame.size() - kAeadOverhead, 256u);
+  for (std::size_t pos :
+       {std::size_t{0}, kAeadNonceSize - 1, kAeadNonceSize,
+        kAeadNonceSize + 255, kAeadNonceSize + 256, frame.size() - 17,
+        frame.size() - 16, frame.size() - 1}) {
+    for (int bit = 0; bit < 8; bit += 7) {
+      Bytes bad = frame;
+      bad[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      std::size_t len = 0;
+      EXPECT_FALSE(open_framed_in_place(key, aad, bad, len)) << "pos=" << pos;
+      EXPECT_FALSE(open_framed(key, aad, bad).has_value()) << "pos=" << pos;
+    }
+  }
+}
 
 // --- Deterministic (SIV) ---------------------------------------------------------
 
