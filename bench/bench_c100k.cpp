@@ -208,11 +208,17 @@ struct SimClient {
   auto ignore_data = [](SimClient&, const char*, std::size_t) {};
 
   // --- ramp, one wave at a time -----------------------------------------
+  // Jids are c<child>x<i>, built by appending: "c" + std::to_string(...)
+  // trips a false GCC 12 -Wrestrict overlap at -O3.
+  std::string jid_prefix = "c";
+  jid_prefix += std::to_string(child_idx);
+  jid_prefix += 'x';
   for (int base = 0; base < conns; base += kWave) {
     const int wave_end = std::min(conns, base + kWave);
     for (int i = base; i < wave_end; ++i) {
       SimClient& c = clients[static_cast<std::size_t>(i)];
-      c.jid = "c" + std::to_string(child_idx) + "x" + std::to_string(i);
+      c.jid = jid_prefix;
+      c.jid += std::to_string(i);
       c.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
       if (c.fd < 0) continue;
       (void)::bind(c.fd, reinterpret_cast<sockaddr*>(&src), sizeof(src));

@@ -210,8 +210,12 @@ inline double xmpp_o2m_multi_group(std::uint16_t port, int groups,
       bool driver = i == 0;
       threads.emplace_back([&, room, g, i, driver] {
         xmpp::Client client;
-        std::string jid =
-            "g" + std::to_string(g) + "m" + std::to_string(i);
+        // g<g>m<i>, appended: "g" + std::to_string(g) trips a false GCC 12
+        // -Wrestrict overlap at -O3.
+        std::string jid = "g";
+        jid += std::to_string(g);
+        jid += 'm';
+        jid += std::to_string(i);
         if (!client.connect(port, jid) || !client.join_room(room)) {
           joined.fetch_add(1);
           return;

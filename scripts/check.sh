@@ -9,10 +9,10 @@
 #               core + concurrent must stay under the paper's §6.1 bound
 #               of 3,300 (PAPER_TCB_BOUND), whatever the budgets say
 #   plain       plain build (+ -Werror) and the entire ctest suite
-#   release     Release (-O3) build (+ -Werror) of every src/ library and
-#               of crypto_test, core_test, smc_test and migration_test,
-#               then those four binaries: the SIMD crypto path at the
-#               optimisation level the end-to-end benchmark measures
+#   release     Release (-O3) build (+ -Werror) of every target and the
+#               entire ctest suite: the SIMD crypto path and GCC's
+#               flow-sensitive warnings at the optimisation level the
+#               end-to-end benchmark measures
 #   asan        ASan+UBSan build, entire ctest suite
 #   tsan        TSan build, concurrency suite (ctest -L tsan)
 #   sched       work-stealing scheduler suite (ctest -L sched) on a TSan
@@ -157,26 +157,11 @@ leg plain "plain build + ctest (-Werror)" \
   build_and_test build-check -- -DEA_WERROR=ON -DEA_SANITIZE=
 
 # --- Release: -O3 is where GCC's flow-sensitive warnings and the SIMD ------
-# crypto path differ from the plain leg's -O2. Every src/ library is built,
-# but only the four test binaries below; the partition, pos,
-# pos_concurrency, pos_epoch, property, stress and xmpp tests (and
-# bench_fig15, bench_c100k and bench_micro) still trip GCC 12 -Wrestrict
-# false positives inside std::string concatenation.
-RELEASE_LIBS=(ea_util ea_crypto ea_concurrent ea_sgxsim ea_core ea_pos ea_net
-  ea_fs ea_partition ea_xmpp ea_smc ea_deploy)
-RELEASE_TESTS=(crypto_test core_test smc_test migration_test)
-run_release() {
-  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DEA_WERROR=ON \
-    -DEA_SANITIZE= || return 1
-  cmake --build build-release -j "$JOBS" --target \
-    "${RELEASE_LIBS[@]}" "${RELEASE_TESTS[@]}" || return 1
-  local t
-  for t in "${RELEASE_TESTS[@]}"; do
-    "./build-release/tests/$t" --gtest_brief=1 || return 1
-  done
-}
-leg release "Release -O3 build (-Werror) + crypto/core/smc/migration tests" \
-  run_release
+# crypto path differ from the plain leg's -O2. Every target (libraries,
+# tests, benches, examples) builds with -Werror and the whole suite runs.
+leg release "Release -O3 build + ctest (-Werror)" \
+  build_and_test build-release -- \
+  -DCMAKE_BUILD_TYPE=Release -DEA_WERROR=ON -DEA_SANITIZE=
 
 # --- ASan + UBSan, full suite ----------------------------------------------
 leg asan "ASan+UBSan build + ctest" \

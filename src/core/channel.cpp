@@ -4,6 +4,8 @@
 #include <vector>
 
 #include "core/actor.hpp"
+#include "crypto/hkdf.hpp"
+#include "crypto/rng.hpp"
 #include "sgxsim/attestation.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
@@ -22,6 +24,12 @@ Channel::Channel(std::string name, ChannelOptions options,
 void Channel::decide_wire_format() {
   encrypted_ = false;
   key_.reset();
+  for (int side = 0; side < 2; ++side) {
+    // The top counter bit is the sending side: both directions use the
+    // channel key, so they count in disjoint halves.
+    recv_next_[side] = static_cast<std::uint64_t>(side) << 63;
+    send_counter_[side].store(recv_next_[side], std::memory_order_relaxed);
+  }
   const bool cross_enclave = placements_[0] != placements_[1] &&
                              placements_[0] != sgxsim::kUntrusted &&
                              placements_[1] != sgxsim::kUntrusted;
@@ -31,7 +39,18 @@ void Channel::decide_wire_format() {
     sgxsim::Enclave* b = mgr.find(placements_[1]);
     if (a != nullptr && b != nullptr) {
       key_ = sgxsim::establish_session_key(*a, *b);
-      encrypted_ = key_.has_value();
+    }
+    if (key_.has_value()) {
+      // The attested key is the same for every channel between these two
+      // enclaves: each channel, and each rebind, derives its own from it
+      // and overwrites it.
+      std::uint8_t salt[32];
+      crypto::secure_random(salt);
+      util::Bytes okm = crypto::hkdf(salt, *key_, util::to_bytes("ea-channel"),
+                                     crypto::kAeadKeySize);
+      std::memcpy(key_->data(), okm.data(), key_->size());
+      util::secure_zero(okm);
+      encrypted_ = true;
     }
     if (!encrypted_) {
       EA_WARN("core", "channel %s: attestation failed, staying plain",
@@ -151,6 +170,14 @@ bool Channel::open_in_place(int side, concurrent::Node& node) {
           *key_, aad, std::span<std::uint8_t>(p, node.size), plain_len)) {
     return false;
   }
+  // The authenticated counter must come from the sender's half and be new:
+  // a reflected, replayed or overtaken frame is dropped.
+  const std::uint64_t ctr = util::load_le64(p + crypto::kAeadNonceSize - 8);
+  if (ctr >> 63 != static_cast<std::uint64_t>(sender) ||
+      ctr < recv_next_[sender]) {
+    return false;
+  }
+  recv_next_[sender] = ctr + 1;
   std::memmove(p, p + crypto::kAeadNonceSize, plain_len);
   node.size = static_cast<std::uint32_t>(plain_len);
   return true;

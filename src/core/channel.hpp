@@ -4,13 +4,23 @@
 // mboxes. Channels hide the location of the endpoints: if both eactors sit
 // in the same enclave (or both untrusted) messages travel in plaintext; if
 // they sit in *different* enclaves the channel transparently seals every
-// message with ChaCha20-Poly1305 (crypto/aead.hpp) under a session key
-// established via (simulated) SGX local attestation — the underlying node
-// memory is untrusted, so the runtime must not be able to read or forge
-// messages. The frame is nonce(12) || ciphertext || tag(16), sealed and
-// opened in place inside the node. A channel can also be
-// explicitly configured plain (§3.3: "except if the channel is configured
-// as non-encrypted").
+// message with ChaCha20-Poly1305 (crypto/aead.hpp) — the underlying node
+// memory is untrusted, so the runtime must not be able to read, forge,
+// replay or reorder messages. The frame is nonce(12) || ciphertext ||
+// tag(16), sealed and opened in place inside the node. A channel can also
+// be explicitly configured plain (§3.3: "except if the channel is
+// configured as non-encrypted").
+//
+// Key and nonce schedule. (Simulated) SGX local attestation yields one
+// session key per enclave pair, shared by every channel between them, so
+// each channel derives its own key from it by HKDF with 32 fresh random
+// bytes, on connect and again on every migration rebind. The nonce carries
+// a per-direction frame counter whose top bit is the sending side, so the
+// two directions never share a nonce under the channel key. The receiver
+// accepts a frame only if its authenticated counter carries the peer's
+// side and is not below the next one it expects: a frame reflected to its
+// sender, moved from another channel, duplicated or overtaken by a later
+// one is dropped and counted in auth_failures().
 //
 // The two-phase connect mirrors the paper: the first endpoint to connect is
 // the *initiator*, the second the *client*; the encryption decision is made
@@ -64,7 +74,8 @@ class ChannelEnd {
   bool send_node(concurrent::NodeLease&& lease);
 
   // Dequeues the next message; empty lease when the mailbox is empty or a
-  // cross-enclave message fails authentication (it is then dropped).
+  // cross-enclave message fails authentication or the counter check (it is
+  // then dropped).
   // Every node carries one message, opened in place: the payload is
   // already decrypted and no second node is drawn. Also empty once the
   // end's owner is parked at the migration barrier (kMigrating): a body
@@ -124,7 +135,8 @@ class Channel {
 
   bool encrypted() const noexcept { return encrypted_; }
 
-  // Number of messages dropped due to failed authentication.
+  // Number of messages dropped due to failed authentication or a counter
+  // that was reflected, replayed or out of order.
   std::uint64_t auth_failures() const noexcept {
     return auth_failures_.load(std::memory_order_relaxed);
   }
@@ -186,6 +198,9 @@ class Channel {
   bool encrypted_ = false;
   std::optional<crypto::AeadKey> key_;
   std::atomic<std::uint64_t> send_counter_[2] = {0, 0};
+  // Next acceptable counter per sending side; only the receiving end's
+  // owner touches its entry.
+  std::uint64_t recv_next_[2] = {0, 0};
   std::atomic<std::uint64_t> auth_failures_{0};
   std::atomic<std::uint64_t> frame_errors_{0};
   std::atomic<std::uint64_t> payload_copies_{0};

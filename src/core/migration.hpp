@@ -32,7 +32,7 @@
 //                placement on every dispatch under either scheduler, which
 //                is what makes live migration possible), the placement
 //                flips, channel routes are rewritten in place (in-flight
-//                messages re-sealed under the new pair key, FIFO
+//                messages re-sealed under a fresh channel key, FIFO
 //                preserved), and the actor imports its state inside the
 //                TARGET enclave.
 //  * rollback  — any failure restores the source copy (from the sealed

@@ -37,8 +37,10 @@ std::optional<util::Bytes> aead_decrypt(const AeadKey& key,
                                         std::span<const std::uint8_t> sealed);
 
 // Message framing used by channels: out = nonce(12) || ciphertext || tag(16),
-// with the nonce derived from a monotonically increasing counter. The counter
-// makes nonce reuse impossible within a channel direction.
+// with the nonce = 4 zero bytes || le64(counter). Nothing here stops a
+// (key, counter) pair from repeating; each caller must rule it out for its
+// keys (core::Channel derives a fresh key per channel and per rebind and
+// gives each direction its own half of the counter space).
 util::Bytes seal_with_counter(const AeadKey& key, std::uint64_t counter,
                               std::span<const std::uint8_t> aad,
                               std::span<const std::uint8_t> plaintext);

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "crypto/hkdf.hpp"
+#include "crypto/rng.hpp"
 #include "sgxsim/sealing.hpp"
 #include "util/bytes.hpp"
 
@@ -39,8 +40,13 @@ bool EncryptedPos::set(std::span<const std::uint8_t> key,
   if (!value.empty()) {
     std::memcpy(pair.data() + 4 + key.size(), value.data(), value.size());
   }
-  util::Bytes sealed =
-      crypto::seal_with_counter(pair_key_, seal_counter_++, enc_key, pair);
+  // Every instance built on this master key (a reboot builds a new one)
+  // shares pair_key_, so the nonce counter is drawn at random, never
+  // counted locally.
+  std::uint8_t counter[8];
+  crypto::secure_random(counter);
+  util::Bytes sealed = crypto::seal_with_counter(
+      pair_key_, util::load_le64(counter), enc_key, pair);
   return store_.set(enc_key, sealed);
 }
 

@@ -47,7 +47,6 @@ class EncryptedPos {
   Pos& store_;
   crypto::DetKey det_key_;
   crypto::AeadKey pair_key_{};
-  std::uint64_t seal_counter_ = 0;
 };
 
 }  // namespace ea::pos

@@ -3,7 +3,6 @@
 #include <poll.h>
 #include <sys/socket.h>
 
-#include "crypto/rng.hpp"
 #include "util/cycles.hpp"
 #include "util/logging.hpp"
 #include "xmpp/e2e.hpp"
@@ -254,11 +253,9 @@ void BaselineServer::process_groupchat(const std::string& from,
       if (dit != directory_.end()) targets.emplace_back(member, dit->second);
     }
   }
-  crypto::FastRng rng(
-      nonce_seed_.fetch_add(0x9e3779b97f4a7c15ull, std::memory_order_relaxed));
   for (auto& [member, dest] : targets) {
     std::string sealed =
-        seal_body(user_key(member, kCtxGroup), rng.next(), *plain);
+        seal_body(user_key(member, kCtxGroup), fresh_nonce(), *plain);
     if (send_to(*dest,
                 make_groupchat_message(room + "/" + from, member, sealed))) {
       routed_.fetch_add(1, std::memory_order_relaxed);

@@ -111,7 +111,6 @@ class BaselineServer {
   std::deque<DispatchItem> queue_;
 
   std::atomic<std::uint64_t> routed_{0};
-  std::atomic<std::uint64_t> nonce_seed_{1};
 };
 
 }  // namespace ea::xmpp

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <thread>
 
-#include "crypto/rng.hpp"
 #include "util/logging.hpp"
 #include "xmpp/e2e.hpp"
 
@@ -28,17 +27,9 @@ bool wait_fd(int fd, short events, int timeout_ms) {
   return ::poll(&pfd, 1, timeout_ms) > 0;
 }
 
-std::uint64_t client_seed() {
-  std::uint8_t seed[8];
-  crypto::secure_random(seed);
-  std::uint64_t v;
-  std::memcpy(&v, seed, sizeof(v));
-  return v;
-}
-
 }  // namespace
 
-Client::Client() : rng_(client_seed()) {}
+Client::Client() : rng_(fresh_nonce()) {}
 
 bool Client::connect(std::uint16_t port, const std::string& jid,
                      int timeout_ms) {

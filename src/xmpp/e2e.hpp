@@ -18,6 +18,7 @@
 
 #include "crypto/aead.hpp"
 #include "crypto/hkdf.hpp"
+#include "crypto/rng.hpp"
 #include "util/bytes.hpp"
 
 namespace ea::xmpp {
@@ -27,8 +28,14 @@ inline constexpr std::string_view kCtxO2O = "o2o";        // client -> recipient
 inline constexpr std::string_view kCtxGroup = "grp";      // server -> member
 inline constexpr std::string_view kCtxGroupUp = "grpup";  // sender -> server
 
-// Nonces are caller-supplied 64-bit values; use fresh randomness (multiple
-// parties share the per-recipient key, so counters could collide).
+// Nonces are caller-supplied 64-bit values; use fresh_nonce() (multiple
+// parties, and every server start, share the per-recipient key, so
+// counters would collide).
+inline std::uint64_t fresh_nonce() {
+  std::uint8_t bytes[8];
+  crypto::secure_random(bytes);
+  return util::load_le64(bytes);
+}
 
 inline crypto::AeadKey user_key(std::string_view jid, std::string_view ctx) {
   static constexpr std::uint8_t kMaster[] = "ea-xmpp-deployment-master";

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <functional>
 
+#include "core/channel.hpp"
 #include "crypto/hkdf.hpp"
-#include "crypto/rng.hpp"
-#include "sgxsim/attestation.hpp"
 #include "util/logging.hpp"
 #include "xmpp/e2e.hpp"
 
@@ -163,18 +162,6 @@ std::vector<std::string> XmppShared::drain_offline(const std::string& jid) {
   return out;
 }
 
-const crypto::AeadKey* XmppShared::transfer_key(int from_instance,
-                                                int to_instance) const {
-  if (instance_enclaves.empty()) return nullptr;
-  sgxsim::EnclaveId a = instance_enclaves[static_cast<std::size_t>(from_instance)];
-  sgxsim::EnclaveId b = instance_enclaves[static_cast<std::size_t>(to_instance)];
-  if (a == b || a == sgxsim::kUntrusted || b == sgxsim::kUntrusted) {
-    return nullptr;
-  }
-  auto it = enclave_pair_keys.find(std::minmax(a, b));
-  return it == enclave_pair_keys.end() ? nullptr : &it->second;
-}
-
 // --- CONNECTOR --------------------------------------------------------------
 
 bool ConnectorActor::body() {
@@ -205,6 +192,17 @@ bool ConnectorActor::body() {
 
 // --- XMPP instance -----------------------------------------------------------
 
+void XmppActor::construct(core::Runtime& rt) {
+  (void)rt;
+  rooms_.assign(static_cast<std::size_t>(shared_->instances), nullptr);
+  for (int peer = 0; peer < shared_->instances; ++peer) {
+    if (peer == index_) continue;
+    rooms_[static_cast<std::size_t>(peer)] =
+        connect("xmpp.room." + std::to_string(std::min(index_, peer)) + "." +
+                std::to_string(std::max(index_, peer)));
+  }
+}
+
 bool XmppActor::body() {
   bool progress = false;
   // Burst-drain the inbox: the READER delivers data nodes in push_chain
@@ -220,16 +218,21 @@ bool XmppActor::body() {
       concurrent::Node* node = burst[b];
       concurrent::NodeLease lease(node);
       progress = true;
-      if (node->tag & kTransferFlag) {
-        handle_transfer(*node);
-        continue;
-      }
       auto socket = static_cast<net::SocketId>(node->tag);
       if (node->size == 0) {
         drop_client(socket);
         continue;
       }
       handle_data(socket, node->view());
+    }
+  }
+  // Then the room transfers. pending() is lock-free; recv() takes the mbox
+  // lock even when there is nothing to pop.
+  for (core::ChannelEnd* peer : rooms_) {
+    if (peer == nullptr || !peer->pending()) continue;
+    while (concurrent::NodeLease lease = peer->recv()) {
+      progress = true;
+      handle_transfer(lease->view());
     }
   }
   return progress;
@@ -371,61 +374,16 @@ void XmppActor::broadcast_presence(const std::string& jid, bool available) {
 void XmppActor::forward_groupchat(int owner, const XmlNode& stanza,
                                   const std::string& from_jid) {
   // Forward the stanza to the instance owning the room ("each group chat
-  // is confined to a dedicated XMPP eactor"). If the owner lives in a
-  // different enclave, the node memory between us is untrusted and the
-  // transfer is sealed with the attested pair key.
+  // is confined to a dedicated XMPP eactor") over the pair's room channel.
   XmlNode forwarded = stanza;
   forwarded.set_attr("from", from_jid);
-  std::string wire = forwarded.serialize();
-
-  concurrent::Node* node = shared_->pool->get();
-  if (node == nullptr) {
-    EA_WARN("xmpp", "dropping forwarded groupchat (pool exhausted)");
-    return;
+  const auto peer = static_cast<std::size_t>(owner);
+  if (peer >= rooms_.size() || !rooms_[peer]->send(forwarded.serialize())) {
+    EA_WARN("xmpp", "dropping forwarded groupchat (no node or too large)");
   }
-  const crypto::AeadKey* key = shared_->transfer_key(index_, owner);
-  std::span<const std::uint8_t> payload(
-      reinterpret_cast<const std::uint8_t*>(wire.data()), wire.size());
-  util::Bytes sealed;
-  if (key != nullptr) {
-    const std::uint64_t nonce =
-        shared_->transfer_nonce.fetch_add(1, std::memory_order_relaxed);
-    sealed = crypto::seal_with_counter(*key, nonce,
-                                       transfer_aad(index_, owner), payload);
-    payload = sealed;
-  }
-  if (payload.size() > node->capacity) {
-    concurrent::NodeLease(node).reset();
-    EA_WARN("xmpp", "dropping forwarded groupchat (capacity)");
-    return;
-  }
-  node->fill(payload);
-  node->tag = transfer_tag(index_);
-  shared_->inboxes[static_cast<std::size_t>(owner)]->push(node);
 }
 
-void XmppActor::handle_transfer(const concurrent::Node& node) {
-  const std::uint64_t sender = node.tag & ~kTransferFlag;
-  if (sender >= static_cast<std::uint64_t>(shared_->instances)) {
-    EA_WARN("xmpp", "transfer from unknown instance dropped");
-    return;
-  }
-  const int from_instance = static_cast<int>(sender);
-  std::string wire;
-  // Whenever the pair has a key the transfer must open under it, whatever
-  // the node claims.
-  if (const crypto::AeadKey* key =
-          shared_->transfer_key(from_instance, index_)) {
-    std::optional<util::Bytes> plain = crypto::open_framed(
-        *key, transfer_aad(from_instance, index_), node.data());
-    if (!plain.has_value()) {
-      EA_WARN("xmpp", "transfer failing authentication dropped");
-      return;
-    }
-    wire = util::to_string(*plain);
-  } else {
-    wire = std::string(node.view());
-  }
+void XmppActor::handle_transfer(std::string_view wire) {
   std::size_t pos = 0;
   auto stanza = parse_element(wire, pos);
   if (!stanza.has_value()) return;
@@ -449,12 +407,11 @@ void XmppActor::process_groupchat(const std::string& from,
             from.c_str());
     return;
   }
-  crypto::FastRng rng(nonce_seed_ += 0x9e3779b97f4a7c15ull);
   for (const std::string& member : shared_->rooms.members(room)) {
     auto route = shared_->directory.get(member);
     if (!route.has_value()) continue;
     std::string sealed =
-        seal_body(user_key(member, kCtxGroup), rng.next(), *plain);
+        seal_body(user_key(member, kCtxGroup), fresh_nonce(), *plain);
     std::string wire =
         make_groupchat_message(room + "/" + from, member, sealed);
     if (send_raw(route->instance, route->socket, wire)) ++routed_;
@@ -502,7 +459,7 @@ bool XmppActor::send_raw(int instance, net::SocketId socket,
 // --- live migration (DESIGN.md §17) -----------------------------------------
 //
 // Bundle layout (little-endian):
-//   routed(8) ‖ nonce_seed(8) ‖ client_count(4) ‖ per client:
+//   routed(8) ‖ client_count(4) ‖ per client:
 //   socket(8) ‖ jid_len(4)‖jid ‖ authed(1) ‖ in_stream(1) ‖
 //   buffer_len(4)‖buffer
 
@@ -523,7 +480,6 @@ util::Bytes XmppActor::export_state() {
     out.insert(out.end(), s.begin(), s.end());
   };
   put_u64(routed_);
-  put_u64(nonce_seed_);
   put_u32(static_cast<std::uint32_t>(clients_.size()));
   for (const auto& [socket, client] : clients_) {
     put_u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(socket)));
@@ -557,11 +513,8 @@ bool XmppActor::import_state(std::span<const std::uint8_t> state) {
     return true;
   };
   std::uint64_t routed = 0;
-  std::uint64_t nonce_seed = 0;
   std::uint32_t count = 0;
-  if (!get_u64(routed) || !get_u64(nonce_seed) || !get_u32(count)) {
-    return false;
-  }
+  if (!get_u64(routed) || !get_u32(count)) return false;
   std::map<net::SocketId, ClientState> clients;
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint64_t socket_raw = 0;
@@ -581,19 +534,8 @@ bool XmppActor::import_state(std::span<const std::uint8_t> state) {
   }
   if (at != state.size()) return false;
   routed_ = routed;
-  nonce_seed_ = nonce_seed;
   clients_ = std::move(clients);
   return true;
-}
-
-void XmppActor::on_migrated(sgxsim::EnclaveId from, sgxsim::EnclaveId to) {
-  // Single-instance deployments only (see migratable()): nothing else reads
-  // instance_enclaves concurrently, and there are no pair keys to rekey.
-  if (static_cast<std::size_t>(index_) < shared_->instance_enclaves.size()) {
-    shared_->instance_enclaves[static_cast<std::size_t>(index_)] = to;
-  }
-  EA_INFO("xmpp", "instance %d migrated enclave %u -> %u (%zu clients)",
-          index_, from, to, clients_.size());
 }
 
 // --- installation ------------------------------------------------------------
@@ -680,9 +622,6 @@ XmppService install_xmpp_service(core::Runtime& rt,
       enclave_name = "xmpp.e" + std::to_string(i % enclave_count);
     }
     rt.add_actor(std::move(xmpp), enclave_name);
-    shared->instance_enclaves.push_back(
-        enclave_name.empty() ? sgxsim::kUntrusted
-                             : rt.enclave(enclave_name).id());
 
     rt.add_actor(std::move(reader));
     rt.add_actor(std::move(writer));
@@ -690,28 +629,6 @@ XmppService install_xmpp_service(core::Runtime& rt,
     rt.add_worker("xmpp.app" + suffix, {cpu++}, {"xmpp.i" + suffix});
     rt.add_worker("xmpp.net" + std::to_string(i + 1), {cpu++},
                   {"xmpp.reader" + suffix, "xmpp.writer" + suffix});
-  }
-
-  // Attested session keys between every pair of distinct instance
-  // enclaves; used to seal cross-enclave room transfers.
-  auto& mgr = sgxsim::EnclaveManager::instance();
-  for (std::size_t i = 0; i < shared->instance_enclaves.size(); ++i) {
-    for (std::size_t j = i + 1; j < shared->instance_enclaves.size(); ++j) {
-      auto pair = std::minmax(shared->instance_enclaves[i],
-                              shared->instance_enclaves[j]);
-      if (pair.first == pair.second ||
-          pair.first == sgxsim::kUntrusted ||
-          shared->enclave_pair_keys.count(pair) > 0) {
-        continue;
-      }
-      sgxsim::Enclave* a = mgr.find(pair.first);
-      sgxsim::Enclave* b = mgr.find(pair.second);
-      if (a == nullptr || b == nullptr) continue;
-      auto key = sgxsim::establish_session_key(*a, *b);
-      if (key.has_value()) {
-        shared->enclave_pair_keys.emplace(pair, *key);
-      }
-    }
   }
   return service;
 }

@@ -19,14 +19,12 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "concurrent/hle_lock.hpp"
-#include "crypto/aead.hpp"
 #include "pos/encrypted.hpp"
 #include "pos/pos.hpp"
 #include "concurrent/mbox.hpp"
@@ -134,17 +132,6 @@ struct XmppShared {
   concurrent::Pool* pool = nullptr;
   int instances = 0;
 
-  // Enclave of each instance (kUntrusted when deployed outside) and the
-  // attested session keys between distinct instance enclaves. Transfers
-  // between instances in *different* enclaves travel through untrusted
-  // node memory and are therefore encrypted — this is the effect behind
-  // the paper's Fig. 16: packing all instances into one enclave lets them
-  // share data without encryption.
-  std::vector<sgxsim::EnclaveId> instance_enclaves;
-  std::map<std::pair<sgxsim::EnclaveId, sgxsim::EnclaveId>, crypto::AeadKey>
-      enclave_pair_keys;
-  std::atomic<std::uint64_t> transfer_nonce{1};
-
   // Optional offline-message spool: an encrypted POS shared by all
   // instances (the application-data role the paper gives the POS in §4.1).
   // Messages to users that are not connected are stored and delivered when
@@ -168,11 +155,6 @@ struct XmppShared {
       EA_EXCLUDES(offline_lock);
 
   int room_owner(const std::string& room) const;
-
-  // Key for transfers between two instances, nullptr when they share an
-  // enclave (or either is untrusted — encryption would be pointless).
-  const crypto::AeadKey* transfer_key(int from_instance,
-                                      int to_instance) const;
 };
 
 // Enclaved connection manager: distributes accepted sockets to instances.
@@ -196,9 +178,12 @@ class XmppActor : public core::Actor {
         index_(index),
         shared_(std::move(shared)) {}
 
+  // Connects the room channel to every peer instance.
+  void construct(core::Runtime& rt) override;
+
   bool body() override;
 
-  // Data/transfer mbox this instance consumes (READER pushes here).
+  // Data mbox this instance consumes (READER pushes here).
   concurrent::Mbox& inbox() noexcept { return inbox_; }
 
   std::uint64_t messages_routed() const noexcept { return routed_; }
@@ -207,13 +192,11 @@ class XmppActor : public core::Actor {
   // and the incremental parser state of every connection — serialises into
   // the sealed bundle; inbox_ is the tombstone mbox (READER keeps queueing
   // into it while the actor is parked, and the drain after resume loses
-  // nothing). Only single-instance deployments opt in: cross-instance
-  // transfer keys are attested against the install-time placement, and
-  // rekeying every peer pair mid-run is future work.
-  bool migratable() const override { return shared_->instances == 1; }
+  // nothing). The room channels are rebound and rekeyed by the
+  // coordinator like any channel the instance owns.
+  bool migratable() const override { return true; }
   util::Bytes export_state() override;
   bool import_state(std::span<const std::uint8_t> state) override;
-  void on_migrated(sgxsim::EnclaveId from, sgxsim::EnclaveId to) override;
 
  private:
   struct ClientState {
@@ -227,7 +210,7 @@ class XmppActor : public core::Actor {
                      const XmlNode& stanza);
   void forward_groupchat(int owner, const XmlNode& stanza,
                          const std::string& from_jid);
-  void handle_transfer(const concurrent::Node& node);
+  void handle_transfer(std::string_view wire);
   // Sends <presence from=jid type=available|unavailable/> to every online
   // watcher of `jid`.
   void broadcast_presence(const std::string& jid, bool available);
@@ -240,33 +223,16 @@ class XmppActor : public core::Actor {
   int index_;
   std::shared_ptr<XmppShared> shared_;
   concurrent::Mbox inbox_;
+  // Room transfers: the channel "xmpp.room.<lo>.<hi>" to each peer
+  // instance, indexed by peer (nullptr at this instance's own index).
+  // A channel between instances in *different* enclaves seals every
+  // transfer, because node memory is untrusted — the effect behind the
+  // paper's Fig. 16: packing all instances into one enclave lets them
+  // share data without encryption.
+  std::vector<core::ChannelEnd*> rooms_;
   std::map<net::SocketId, ClientState> clients_;  // the PCL
-  std::uint64_t nonce_seed_ = 0;
   std::uint64_t routed_ = 0;
 };
-
-// Forwarded-stanza nodes in instance inboxes carry a transfer tag instead
-// of a socket id (socket ids are small positive integers, so the high
-// range is free): flag bit plus the sending instance index. The tag sits in
-// untrusted node memory, so the receiver range-checks the index and takes
-// plain vs sealed from its own transfer_key(), never from the node.
-inline constexpr std::uint64_t kTransferFlag = 1ull << 63;
-
-inline std::uint64_t transfer_tag(int from_instance) {
-  return kTransferFlag | static_cast<std::uint64_t>(from_instance);
-}
-
-// Associated data of a sealed transfer: sender and receiver instance, so a
-// runtime can neither reflect a transfer back to its sender nor redirect it
-// to another instance sealed under the same pair key (Channel binds its
-// direction byte the same way).
-inline std::array<std::uint8_t, 8> transfer_aad(int from_instance,
-                                                int to_instance) {
-  std::array<std::uint8_t, 8> aad{};
-  util::store_le32(aad.data(), static_cast<std::uint32_t>(from_instance));
-  util::store_le32(aad.data() + 4, static_cast<std::uint32_t>(to_instance));
-  return aad;
-}
 
 struct XmppServiceConfig {
   int instances = 1;

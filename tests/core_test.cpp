@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "core/runtime.hpp"
 #include "core/worker.hpp"
@@ -124,6 +125,140 @@ TEST_F(CoreTest, ChannelEncryptedWireNotPlaintext) {
   auto msg2 = b->recv();
   ASSERT_TRUE(msg2);
   EXPECT_EQ(msg2->view(), plaintext);
+}
+
+// --- Channel wire integrity --------------------------------------------------
+//
+// Node memory is untrusted, so the runtime can read and rewrite any queued
+// frame. These tests play that runtime through the arena behind the
+// channels' pool: each send fills one node, found as the one non-empty node
+// not seen before.
+
+class ChannelWireTest : public CoreTest {
+ protected:
+  ChannelWireTest() {
+    for (std::size_t i = 0; i < arena_.count(); ++i) arena_.node(i)->size = 0;
+    pool_.adopt(arena_);
+  }
+
+  // Connects `ch` with its initiator in e1 and its client in e2.
+  std::pair<ChannelEnd*, ChannelEnd*> connect(Channel& ch) {
+    ChannelEnd* a = ch.connect(e1_.id());
+    ChannelEnd* b = ch.connect(e2_.id());
+    EXPECT_TRUE(ch.encrypted());
+    return {a, b};
+  }
+
+  concurrent::Node* last_frame() {
+    for (std::size_t i = 0; i < arena_.count(); ++i) {
+      concurrent::Node* node = arena_.node(i);
+      if (node->size != 0 &&
+          std::find(seen_.begin(), seen_.end(), node) == seen_.end()) {
+        seen_.push_back(node);
+        return node;
+      }
+    }
+    ADD_FAILURE() << "no new frame queued";
+    return arena_.node(0);
+  }
+
+  static std::string nonce_of(const concurrent::Node& frame) {
+    return std::string(frame.view().substr(0, crypto::kAeadNonceSize));
+  }
+
+  static std::string ciphertext_of(const concurrent::Node& frame) {
+    return std::string(frame.view().substr(
+        crypto::kAeadNonceSize, frame.size - crypto::kAeadOverhead));
+  }
+
+  Runtime rt_;
+  sgxsim::Enclave& e1_ = rt_.enclave("wire.e1");
+  sgxsim::Enclave& e2_ = rt_.enclave("wire.e2");
+  concurrent::NodeArena arena_{16, 256};
+  concurrent::Pool pool_;
+  std::vector<concurrent::Node*> seen_;
+};
+
+TEST_F(ChannelWireTest, NoKeyAndNonceRepeatAcrossDirectionsAndChannels) {
+  Channel x("wire.x", {}, pool_);
+  Channel y("wire.y", {}, pool_);
+  auto [xa, xb] = connect(x);
+  auto [ya, yb] = connect(y);
+  // Equal plaintexts: two frames under one (key, nonce) carry equal
+  // ciphertexts, so a repeat shows without knowing the keys.
+  std::vector<concurrent::Node*> frames;
+  for (ChannelEnd* end : {xa, xb, xa, xb, ya}) {
+    ASSERT_TRUE(end->send("same plaintext"));
+    frames.push_back(last_frame());
+  }
+  // Within a channel no nonce repeats, whatever the direction.
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = i + 1; j < 4; ++j) {
+      EXPECT_NE(nonce_of(*frames[i]), nonce_of(*frames[j])) << i << "," << j;
+    }
+  }
+  // The second channel of the pair has its own key.
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_NE(ciphertext_of(*frames[i]), ciphertext_of(*frames[4])) << i;
+  }
+}
+
+TEST_F(ChannelWireTest, FrameMovedFromAnotherChannelOfThePairIsDropped) {
+  Channel x("wire.x", {}, pool_);
+  Channel y("wire.y", {}, pool_);
+  auto [xa, xb] = connect(x);
+  auto [ya, yb] = connect(y);
+  ASSERT_TRUE(xa->send("for x"));
+  concurrent::Node* on_x = last_frame();
+  ASSERT_TRUE(ya->send("for y"));
+  on_x->fill(last_frame()->data());
+  EXPECT_FALSE(xb->recv());
+  EXPECT_EQ(x.auth_failures(), 1u);
+}
+
+TEST_F(ChannelWireTest, FrameReflectedToItsSenderIsDropped) {
+  Channel x("wire.x", {}, pool_);
+  auto [a, b] = connect(x);
+  ASSERT_TRUE(a->send("a to b"));
+  concurrent::Node* a_to_b = last_frame();
+  ASSERT_TRUE(b->send("b to a"));
+  last_frame()->fill(a_to_b->data());
+  EXPECT_FALSE(a->recv());
+  EXPECT_EQ(x.auth_failures(), 1u);
+  auto msg = b->recv();
+  ASSERT_TRUE(msg);
+  EXPECT_EQ(msg->view(), "a to b");
+}
+
+TEST_F(ChannelWireTest, DuplicatedFrameIsDeliveredOnce) {
+  Channel x("wire.x", {}, pool_);
+  auto [a, b] = connect(x);
+  ASSERT_TRUE(a->send("first"));
+  concurrent::Node* first = last_frame();
+  ASSERT_TRUE(a->send("second"));
+  last_frame()->fill(first->data());
+  auto msg = b->recv();
+  ASSERT_TRUE(msg);
+  EXPECT_EQ(msg->view(), "first");
+  EXPECT_FALSE(b->recv());
+  EXPECT_EQ(x.auth_failures(), 1u);
+}
+
+TEST_F(ChannelWireTest, OlderOfTwoSwappedFramesIsDropped) {
+  Channel x("wire.x", {}, pool_);
+  auto [a, b] = connect(x);
+  ASSERT_TRUE(a->send("first"));
+  concurrent::Node* first = last_frame();
+  ASSERT_TRUE(a->send("second"));
+  concurrent::Node* second = last_frame();
+  const std::string first_frame(first->view());
+  first->fill(second->data());
+  second->fill(first_frame);
+  auto msg = b->recv();
+  ASSERT_TRUE(msg);
+  EXPECT_EQ(msg->view(), "second");
+  EXPECT_FALSE(b->recv());
+  EXPECT_EQ(x.auth_failures(), 1u);
 }
 
 TEST_F(CoreTest, ChannelBidirectional) {

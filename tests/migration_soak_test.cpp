@@ -73,7 +73,7 @@ struct SoakRig {
 
   SoakRig() : rt(options()), coordinator(rt) {
     xmpp::XmppServiceConfig config;
-    config.instances = 1;  // multi-instance transfer keys pin placement
+    config.instances = 1;
     config.trusted = true;
     service = xmpp::install_xmpp_service(rt, config);
     sup = &core::install_supervisor(rt, storm_opts());

@@ -615,7 +615,7 @@ TEST_F(MigrationTest, ParkEndsXmppInboxDrainUnderContinuousInput) {
   sgxsim::Enclave& e2 = rt.enclave("xflood.e2");
   auto shared = std::make_shared<xmpp::XmppShared>();
   shared->pool = &rt.public_pool();
-  shared->instances = 1;  // single-instance deployments are migratable
+  shared->instances = 1;
   auto instance_owned =
       std::make_unique<xmpp::XmppActor>("xflood.xmpp", 0, shared);
   xmpp::XmppActor* instance = instance_owned.get();

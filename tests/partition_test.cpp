@@ -7,11 +7,13 @@
 #include "partition/actors.hpp"
 #include "partition/record.hpp"
 #include "sgxsim/cost_model.hpp"
+#include "str_cat.hpp"
 
 namespace ea::partition {
 namespace {
 
 using namespace std::chrono_literals;
+using test::str_cat;
 
 // --- Record wire format --------------------------------------------------------
 
@@ -150,7 +152,7 @@ TEST_F(PrivateQueryTest, PartitioningHoldsAcrossManyQueries) {
   for (int i = 0; i < 10; ++i) {
     crypto::AeadKey reply_key;
     Record request = make_query_request(
-        "q" + std::to_string(i), "user" + std::to_string(i % 3),
+        str_cat("q", i), str_cat("user", i % 3),
         0.5 + i % 4, 0.5 + i % 4, i % 2 == 0 ? "fuel" : "pharmacy",
         reply_key);
     auto result = run_query(rt, service, request);

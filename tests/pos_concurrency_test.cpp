@@ -17,6 +17,7 @@
 
 #include "crypto/rng.hpp"
 #include "pos/pos.hpp"
+#include "str_cat.hpp"
 #include "util/bytes.hpp"
 
 namespace ea::pos {
@@ -24,6 +25,7 @@ namespace {
 
 using util::Bytes;
 using util::to_bytes;
+using test::str_cat;
 
 PosOptions sharded_options(int magazines) {
   PosOptions options;
@@ -102,7 +104,7 @@ TEST(PosSharding, ModesAreObservationallyEquivalent) {
     const std::uint64_t k = rng.next_below(64);
     const std::uint64_t op = rng.next_below(10);
     if (op < 6) {
-      const std::string v = "v" + std::to_string(i);
+      const std::string v = str_cat("v", i);
       model[k] = v;
       for (auto& s : stores) ASSERT_TRUE(s->set(key_bytes(k, buf), to_bytes(v)));
     } else if (op < 8) {
@@ -173,7 +175,7 @@ void run_stress(int magazines) {
         if (op < 5) {
           // May fail transiently when the cleaner is behind; conservation
           // below is what matters.
-          store.set(key_bytes(k, buf), to_bytes("x" + std::to_string(i)));
+          store.set(key_bytes(k, buf), to_bytes(str_cat("x", i)));
         } else if (op < 8) {
           auto got = store.get(key_bytes(k, buf));
           if (got.has_value()) {

@@ -21,12 +21,14 @@
 
 #include "crypto/rng.hpp"
 #include "pos/pos.hpp"
+#include "str_cat.hpp"
 #include "util/bytes.hpp"
 
 namespace ea::pos {
 namespace {
 
 using util::to_bytes;
+using test::str_cat;
 
 PosOptions epoch_options() {
   PosOptions o;
@@ -48,7 +50,7 @@ TEST(PosEpoch, EpochNeverDecreasesAndAdvancesWhenQuiescent) {
   std::uint64_t last = store.reclaim_epoch();
   EXPECT_GE(last, 1u);
   for (int i = 0; i < 64; ++i) {
-    ASSERT_TRUE(set_str(store, "k" + std::to_string(i % 8), "v" + std::to_string(i)));
+    ASSERT_TRUE(set_str(store, str_cat("k", i % 8), str_cat("v", i)));
     if (i % 4 == 0) store.clean_step();
     const std::uint64_t now = store.reclaim_epoch();
     EXPECT_GE(now, last);
@@ -150,7 +152,7 @@ TEST(PosEpoch, StuckReaderBoundsTheEpochButNotTheWriters) {
   // Writers are not reader-blocked: sets (including overwrites that retire
   // further versions) keep succeeding against the stalled cleaner.
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(set_str(store, "w" + std::to_string(i % 32), "x" + std::to_string(i)))
+    ASSERT_TRUE(set_str(store, str_cat("w", i % 32), str_cat("x", i)))
         << "writer stalled by a parked reader at i=" << i;
   }
 
@@ -188,7 +190,7 @@ TEST(PosEpoch, ThreadExitReleasesItsEpochSlot) {
   // thread forever and would have thrown here.
   for (std::size_t i = 0; i < kMaxEpochSlots + 16; ++i) {
     std::thread worker([&store, i] {
-      ASSERT_TRUE(store.set(to_bytes("t" + std::to_string(i)), to_bytes("v")));
+      ASSERT_TRUE(store.set(to_bytes(str_cat("t", i)), to_bytes("v")));
     });
     worker.join();
     EXPECT_LE(store.epoch_slots_claimed(), claimed_before + 1);
@@ -240,8 +242,7 @@ TEST(PosEpoch, DifferentialModelUnderRandomizedInterleavings) {
       journal.reserve(kOpsPerThread);
       for (int i = 0; i < kOpsPerThread; ++i) {
         const int k = static_cast<int>(rng.next_below(kKeysPerThread));
-        const std::string key =
-            "t" + std::to_string(t) + "-k" + std::to_string(k);
+        const std::string key = str_cat("t", t, "-k", k);
         std::optional<Pos::Section> outer;
         if (rng.next_below(4) == 0) outer.emplace(store);
         const std::uint64_t dice = rng.next_below(10);
@@ -297,8 +298,7 @@ TEST(PosEpoch, DifferentialModelUnderRandomizedInterleavings) {
     }
     // The quiescent store must agree with each model's final state.
     for (const auto& [k, v] : model) {
-      const std::string key =
-          "t" + std::to_string(t) + "-k" + std::to_string(k);
+      const std::string key = str_cat("t", t, "-k", k);
       auto raw = store.get(to_bytes(key));
       ASSERT_TRUE(raw.has_value()) << "final state lost " << key;
       EXPECT_EQ(util::to_string(*raw), v) << "final state diverged on " << key;

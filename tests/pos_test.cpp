@@ -11,6 +11,7 @@
 #include "pos/pos.hpp"
 #include "sgxsim/cost_model.hpp"
 #include "sgxsim/enclave.hpp"
+#include "str_cat.hpp"
 #include "util/bytes.hpp"
 
 namespace ea::pos {
@@ -18,6 +19,7 @@ namespace {
 
 using util::Bytes;
 using util::to_bytes;
+using test::str_cat;
 
 PosOptions small_options() {
   PosOptions options;
@@ -72,7 +74,7 @@ TEST(Pos, UpdatesConsumeEntriesUntilCleaned) {
   options.entry_count = 4;
   Pos store(options);
   for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(store.set(to_bytes("k"), to_bytes("v" + std::to_string(i))));
+    EXPECT_TRUE(store.set(to_bytes("k"), to_bytes(str_cat("v", i))));
   }
   // All four entries hold versions of "k"; the store is full.
   EXPECT_FALSE(store.set(to_bytes("k"), to_bytes("v4")));
@@ -119,7 +121,7 @@ TEST(Pos, PressureCleaningRecyclesWithoutACleanerThread) {
   // Every overwrite past the 4th must reclaim a superseded version inline;
   // no explicit clean_step() calls and no cleaner thread anywhere.
   for (int i = 0; i < 12; ++i) {
-    EXPECT_TRUE(store.set(to_bytes("k"), to_bytes("v" + std::to_string(i))))
+    EXPECT_TRUE(store.set(to_bytes("k"), to_bytes(str_cat("v", i))))
         << "overwrite " << i;
   }
   EXPECT_EQ(util::to_string(*store.get(to_bytes("k"))), "v11");
@@ -140,7 +142,7 @@ TEST(Pos, CleanerRecyclesIntoFreeList) {
   options.entry_count = 4;
   Pos store(options);
   for (int i = 0; i < 4; ++i) {
-    store.set(to_bytes("k"), to_bytes("v" + std::to_string(i)));
+    store.set(to_bytes("k"), to_bytes(str_cat("v", i)));
   }
   EXPECT_FALSE(store.set(to_bytes("k"), to_bytes("overflow")));
   store.clean_step();
@@ -261,11 +263,11 @@ TEST_P(PosModelCheck, MatchesStdMapModel) {
   crypto::FastRng rng(GetParam());
 
   for (int op = 0; op < 2000; ++op) {
-    std::string key = "k" + std::to_string(rng.next_below(40));
+    std::string key = str_cat("k", rng.next_below(40));
     switch (rng.next_below(4)) {
       case 0:
       case 1: {  // set
-        std::string value = "v" + std::to_string(rng.next());
+        std::string value = str_cat("v", rng.next());
         ASSERT_TRUE(store.set(to_bytes(key), to_bytes(value)));
         model[key] = value;
         break;
@@ -337,6 +339,26 @@ TEST(EncryptedPos, UpdateAndErase) {
   EXPECT_EQ(util::to_string(*enc.get(to_bytes("k"))), "v2");
   EXPECT_TRUE(enc.erase(to_bytes("k")));
   EXPECT_FALSE(enc.get(to_bytes("k")).has_value());
+}
+
+TEST(EncryptedPos, InstancesOnOneMasterNeverShareANonce) {
+  // Two instances over one master key, as after a reboot that reloads the
+  // sealed master: their first seals must not repeat a nonce.
+  Pos store(small_options());
+  const Bytes master(32, 0x3c);
+  EncryptedPos first(store, master);
+  EncryptedPos second(store, master);
+  ASSERT_TRUE(first.set(to_bytes("k1"), to_bytes("same value")));
+  ASSERT_TRUE(second.set(to_bytes("k2"), to_bytes("same value")));
+  const crypto::DetKey det = crypto::derive_det_key(master);
+  auto raw1 = store.get(crypto::det_encrypt(det, to_bytes("k1")));
+  auto raw2 = store.get(crypto::det_encrypt(det, to_bytes("k2")));
+  ASSERT_TRUE(raw1.has_value() && raw2.has_value());
+  EXPECT_NE(Bytes(raw1->begin(), raw1->begin() + crypto::kAeadNonceSize),
+            Bytes(raw2->begin(), raw2->begin() + crypto::kAeadNonceSize));
+  // One master, one format: each instance reads the other's value.
+  EXPECT_EQ(util::to_string(*first.get(to_bytes("k2"))), "same value");
+  EXPECT_EQ(util::to_string(*second.get(to_bytes("k1"))), "same value");
 }
 
 TEST(EncryptedPos, SealedMasterKeyLifecycle) {

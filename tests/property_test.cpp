@@ -10,10 +10,13 @@
 #include "crypto/rng.hpp"
 #include "pos/pos.hpp"
 #include "sgxsim/cost_model.hpp"
+#include "str_cat.hpp"
 #include "xmpp/stanza.hpp"
 
 namespace ea {
 namespace {
+
+using test::str_cat;
 
 // --- plain and sealed channels under many sizes -----------------------------
 
@@ -179,7 +182,7 @@ TEST(PosStress, WritersReadersCleanerConcurrently) {
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w] {
       for (int i = 0; i < kWritesPerWriter; ++i) {
-        std::string key = "k" + std::to_string((w * 7 + i) % kKeys);
+        std::string key = str_cat("k", (w * 7 + i) % kKeys);
         std::string value = std::to_string(w) + ":" + std::to_string(i);
         // The store can transiently fill before the cleaner catches up.
         while (!store.set(util::to_bytes(key), util::to_bytes(value))) {
@@ -193,7 +196,7 @@ TEST(PosStress, WritersReadersCleanerConcurrently) {
   threads.emplace_back([&] {
     crypto::FastRng rng(3);
     while (!stop.load()) {
-      std::string key = "k" + std::to_string(rng.next_below(kKeys));
+      std::string key = str_cat("k", rng.next_below(kKeys));
       std::optional<util::Bytes> value;
       if (rng.next_below(4) == 0) {
         pos::Pos::Section section(store);
@@ -223,8 +226,7 @@ TEST(PosStress, WritersReadersCleanerConcurrently) {
   // All keys readable; store not leaking entries beyond live + bounded
   // outdated backlog.
   for (int k = 0; k < kKeys; ++k) {
-    EXPECT_TRUE(
-        store.get(util::to_bytes("k" + std::to_string(k))).has_value());
+    EXPECT_TRUE(store.get(util::to_bytes(str_cat("k", k))).has_value());
   }
   store.clean_step();
   store.clean_step();

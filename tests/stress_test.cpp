@@ -8,6 +8,7 @@
 
 #include "core/runtime.hpp"
 #include "sgxsim/cost_model.hpp"
+#include "str_cat.hpp"
 #include "util/failpoint.hpp"
 #include "smc/party_actor.hpp"
 #include "smc/sdk_ring.hpp"
@@ -18,6 +19,7 @@ namespace ea {
 namespace {
 
 using namespace std::chrono_literals;
+using test::str_cat;
 
 class StressTest : public ::testing::Test {
  protected:
@@ -62,9 +64,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::size_t{128}),
                        ::testing::Bool()),
     [](const auto& suite_info) {
-      return "p" + std::to_string(std::get<0>(suite_info.param)) + "_d" +
-             std::to_string(std::get<1>(suite_info.param)) +
-             (std::get<2>(suite_info.param) ? "_dyn" : "_plain");
+      return str_cat("p", std::get<0>(suite_info.param), "_d",
+                     std::get<1>(suite_info.param),
+                     std::get<2>(suite_info.param) ? "_dyn" : "_plain");
     });
 
 // --- worker scheduling fairness ------------------------------------------------
@@ -77,7 +79,7 @@ TEST_F(StressTest, RoundRobinGivesEveryActorTurns) {
   core::Runtime rt;
   std::vector<core::Actor*> actors;
   for (int i = 0; i < 5; ++i) {
-    auto actor = std::make_unique<Counter>("c" + std::to_string(i));
+    auto actor = std::make_unique<Counter>(str_cat("c", i));
     actors.push_back(actor.get());
     rt.add_actor(std::move(actor));
   }

@@ -5,8 +5,10 @@
 #include <thread>
 #include <vector>
 
+#include "core/migration.hpp"
 #include "core/runtime.hpp"
 #include "sgxsim/cost_model.hpp"
+#include "str_cat.hpp"
 #include "xmpp/baseline_server.hpp"
 #include "xmpp/client.hpp"
 #include "xmpp/e2e.hpp"
@@ -15,6 +17,8 @@
 
 namespace ea::xmpp {
 namespace {
+
+using test::str_cat;
 
 // --- XML / stanza layer -------------------------------------------------------
 
@@ -213,8 +217,7 @@ TEST(ShardedTables, ConcurrentMixedOperations) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kPerThread; ++i) {
-        const std::string jid =
-            "t" + std::to_string(t) + "u" + std::to_string(i);
+        const std::string jid = str_cat("t", t, "u", i);
         dir.put(jid, Route{t * kPerThread + i, t});
         rooms.join("hot-room", jid);
         rooms.join("room-of-" + jid, jid);
@@ -422,6 +425,51 @@ TEST_F(XmppServiceTest, UnauthedMessageRejected) {
   rt.stop();
 }
 
+// Connects `count` clients named <prefix>0, <prefix>1, ... and joins each
+// to `room`.
+std::vector<std::unique_ptr<Client>> join_members(std::uint16_t port,
+                                                  const std::string& prefix,
+                                                  const std::string& room,
+                                                  int count) {
+  std::vector<std::unique_ptr<Client>> members;
+  for (int i = 0; i < count; ++i) {
+    auto c = std::make_unique<Client>();
+    const std::string jid = str_cat(prefix, i);
+    EXPECT_TRUE(c->connect(port, jid)) << jid;
+    EXPECT_TRUE(c->join_room(room)) << jid;
+    members.push_back(std::move(c));
+  }
+  return members;
+}
+
+// Every member sends one groupchat; each must reach every member,
+// decrypted. With members spread over instances, the senders on instances
+// that do not own the room go through a room channel.
+void groupchat_round(std::vector<std::unique_ptr<Client>>& members,
+                     const std::string& room, const std::string& tag) {
+  for (std::size_t sender = 0; sender < members.size(); ++sender) {
+    const std::string text = str_cat(tag, sender);
+    ASSERT_TRUE(members[sender]->send_groupchat(room, text));
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      auto msg = members[i]->recv(5000);
+      ASSERT_TRUE(msg.has_value()) << "sender " << sender << " member " << i;
+      EXPECT_EQ(msg->body, text);
+      EXPECT_TRUE(msg->decrypt_ok);
+    }
+  }
+}
+
+// The room channels of a 3-instance service: xmpp.room.<lo>.<hi>.
+std::vector<core::Channel*> room_channels(core::Runtime& rt) {
+  std::vector<core::Channel*> rooms;
+  for (const char* name : {"xmpp.room.0.1", "xmpp.room.0.2", "xmpp.room.1.2"}) {
+    auto it = rt.channels().find(name);
+    EXPECT_NE(it, rt.channels().end()) << name;
+    if (it != rt.channels().end()) rooms.push_back(it->second.get());
+  }
+  return rooms;
+}
+
 TEST_F(XmppServiceTest, GroupChatAcrossEnclavesUsesEncryptedTransfers) {
   // With one instance per enclave and a 4-member group, transfers from
   // non-owner instances travel sealed through untrusted node memory; the
@@ -431,77 +479,21 @@ TEST_F(XmppServiceTest, GroupChatAcrossEnclavesUsesEncryptedTransfers) {
   config.instances = 3;
   config.enclaves = 3;
   XmppService service = install_xmpp_service(rt, config);
-  // Sanity: with 3 distinct enclaves there are attested pair keys.
-  EXPECT_GE(service.shared->enclave_pair_keys.size(), 3u);
   rt.start();
+  std::vector<core::Channel*> rooms = room_channels(rt);
+  ASSERT_EQ(rooms.size(), 3u);
+  for (core::Channel* ch : rooms) EXPECT_TRUE(ch->encrypted()) << ch->name();
 
-  std::vector<std::unique_ptr<Client>> members;
-  for (int i = 0; i < 4; ++i) {
-    auto c = std::make_unique<Client>();
-    ASSERT_TRUE(c->connect(service.port, "enc-user" + std::to_string(i)));
-    ASSERT_TRUE(c->join_room("enc-room"));
-    members.push_back(std::move(c));
-  }
+  auto members = join_members(service.port, "enc-user", "enc-room", 4);
   // Every member sends once, so at least two senders sit on non-owner
-  // instances and exercise the sealed-transfer path.
-  for (int sender = 0; sender < 4; ++sender) {
-    ASSERT_TRUE(members[static_cast<std::size_t>(sender)]->send_groupchat(
-        "enc-room", "msg-" + std::to_string(sender)));
-    for (int i = 0; i < 4; ++i) {
-      auto msg = members[static_cast<std::size_t>(i)]->recv(5000);
-      ASSERT_TRUE(msg.has_value()) << "sender " << sender << " member " << i;
-      EXPECT_EQ(msg->body, "msg-" + std::to_string(sender));
-      EXPECT_TRUE(msg->decrypt_ok);
-    }
+  // instances and exercise the sealed path.
+  ASSERT_NO_FATAL_FAILURE(groupchat_round(members, "enc-room", "msg-"));
+  std::uint64_t transfers = 0;
+  for (core::Channel* ch : rooms) {
+    transfers += ch->payload_copies();
+    EXPECT_EQ(ch->auth_failures(), 0u) << ch->name();
   }
-  rt.stop();
-}
-
-// Transfer tags sit in untrusted node memory. A forged transfer — naming an
-// instance that does not exist, carrying plaintext between instances whose
-// enclave pair has a key, or a sealed transfer re-addressed back to its
-// sender or to another instance under the same pair key — is dropped; the
-// genuine sealed transfer still delivers.
-TEST_F(XmppServiceTest, ForgedTransfersAreDropped) {
-  core::Runtime rt(service_runtime_options());
-  XmppServiceConfig config;
-  config.instances = 3;
-  config.enclaves = 2;  // instances 0 and 2 share an enclave, 1 has its own
-  XmppService service = install_xmpp_service(rt, config);
-  XmppShared& shared = *service.shared;
-  const crypto::AeadKey* key = shared.transfer_key(1, 0);
-  ASSERT_NE(key, nullptr);
-  ASSERT_EQ(shared.transfer_key(1, 2), key);  // one key per enclave pair
-
-  // The runtime is not started: the test runs the instance bodies itself,
-  // and nothing drains the WRITER input of instance 0, where the room's one
-  // member is routed. Every groupchat an instance accepts lands there.
-  shared.directory.put("member", Route{/*socket=*/7, /*instance=*/0});
-  shared.rooms.join("room", "member");
-  concurrent::Mbox& delivered = *shared.writer_inputs[0];
-  const std::string stanza = make_groupchat_message(
-      "sender", "room", seal_body(user_key("sender", kCtxGroupUp), 1, "hi"));
-  const util::Bytes plain = util::to_bytes(stanza);
-  const util::Bytes sealed_1_to_0 =
-      crypto::seal_with_counter(*key, 1, transfer_aad(1, 0), plain);
-  auto deliver = [&](int to, std::uint64_t tag, const util::Bytes& bytes) {
-    concurrent::Node* node = shared.pool->get();
-    ASSERT_NE(node, nullptr);
-    node->fill(bytes);
-    node->tag = tag;
-    shared.inboxes[static_cast<std::size_t>(to)]->push(node);
-    service.instances[static_cast<std::size_t>(to)]->body();
-  };
-
-  deliver(0, transfer_tag(3), plain);               // no instance 3
-  deliver(0, kTransferFlag | (1ull << 40), plain);  // junk in the index
-  deliver(0, transfer_tag(1), plain);               // plaintext across a key
-  deliver(1, transfer_tag(0), sealed_1_to_0);       // reflected to its sender
-  deliver(2, transfer_tag(1), sealed_1_to_0);       // redirected in the pair
-  EXPECT_EQ(delivered.size(), 0u);
-
-  deliver(0, transfer_tag(1), sealed_1_to_0);
-  EXPECT_EQ(delivered.size(), 1u);
+  EXPECT_GE(transfers, 2u);
   rt.stop();
 }
 
@@ -511,9 +503,90 @@ TEST_F(XmppServiceTest, SingleEnclavePackingUsesPlainTransfers) {
   config.instances = 3;
   config.enclaves = 1;  // all instances share one enclave
   XmppService service = install_xmpp_service(rt, config);
-  EXPECT_TRUE(service.shared->enclave_pair_keys.empty());
-  EXPECT_EQ(service.shared->transfer_key(0, 2), nullptr);
+  rt.start();
+  std::vector<core::Channel*> rooms = room_channels(rt);
+  ASSERT_EQ(rooms.size(), 3u);
+  for (core::Channel* ch : rooms) EXPECT_FALSE(ch->encrypted()) << ch->name();
   rt.stop();
+}
+
+// Any instance may migrate: the coordinator rebinds its room channels, so
+// the one to a co-located peer turns plain, the others are rekeyed, and
+// room traffic keeps flowing.
+TEST_F(XmppServiceTest, MultiInstanceMigrationRekeysRoomChannels) {
+  core::RuntimeOptions options = service_runtime_options();
+  options.sched = core::SchedMode::kSteal;
+  core::Runtime rt(options);
+  XmppServiceConfig config;
+  config.instances = 3;
+  config.enclaves = 3;
+  XmppService service = install_xmpp_service(rt, config);
+  rt.start();
+
+  auto members = join_members(service.port, "mig-user", "mig-room", 4);
+  ASSERT_NO_FATAL_FAILURE(groupchat_round(members, "mig-room", "before-"));
+
+  core::MigrationCoordinator coordinator(rt);
+  ASSERT_EQ(coordinator.migrate(*service.instances[1], rt.enclave("xmpp.e0")),
+            core::MigrateResult::kOk);
+  EXPECT_FALSE(rt.channels().at("xmpp.room.0.1")->encrypted());
+  EXPECT_TRUE(rt.channels().at("xmpp.room.0.2")->encrypted());
+  EXPECT_TRUE(rt.channels().at("xmpp.room.1.2")->encrypted());
+
+  ASSERT_NO_FATAL_FAILURE(groupchat_round(members, "mig-room", "after-"));
+  for (const auto& [name, ch] : rt.channels()) {
+    EXPECT_EQ(ch->auth_failures(), 0u) << name;
+  }
+  rt.stop();
+}
+
+// Each instance re-seals a groupchat for every member under the member's
+// deployment-wide key, so the nonce must be fresh randomness: two
+// instances handling their first groupchat must not pick the same one.
+TEST_F(XmppServiceTest, GroupchatNoncesDifferAcrossInstances) {
+  core::Runtime rt(service_runtime_options());
+  XmppServiceConfig config;
+  config.instances = 2;
+  XmppService service = install_xmpp_service(rt, config);
+  XmppShared& shared = *service.shared;
+
+  // The runtime is not started: the test runs the instance bodies itself,
+  // and nothing drains the WRITER input of instance 0, where the one
+  // member is routed. Each instance owns one of two rooms with that member.
+  shared.directory.put("member", Route{/*socket=*/7, /*instance=*/0});
+  std::string rooms[2];
+  for (int i = 0; rooms[0].empty() || rooms[1].empty(); ++i) {
+    const std::string room = str_cat("room", i);
+    rooms[shared.room_owner(room)] = room;
+  }
+  concurrent::Mbox& delivered = *shared.writer_inputs[0];
+  std::string nonces[2];
+  for (int k = 0; k < 2; ++k) {
+    shared.rooms.join(rooms[k], "member");
+    std::string wire = make_stream_open("ea");
+    wire += make_auth("sender");
+    wire += make_groupchat_message(
+        "sender", rooms[k],
+        seal_body(user_key("sender", kCtxGroupUp), 1, "same text"));
+    concurrent::Node* node = shared.pool->get();
+    ASSERT_NE(node, nullptr);
+    node->fill(wire);
+    node->tag = 5;  // the sender's socket
+    shared.inboxes[static_cast<std::size_t>(k)]->push(node);
+    service.instances[static_cast<std::size_t>(k)]->body();
+
+    while (concurrent::Node* out = delivered.pop()) {
+      concurrent::NodeLease lease(out);
+      if (out->tag != 7) continue;
+      std::size_t pos = 0;
+      auto stanza = parse_element(out->view(), pos);
+      ASSERT_TRUE(stanza.has_value() && stanza->child("body") != nullptr);
+      nonces[k] =
+          stanza->child("body")->text.substr(0, 2 * crypto::kAeadNonceSize);
+    }
+    ASSERT_FALSE(nonces[k].empty()) << "instance " << k;
+  }
+  EXPECT_NE(nonces[0], nonces[1]);
 }
 
 TEST_F(XmppServiceTest, OfflineMessagesDeliveredOnLogin) {
