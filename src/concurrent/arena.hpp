@@ -23,9 +23,6 @@ class NodeArena {
   std::size_t count() const noexcept { return count_; }
   std::size_t payload_capacity() const noexcept { return payload_capacity_; }
 
-  // Total bytes the arena occupies (used by EPC accounting).
-  std::size_t footprint_bytes() const noexcept { return bytes_; }
-
   // Returns node `i` (0-based). Nodes remain owned by the arena.
   Node* node(std::size_t i) noexcept;
 

@@ -41,9 +41,9 @@ enum class LockRank : std::uint8_t {
 
   // core/migration — the coordinator's admission lock is the outermost
   // lock in the process: a migration holds it across park → seal →
-  // transfer → resume, which touches mboxes, POS buckets, the enclave
-  // manager and the counter service, so every other rank must be
-  // acquirable under it.
+  // transfer → resume, which touches mboxes, the enclave manager, the
+  // counter service and whatever the actor's export/import hooks lock, so
+  // every other rank must be acquirable under it.
   kMigration = 8,  // MigrationCoordinator::mu_
 
   // xmpp/ — server tables, entered first from the connection actors.

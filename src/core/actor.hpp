@@ -138,15 +138,15 @@ class Actor {
   // An actor opts into live migration by overriding migratable() plus the
   // state hooks below. export/import run inside the respective enclave with
   // the actor parked at the migration barrier, so they may touch private
-  // state freely. The POS hooks keep ea_core decoupled from ea_pos: an
-  // actor that keys a POS partition exports it itself (the coordinator only
-  // carries the resulting bytes inside the sealed bundle).
+  // state freely.
 
   // Whether this actor can be migrated at all. Actors pinned to host
   // resources (raw fds, thread affinity) stay put.
   virtual bool migratable() const { return false; }
 
   // Serialises private state at the source (runs in the source enclave).
+  // Must leave the actor untouched: a seal failure after the export
+  // resumes the actor in place and restores nothing.
   virtual util::Bytes export_state() { return {}; }
 
   // Rebuilds private state at the destination (runs in the target enclave).
@@ -154,22 +154,6 @@ class Actor {
   // source copy.
   virtual bool import_state(std::span<const std::uint8_t> state) {
     return state.empty();
-  }
-
-  // Exports AND erases this actor's POS partition at the current placement
-  // (the erase is what makes resume-at-target the only live copy).
-  virtual util::Bytes export_pos_partition() { return {}; }
-
-  // Replays the POS partition at the destination.
-  virtual bool import_pos_partition(std::span<const std::uint8_t> blob) {
-    return blob.empty();
-  }
-
-  // Runs in the target enclave after a successful resume (re-derive keys,
-  // re-register with shared tables, …).
-  virtual void on_migrated(sgxsim::EnclaveId from, sgxsim::EnclaveId to) {
-    (void)from;
-    (void)to;
   }
 
   // --- runtime plumbing ---------------------------------------------------

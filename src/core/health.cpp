@@ -33,13 +33,6 @@ std::size_t HealthSnapshot::count_in_state(ActorState state) const noexcept {
   return n;
 }
 
-bool HealthSnapshot::any_stalled() const noexcept {
-  for (const ActorHealth& a : actors) {
-    if (a.stalled) return true;
-  }
-  return false;
-}
-
 std::string HealthSnapshot::to_string() const {
   std::string out;
   out += "health: pool " + std::to_string(pool.free) + "/" +

@@ -78,7 +78,6 @@ struct HealthSnapshot {
 
   // Deployment-level predicates the soak tests assert on.
   std::size_t count_in_state(ActorState state) const noexcept;
-  bool any_stalled() const noexcept;
 
   std::string to_string() const;
 };

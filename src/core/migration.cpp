@@ -92,7 +92,7 @@ const char* to_string(MigrateResult result) noexcept {
 }
 
 // Wire layout: magic(8) ‖ ticket(8) ‖ source(4) ‖ target(4) ‖
-// state_len(4) ‖ state ‖ pos_len(4) ‖ pos, little-endian.
+// state_len(4) ‖ state, little-endian.
 //
 // A bundle holds exported actor state in plaintext, so it is its own scope
 // guard: every copy — exported at the source, opened at the target,
@@ -102,18 +102,14 @@ struct MigrationCoordinator::Bundle {
   sgxsim::EnclaveId source = sgxsim::kUntrusted;
   sgxsim::EnclaveId target = sgxsim::kUntrusted;
   util::Bytes state;
-  util::Bytes pos;
 
   Bundle() = default;
   Bundle(const Bundle&) = delete;
   Bundle& operator=(const Bundle&) = delete;
-  ~Bundle() {
-    util::secure_zero(state);
-    util::secure_zero(pos);
-  }
+  ~Bundle() { util::secure_zero(state); }
 
   util::Bytes serialize() const {
-    util::Bytes out(8 + 8 + 4 + 4 + 4 + state.size() + 4 + pos.size());
+    util::Bytes out(8 + 8 + 4 + 4 + 4 + state.size());
     std::uint8_t* p = out.data();
     std::memcpy(p, kBundleMagic, 8);
     util::store_le64(p + 8, ticket);
@@ -121,26 +117,20 @@ struct MigrationCoordinator::Bundle {
     util::store_le32(p + 20, target);
     util::store_le32(p + 24, static_cast<std::uint32_t>(state.size()));
     if (!state.empty()) std::memcpy(p + 28, state.data(), state.size());
-    std::size_t at = 28 + state.size();
-    util::store_le32(p + at, static_cast<std::uint32_t>(pos.size()));
-    if (!pos.empty()) std::memcpy(p + at + 4, pos.data(), pos.size());
     return out;
   }
 
+  // Rejects a short bundle and one with bytes after the state.
   static bool parse(std::span<const std::uint8_t> in, Bundle& out) {
-    if (in.size() < 32 || std::memcmp(in.data(), kBundleMagic, 8) != 0) {
+    if (in.size() < 28 || std::memcmp(in.data(), kBundleMagic, 8) != 0) {
       return false;
     }
     out.ticket = util::load_le64(in.data() + 8);
     out.source = util::load_le32(in.data() + 16);
     out.target = util::load_le32(in.data() + 20);
     const std::uint32_t state_len = util::load_le32(in.data() + 24);
-    if (in.size() - 28 < static_cast<std::size_t>(state_len) + 4) return false;
-    out.state.assign(in.begin() + 28, in.begin() + 28 + state_len);
-    const std::size_t at = 28 + state_len;
-    const std::uint32_t pos_len = util::load_le32(in.data() + at);
-    if (in.size() - at - 4 < pos_len) return false;
-    out.pos.assign(in.begin() + at + 4, in.begin() + at + 4 + pos_len);
+    if (in.size() - 28 != state_len) return false;
+    out.state.assign(in.begin() + 28, in.end());
     return true;
   }
 };
@@ -252,14 +242,9 @@ MigrateResult MigrationCoordinator::roll_back(
     MigrateResult why, Actor& actor, sgxsim::Enclave& source,
     sgxsim::Enclave& target, const Bundle& bundle,
     std::span<const std::uint8_t> rollback_blob) {
-  if (why == MigrateResult::kSealFailed) {
-    // Nothing left the source and no ticket was drawn: only the POS
-    // partition, which the export erased, goes back.
-    if (!bundle.pos.empty()) {
-      sgxsim::EnclaveScope scope(source);
-      actor.import_pos_partition(bundle.pos);
-    }
-  } else {
+  // A seal failure drew no ticket, and export_state() left the actor as it
+  // was: nothing left the source, so there is nothing to restore.
+  if (why != MigrateResult::kSealFailed) {
     // The canonical restore path unseals the rollback copy — proving the
     // sealed bundle alone suffices to bring the source back. The in-hand
     // plaintext is only a belt-and-braces fallback for a broken sealer.
@@ -272,7 +257,6 @@ MigrateResult MigrationCoordinator::roll_back(
       sgxsim::EnclaveScope scope(source);
       try {
         actor.import_state(use.state);
-        actor.import_pos_partition(use.pos);
       } catch (const std::exception& e) {
         EA_WARN("core", "migration rollback import threw for %s: %s",
                 actor.name().c_str(), e.what());
@@ -321,7 +305,6 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
     sgxsim::EnclaveScope scope(source);
     try {
       bundle.state = actor.export_state();
-      bundle.pos = actor.export_pos_partition();  // exports AND erases
     } catch (const std::exception& e) {
       EA_WARN("core", "migration export threw for %s: %s",
               actor.name().c_str(), e.what());
@@ -436,9 +419,7 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
   {
     sgxsim::EnclaveScope scope(target);
     try {
-      import_ok = actor.import_state(received.state) &&
-                  actor.import_pos_partition(received.pos);
-      if (import_ok) actor.on_migrated(source.id(), target.id());
+      import_ok = actor.import_state(received.state);
     } catch (const std::exception& e) {
       EA_WARN("core", "migration import threw for %s: %s",
               actor.name().c_str(), e.what());

@@ -15,9 +15,8 @@
 //                queueing in the actor's mboxes — those ARE the tombstone
 //                mailboxes; nothing is dropped, delivery merely stalls for
 //                the pause window.
-//  * export    — the actor serialises its private state and its POS
-//                partition inside the SOURCE enclave (the POS hooks keep
-//                ea_core decoupled from ea_pos).
+//  * export    — the actor serialises its private state inside the
+//                SOURCE enclave.
 //  * seal      — the bundle is sealed to the source enclave's identity
 //                (MRENCLAVE) as the rollback copy, then transferred under a
 //                fresh AEAD key from an attested X25519 exchange in which
@@ -94,7 +93,8 @@ struct MigrationStats {
 // Serialises migrations process-wide (one in flight at a time) and owns the
 // rollback/quarantine bookkeeping. Its lock ranks kMigration — the
 // outermost rank in the table — because a migration reaches into mboxes,
-// POS buckets, the enclave manager and the counter service while holding it.
+// the enclave manager, the counter service and whatever the actor's own
+// export/import hooks lock while holding it.
 class MigrationCoordinator {
  public:
   explicit MigrationCoordinator(Runtime& rt) : rt_(rt) {}
@@ -135,10 +135,9 @@ class MigrationCoordinator {
   std::size_t place(Actor& actor, sgxsim::Enclave& from, sgxsim::Enclave& to)
       EA_REQUIRES(mu_);
   // The one failure exit after park() (DESIGN.md §17 rollback table):
-  // restores the actor at the source from the sealed rollback blob (or,
-  // for kSealFailed, puts back the POS partition the export erased),
-  // spends the ticket, quarantines the route unless `why` is kSealFailed or
-  // kAffinityFailed, and unparks the actor. Returns `why`.
+  // past the seal, restores the actor at the source from the sealed
+  // rollback blob and spends the ticket; quarantines the route unless `why`
+  // is kSealFailed or kAffinityFailed, and unparks the actor. Returns `why`.
   MigrateResult roll_back(MigrateResult why, Actor& actor,
                           sgxsim::Enclave& source, sgxsim::Enclave& target,
                           const Bundle& bundle,

@@ -20,11 +20,6 @@ SupervisorActor::SupervisorActor(std::string name, Options options)
   set_priority(ActorPriority::kHigh);
 }
 
-void SupervisorActor::set_policy(const std::string& actor,
-                                 RestartPolicy policy) {
-  policies_[actor] = policy;
-}
-
 void SupervisorActor::ignore(const std::string& actor) {
   ignored_.push_back(actor);
 }
@@ -41,11 +36,9 @@ void SupervisorActor::construct(Runtime& rt) {
     }
     Watch w;
     w.actor = actor.get();
-    auto it = policies_.find(actor->name());
-    w.policy = it != policies_.end() ? it->second : options_.default_policy;
     // Distinct jitter stream per watch, deterministic given options_.seed.
     ++seed_counter_;
-    w.backoff = BackoffSchedule(w.policy.backoff,
+    w.backoff = BackoffSchedule(options_.default_policy.backoff,
                                 options_.seed + seed_counter_ * 0x9e3779b9ULL);
     w.last_invocations = actor->invocations();
     watches_.push_back(std::move(w));
@@ -92,7 +85,7 @@ void SupervisorActor::sweep(Clock::time_point now) {
 void SupervisorActor::handle_failed(Watch& w, Clock::time_point now) {
   if (!w.restart_pending) {
     prune_window(w, now);
-    if (w.window.size() >= w.policy.max_restarts) {
+    if (w.window.size() >= options_.default_policy.max_restarts) {
       quarantine(w);
       return;
     }
@@ -170,7 +163,8 @@ void SupervisorActor::watchdog(Watch& w) {
     w.idle_sweeps = 0;  // idle with an empty inbox is healthy
     return;
   }
-  if (++w.idle_sweeps >= w.policy.stall_rounds && !w.actor->stalled()) {
+  if (++w.idle_sweeps >= options_.default_policy.stall_rounds &&
+      !w.actor->stalled()) {
     w.actor->stalled_.store(true, std::memory_order_relaxed);
     ++stalls_flagged_;
     EA_WARN("core", "supervisor: %s stalled (%llu invocations, work pending)",
@@ -180,7 +174,7 @@ void SupervisorActor::watchdog(Watch& w) {
 
 void SupervisorActor::prune_window(Watch& w, Clock::time_point now) const {
   Clock::time_point cutoff =
-      now - std::chrono::microseconds(w.policy.window_us);
+      now - std::chrono::microseconds(options_.default_policy.window_us);
   w.window.erase(
       std::remove_if(w.window.begin(), w.window.end(),
                      [cutoff](Clock::time_point t) { return t < cutoff; }),

@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -34,7 +33,7 @@ namespace ea::core {
 
 class Runtime;
 
-// Per-actor restart policy.
+// Restart policy, applied to every watched actor.
 struct RestartPolicy {
   BackoffPolicy backoff{/*initial_us=*/1000, /*max_us=*/100000,
                         /*multiplier=*/2, /*jitter_pct=*/20};
@@ -57,9 +56,6 @@ class SupervisorActor : public Actor {
   using EscalationFn = std::function<void(const FailureInfo&)>;
 
   explicit SupervisorActor(std::string name, Options options = {});
-
-  // Overrides the default policy for one actor (by name). Pre-start only.
-  void set_policy(const std::string& actor, RestartPolicy policy);
 
   // Excludes an actor from supervision entirely. Pre-start only.
   void ignore(const std::string& actor);
@@ -86,7 +82,6 @@ class SupervisorActor : public Actor {
 
   struct Watch {
     Actor* actor = nullptr;
-    RestartPolicy policy;
     BackoffSchedule backoff;
     // Failure generation already scheduled/handled (vs actor->failures()).
     std::uint64_t failures_seen = 0;
@@ -113,7 +108,6 @@ class SupervisorActor : public Actor {
   // watched actors go through the atomics in core/actor.hpp; the actors'
   // failure records are behind Actor::failure_lock_ (kActorFailure).
   Options options_;
-  std::map<std::string, RestartPolicy> policies_;
   std::vector<std::string> ignored_;
   EscalationFn escalate_;
 

@@ -98,9 +98,6 @@ struct Pos::Entry {
   const std::uint8_t* data() const noexcept {
     return reinterpret_cast<const std::uint8_t*>(this) + sizeof(Entry);
   }
-  std::span<const std::uint8_t> key() const noexcept {
-    return {data(), klen};
-  }
   std::span<const std::uint8_t> value() const noexcept {
     return {data() + klen, vlen};
   }
@@ -659,111 +656,6 @@ bool Pos::erase(std::span<const std::uint8_t> key) {
     cur = e->next.load(std::memory_order_acquire);
   }
   return found;
-}
-
-// --- partition export/import ------------------------------------------------
-
-namespace {
-
-bool has_prefix(std::span<const std::uint8_t> key,
-                std::span<const std::uint8_t> prefix) {
-  return key.size() >= prefix.size() &&
-         (prefix.empty() ||
-          std::memcmp(key.data(), prefix.data(), prefix.size()) == 0);
-}
-
-// Linear membership scan over the keys already decided in this bucket walk.
-// Bucket chains are short (live keys / bucket_count plus a few superseded
-// versions), so quadratic-in-chain is fine for a migration-path operation.
-bool key_seen(const std::vector<std::span<const std::uint8_t>>& seen,
-              std::span<const std::uint8_t> key) {
-  for (const auto& s : seen) {
-    if (s.size() == key.size() &&
-        std::memcmp(s.data(), key.data(), key.size()) == 0) {
-      return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
-
-util::Bytes Pos::export_partition(std::span<const std::uint8_t> prefix) {
-  Section section(*this);
-  util::Bytes out(4, 0);
-  std::uint32_t records = 0;
-  std::vector<std::span<const std::uint8_t>> seen;
-  // A key hashes to exactly one bucket, so per-bucket first-occurrence
-  // tracking is enough to pick the newest version store-wide.
-  for (std::uint32_t b = 0; b < sb_->bucket_count; ++b) {
-    seen.clear();
-    std::uint64_t cur = bucket_head(b).load(std::memory_order_acquire);
-    while (cur != 0) {
-      const Entry* e = entry_at(cur);
-      const std::uint32_t state = e->state.load(std::memory_order_acquire);
-      if (state == kStateFree) {
-        note_hazard();
-      } else if (has_prefix(e->key(), prefix) && !key_seen(seen, e->key())) {
-        // First occurrence from the top decides, exactly like get(): a Live
-        // entry is the current value, an Erased marker means the key is
-        // gone, an Outdated entry is skipped as "seen" because the newer
-        // version sits above it and was already handled.
-        seen.push_back(e->key());
-        if (state == kStateLive) {
-          const std::size_t at = out.size();
-          out.resize(at + 8 + e->klen + e->vlen);
-          util::store_le32(out.data() + at, e->klen);
-          util::store_le32(out.data() + at + 4, e->vlen);
-          std::memcpy(out.data() + at + 8, e->data(), e->klen + e->vlen);
-          ++records;
-        }
-      }
-      cur = e->next.load(std::memory_order_acquire);
-    }
-  }
-  util::store_le32(out.data(), records);
-  return out;
-}
-
-bool Pos::import_partition(std::span<const std::uint8_t> blob) {
-  if (blob.size() < 4) return false;
-  std::uint32_t records = util::load_le32(blob.data());
-  std::size_t at = 4;
-  for (std::uint32_t i = 0; i < records; ++i) {
-    if (blob.size() - at < 8) return false;
-    const std::uint32_t klen = util::load_le32(blob.data() + at);
-    const std::uint32_t vlen = util::load_le32(blob.data() + at + 4);
-    at += 8;
-    if (blob.size() - at < static_cast<std::size_t>(klen) + vlen) {
-      return false;
-    }
-    if (!set(blob.subspan(at, klen), blob.subspan(at + klen, vlen))) {
-      return false;
-    }
-    at += static_cast<std::size_t>(klen) + vlen;
-  }
-  return at == blob.size();
-}
-
-std::size_t Pos::erase_partition(std::span<const std::uint8_t> prefix) {
-  Section section(*this);
-  std::size_t marked = 0;
-  for (std::uint32_t b = 0; b < sb_->bucket_count; ++b) {
-    // Same contract as erase(): the bucket lock serialises against the
-    // cleaner's unlink; concurrent lock-free pushes linearise after us.
-    concurrent::HleGuard guard(bucket_locks_[b]);
-    std::uint64_t cur = bucket_head(b).load(std::memory_order_acquire);
-    while (cur != 0) {
-      Entry* e = entry_at(cur);
-      const std::uint32_t state = e->state.load(std::memory_order_acquire);
-      if (erasable(state) && has_prefix(e->key(), prefix)) {
-        e->state.store(kStateErased, std::memory_order_release);
-        if (state == kStateLive) ++marked;
-      }
-      cur = e->next.load(std::memory_order_acquire);
-    }
-  }
-  return marked;
 }
 
 // --- cleaner ----------------------------------------------------------------

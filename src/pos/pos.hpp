@@ -146,31 +146,6 @@ class Pos {
   // the cleaner). Returns true if any version existed.
   bool erase(std::span<const std::uint8_t> key);
 
-  // --- partition export/import (actor migration) ---------------------------
-  //
-  // A *partition* is the set of live keys sharing a byte prefix — the
-  // per-actor keying convention the XMPP offline spool already uses
-  // ("offline/<jid>/…"). Migration snapshots an actor's partition at the
-  // source, ships it inside the sealed bundle, and replays it at the
-  // target; the serialised form is count(4) ‖ (klen(4) ‖ vlen(4) ‖ key ‖
-  // value)*, little-endian.
-
-  // Snapshots every live key with the prefix (newest version per key;
-  // erased keys are skipped). Runs inside one epoch section, so the
-  // snapshot is consistent per key but not a global point-in-time cut —
-  // the migrating owner is parked, which is what makes it exact in
-  // practice.
-  util::Bytes export_partition(std::span<const std::uint8_t> prefix);
-
-  // Replays a serialised partition via set(). Returns false on a malformed
-  // blob or when the store fills up mid-import (entries already imported
-  // remain — callers treat that as a failed migration and roll back).
-  bool import_partition(std::span<const std::uint8_t> blob);
-
-  // Marks every live version of every prefixed key erased (the cleaner
-  // reclaims the space). Returns the number of entries marked.
-  std::size_t erase_partition(std::span<const std::uint8_t> prefix);
-
   // --- epoch sections for safe reclamation ---------------------------------
   //
   // Every bucket-chain traversal must happen inside a section: the section
@@ -252,7 +227,6 @@ class Pos {
   std::uint32_t bucket_count() const noexcept;
   std::uint32_t entry_payload() const noexcept;
   std::uint32_t free_shard_count() const noexcept;
-  bool magazines_active() const noexcept { return options_.magazines; }
 
 #if defined(EA_FAILPOINTS)
   // Test-only (fault builds): called with each entry offset a get() walk

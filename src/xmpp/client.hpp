@@ -72,7 +72,6 @@ class Client {
   // available or arrives without waiting.
   std::optional<Message> poll();
 
-  bool connected() const noexcept { return socket_.valid(); }
   const std::string& jid() const noexcept { return jid_; }
 
   // Arms automatic reconnection (see ClientReconnectPolicy). May be called

@@ -150,7 +150,9 @@ std::string XmlNode::serialize() const {
   return out;
 }
 
-std::optional<XmlNode> parse_element(std::string_view text, std::size_t& pos) {
+std::optional<XmlNode> parse_element(std::string_view text, std::size_t& pos,
+                                     int depth) {
+  if (depth > kMaxNesting) pos = std::string_view::npos;  // fails below
   if (pos >= text.size() || text[pos] != '<') return std::nullopt;
   ++pos;
   XmlNode node;
@@ -185,7 +187,7 @@ std::optional<XmlNode> parse_element(std::string_view text, std::size_t& pos) {
       ++pos;
       return node;
     }
-    auto child = parse_element(text, pos);
+    auto child = parse_element(text, pos, depth + 1);
     if (!child.has_value()) return std::nullopt;
     node.children.push_back(std::move(*child));
   }
@@ -241,10 +243,10 @@ std::optional<StanzaStream::Event> StanzaStream::next() {
   std::size_t cursor = pos;
   auto node = parse_element(buffer_, cursor);
   if (!node.has_value()) {
-    // Heuristic: if the buffer holds a complete '>'-terminated prefix that
-    // still fails to parse, the stream is corrupt; otherwise wait for more.
-    // A stanza cannot be larger than 64 KiB in this implementation.
-    if (buffer_.size() > 64 * 1024) failed_ = true;
+    // Nesting past kMaxNesting (cursor set to npos) fails the stream at
+    // once. Otherwise wait for more bytes: a stanza cannot be larger than
+    // 64 KiB in this implementation.
+    if (cursor > buffer_.size() || buffer_.size() > 64 * 1024) failed_ = true;
     return std::nullopt;
   }
   buffer_.erase(0, cursor);
@@ -268,11 +270,13 @@ std::string make_auth(std::string_view jid) {
 
 std::string make_auth_success() { return "<success/>"; }
 
-std::string make_chat_message(std::string_view from, std::string_view to,
-                              std::string_view body) {
+namespace {
+
+std::string make_message(const char* type, std::string_view from,
+                         std::string_view to, std::string_view body) {
   XmlNode node;
   node.name = "message";
-  node.set_attr("type", "chat");
+  node.set_attr("type", type);
   if (!from.empty()) node.set_attr("from", std::string(from));
   node.set_attr("to", std::string(to));
   XmlNode body_node;
@@ -282,18 +286,16 @@ std::string make_chat_message(std::string_view from, std::string_view to,
   return node.serialize();
 }
 
+}  // namespace
+
+std::string make_chat_message(std::string_view from, std::string_view to,
+                              std::string_view body) {
+  return make_message("chat", from, to, body);
+}
+
 std::string make_groupchat_message(std::string_view from, std::string_view to,
                                    std::string_view body) {
-  XmlNode node;
-  node.name = "message";
-  node.set_attr("type", "groupchat");
-  if (!from.empty()) node.set_attr("from", std::string(from));
-  node.set_attr("to", std::string(to));
-  XmlNode body_node;
-  body_node.name = "body";
-  body_node.text = std::string(body);
-  node.children.push_back(std::move(body_node));
-  return node.serialize();
+  return make_message("groupchat", from, to, body);
 }
 
 std::string make_presence_join(std::string_view from, std::string_view room) {

@@ -38,10 +38,19 @@ struct XmlNode {
 std::string xml_escape(std::string_view raw);
 std::string xml_unescape(std::string_view xml);
 
-// Parses one complete element starting at text[pos] (which must be '<').
-// Advances pos past the element. Returns nullopt on malformed or
-// incomplete input (pos is then unspecified).
-std::optional<XmlNode> parse_element(std::string_view text, std::size_t& pos);
+// Deepest element nesting the parser accepts; this service's deepest
+// stanza, iq › query › item, has 3 levels. The parser recurses once per
+// level on client bytes, inside an enclave whose threads have small stacks
+// (the SGX SDK's default is 256 KiB), so deeper input is malformed.
+inline constexpr int kMaxNesting = 16;
+
+// Parses one complete element starting at text[pos] (which must be '<') at
+// nesting level `depth` (a stanza is level 1). Advances pos past the
+// element. Returns nullopt on malformed or incomplete input (pos is then
+// unspecified); past kMaxNesting, pos is set to npos, as no further bytes
+// can make the input parse.
+std::optional<XmlNode> parse_element(std::string_view text, std::size_t& pos,
+                                     int depth = 1);
 
 // Incremental stream parser.
 class StanzaStream {
@@ -59,11 +68,9 @@ class StanzaStream {
   // Returns the next complete event, or nullopt if more bytes are needed.
   std::optional<Event> next();
 
-  // True once malformed XML has been encountered; the connection should be
-  // dropped.
+  // True once malformed XML has been encountered, an element nested past
+  // kMaxNesting included; the connection should be dropped.
   bool failed() const noexcept { return failed_; }
-
-  std::size_t buffered_bytes() const noexcept { return buffer_.size(); }
 
   // Migration snapshot/restore (DESIGN.md §17): the incremental parse state
   // is exactly the byte buffer plus the stream-open flag, so a mid-stanza

@@ -30,7 +30,6 @@
 #include "core/migration.hpp"
 #include "core/runtime.hpp"
 #include "core/worker.hpp"
-#include "pos/pos.hpp"
 #include "sgxsim/cost_model.hpp"
 #include "util/bytes.hpp"
 #include "util/failpoint.hpp"
@@ -52,8 +51,8 @@ class MigrationFaultTest : public ::testing::Test {
   sgxsim::ScopedCostModel scoped_;
 };
 
-// Migratable actor with one-counter private state plus an optional POS
-// partition, so rollback visibly restores BOTH.
+// Migratable actor with one-counter private state; imports_ counts the
+// restores, so a rollback visibly goes through import_state().
 class VictimActor : public Actor {
  public:
   explicit VictimActor(std::string name) : Actor(std::move(name)) {}
@@ -72,22 +71,10 @@ class VictimActor : public Actor {
     ++imports_;
     return import_ok_;
   }
-  util::Bytes export_pos_partition() override {
-    if (pos_ == nullptr) return {};
-    util::Bytes blob = pos_->export_partition(prefix_);
-    pos_->erase_partition(prefix_);  // resume-at-target is the only live copy
-    return blob;
-  }
-  bool import_pos_partition(std::span<const std::uint8_t> blob) override {
-    if (pos_ == nullptr) return blob.empty();
-    return pos_->import_partition(blob);
-  }
 
   std::uint64_t value_ = 7;
   int imports_ = 0;
   bool import_ok_ = true;
-  pos::Pos* pos_ = nullptr;
-  util::Bytes prefix_;
 };
 
 struct Deployment {
@@ -109,39 +96,14 @@ struct Deployment {
   }
 };
 
-// A POS store holding one key in the victim's partition. The export erases
-// it, so only a genuine rollback restore can bring the key back.
-struct Partition {
-  pos::Pos store{options()};
-
-  explicit Partition(Deployment& d) {
-    d.victim->pos_ = &store;
-    d.victim->prefix_ = util::to_bytes(d.victim->name() + "/");
-    EXPECT_TRUE(store.set(key(d), util::to_bytes("payload")));
-  }
-  static pos::PosOptions options() {
-    pos::PosOptions o;
-    o.bucket_count = 8;
-    o.entry_count = 128;
-    o.entry_payload = 128;
-    return o;
-  }
-  static util::Bytes key(const Deployment& d) {
-    return util::to_bytes(d.victim->name() + "/k");
-  }
-};
-
 // What every post-ticket rollback leaves behind: the actor Runnable at the
-// source, its state restored from the sealed bundle, its POS partition
-// back, and the EPC accounting as it was before the attempt.
-void expect_restored_at_source(const Deployment& d, Partition& part) {
+// source, its state restored from the sealed bundle, and the EPC accounting
+// as it was before the attempt.
+void expect_restored_at_source(const Deployment& d) {
   EXPECT_EQ(d.victim->lifecycle(), ActorState::kRunnable);
   EXPECT_EQ(d.victim->placement(), d.src->id());
   EXPECT_EQ(d.victim->value_, 7u);
   EXPECT_EQ(d.victim->imports_, 1);  // restored via the sealed bundle
-  auto restored = part.store.get(Partition::key(d));
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(*restored, util::to_bytes("payload"));
   EXPECT_EQ(d.src->committed_bytes(), d.src_base + d.victim->state_bytes());
   EXPECT_EQ(d.dst->committed_bytes(), d.dst_base);
 }
@@ -156,8 +118,10 @@ TEST_F(MigrationFaultTest, SealFailureResumesInPlace) {
   EXPECT_EQ(d.victim->lifecycle(), ActorState::kRunnable);
   EXPECT_EQ(d.victim->placement(), d.src->id());
   EXPECT_EQ(d.victim->value_, 7u);
+  EXPECT_EQ(d.victim->imports_, 0);  // export left the state: no restore
   EXPECT_EQ(d.src->committed_bytes(),
             d.src_base + d.victim->state_bytes());  // accounting untouched
+  EXPECT_EQ(d.dst->committed_bytes(), d.dst_base);
   MigrationStats stats = coordinator.stats();
   EXPECT_EQ(stats.rolled_back, 1u);
   EXPECT_EQ(stats.completed, 0u);
@@ -168,18 +132,6 @@ TEST_F(MigrationFaultTest, SealFailureResumesInPlace) {
 
 TEST_F(MigrationFaultTest, TransferDropRestoresSourceAndQuarantinesRoute) {
   Deployment d("drop");
-  // POS partition attached: the export erases it, so only a genuine
-  // rollback restore can bring the keys back.
-  pos::PosOptions popts;
-  popts.bucket_count = 8;
-  popts.entry_count = 128;
-  popts.entry_payload = 128;
-  pos::Pos store(popts);
-  d.victim->pos_ = &store;
-  d.victim->prefix_ = util::to_bytes("drop.victim/");
-  ASSERT_TRUE(store.set(util::to_bytes("drop.victim/k"),
-                        util::to_bytes("payload")));
-
   MigrationCoordinator coordinator(d.rt);
   ASSERT_TRUE(fp::set("migrate.transfer.drop", "once"));
 
@@ -187,18 +139,9 @@ TEST_F(MigrationFaultTest, TransferDropRestoresSourceAndQuarantinesRoute) {
             MigrateResult::kTransferFailed);
   EXPECT_EQ(fp::hits("migrate.transfer.drop"), 1u);
 
-  // The actor is restored at the source — Runnable, state and POS
-  // partition intact — and ONLY the route is quarantined.
-  EXPECT_EQ(d.victim->lifecycle(), ActorState::kRunnable);
-  EXPECT_EQ(d.victim->placement(), d.src->id());
-  EXPECT_EQ(d.victim->value_, 7u);
-  EXPECT_EQ(d.victim->imports_, 1);  // restored via the sealed bundle
-  auto restored = store.get(util::to_bytes("drop.victim/k"));
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(*restored, util::to_bytes("payload"));
-  EXPECT_EQ(d.src->committed_bytes(), d.src_base + d.victim->state_bytes());
-  EXPECT_EQ(d.dst->committed_bytes(), d.dst_base);
-
+  // The actor is restored at the source — Runnable, state intact — and
+  // ONLY the route is quarantined.
+  expect_restored_at_source(d);
   EXPECT_TRUE(coordinator.route_quarantined(d.src->id(), d.dst->id()));
   EXPECT_EQ(coordinator.stats().rolled_back, 1u);
   // The quarantined route refuses further attempts ...
@@ -208,9 +151,7 @@ TEST_F(MigrationFaultTest, TransferDropRestoresSourceAndQuarantinesRoute) {
   sgxsim::Enclave& alt = d.rt.enclave("drop.alt");
   EXPECT_EQ(coordinator.migrate(*d.victim, alt), MigrateResult::kOk);
   EXPECT_EQ(d.victim->placement(), alt.id());
-  auto moved = store.get(util::to_bytes("drop.victim/k"));
-  ASSERT_TRUE(moved.has_value());
-  EXPECT_EQ(*moved, util::to_bytes("payload"));
+  EXPECT_EQ(d.victim->value_, 7u);
 }
 
 TEST_F(MigrationFaultTest, DuplicateResumeTripsTheCounterGuard) {
@@ -231,14 +172,13 @@ TEST_F(MigrationFaultTest, DuplicateResumeTripsTheCounterGuard) {
 
 TEST_F(MigrationFaultTest, SpentTicketRefusesResumeAndQuarantinesRoute) {
   Deployment d("spent");
-  Partition part(d);
   MigrationCoordinator coordinator(d.rt);
   ASSERT_TRUE(fp::set("migrate.resume.spent", "once"));
 
   EXPECT_EQ(coordinator.migrate(*d.victim, *d.dst),
             MigrateResult::kResumeRefused);
   EXPECT_EQ(fp::hits("migrate.resume.spent"), 1u);
-  expect_restored_at_source(d, part);
+  expect_restored_at_source(d);
   EXPECT_TRUE(coordinator.route_quarantined(d.src->id(), d.dst->id()));
   MigrationStats stats = coordinator.stats();
   EXPECT_EQ(stats.completed, 0u);
@@ -248,7 +188,6 @@ TEST_F(MigrationFaultTest, SpentTicketRefusesResumeAndQuarantinesRoute) {
 
 TEST_F(MigrationFaultTest, FullAffinityTableRollsBackWithoutQuarantine) {
   Deployment d("aff");
-  Partition part(d);
   d.rt.add_worker("aff.w", {}, {"aff.victim"});
   d.rt.start();  // default static scheduler: live migration is allowed
   // Fill the running home worker's affinity table (its own enclave holds
@@ -262,7 +201,7 @@ TEST_F(MigrationFaultTest, FullAffinityTableRollsBackWithoutQuarantine) {
   EXPECT_EQ(coordinator.migrate(*d.victim, *d.dst),
             MigrateResult::kAffinityFailed);
   d.rt.stop();
-  expect_restored_at_source(d, part);
+  expect_restored_at_source(d);
   // A full table says nothing about the route.
   EXPECT_FALSE(coordinator.route_quarantined(d.src->id(), d.dst->id()));
   MigrationStats stats = coordinator.stats();

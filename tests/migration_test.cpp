@@ -4,7 +4,6 @@
 // duplicate-resume paths live in migration_fault_test.cpp):
 //
 //  * the monotonic-counter ticket has exactly one consume winner;
-//  * POS partition export/import round-trips and export leaves no live keys;
 //  * a pre-start migration moves placement AND the EPC accounting;
 //  * every refusal code (not-migratable, untrusted, same placement, unknown
 //    names) fires before any state moves;
@@ -37,7 +36,6 @@
 #include "core/runtime.hpp"
 #include "core/worker.hpp"
 #include "crypto/sha256.hpp"
-#include "pos/pos.hpp"
 #include "sgxsim/cost_model.hpp"
 #include "sgxsim/monotonic_counter.hpp"
 #include "sgxsim/transition.hpp"
@@ -91,18 +89,12 @@ class MigratoryActor : public Actor {
     ++imports_;
     return true;
   }
-  void on_migrated(sgxsim::EnclaveId from, sgxsim::EnclaveId to) override {
-    migrated_from_ = from;
-    migrated_to_ = to;
-  }
 
   bool migratable_ = true;
   std::uint64_t state_bytes_ = 4096;
   std::uint64_t value_ = 0;
   int exports_ = 0;
   int imports_ = 0;
-  sgxsim::EnclaveId migrated_from_ = sgxsim::kUntrusted;
-  sgxsim::EnclaveId migrated_to_ = sgxsim::kUntrusted;
 };
 
 TEST_F(MigrationTest, TicketConsumeHasExactlyOneWinner) {
@@ -119,45 +111,6 @@ TEST_F(MigrationTest, TicketConsumeHasExactlyOneWinner) {
   EXPECT_EQ(svc.read_ns(ns, 7), ticket + 1);
   // Slots and namespaces are independent.
   EXPECT_EQ(svc.read_ns(ns, 8), 0u);
-}
-
-TEST_F(MigrationTest, PosPartitionExportImportRoundTrips) {
-  pos::PosOptions options;
-  options.bucket_count = 8;
-  options.entry_count = 256;
-  options.entry_payload = 128;
-  pos::Pos source(options);
-
-  auto key = [](const std::string& s) { return util::to_bytes(s); };
-  ASSERT_TRUE(source.set(key("actor1/a"), key("v1")));
-  ASSERT_TRUE(source.set(key("actor1/b"), key("v2")));
-  ASSERT_TRUE(source.set(key("actor1/b"), key("v2-new")));  // latest wins
-  ASSERT_TRUE(source.set(key("actor2/x"), key("other")));
-  ASSERT_TRUE(source.erase(key("actor1/a")));
-  ASSERT_TRUE(source.set(key("actor1/a"), key("v1-back")));
-
-  util::Bytes prefix = key("actor1/");
-  util::Bytes blob = source.export_partition(prefix);
-  EXPECT_EQ(source.erase_partition(prefix), 2u);
-  EXPECT_FALSE(source.get(key("actor1/a")).has_value());
-  EXPECT_FALSE(source.get(key("actor1/b")).has_value());
-  // Foreign partitions are untouched.
-  ASSERT_TRUE(source.get(key("actor2/x")).has_value());
-
-  pos::Pos target(options);
-  ASSERT_TRUE(target.import_partition(blob));
-  auto a = target.get(key("actor1/a"));
-  auto b = target.get(key("actor1/b"));
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(*a, key("v1-back"));
-  EXPECT_EQ(*b, key("v2-new"));
-  EXPECT_FALSE(target.get(key("actor2/x")).has_value());
-
-  // Truncated blobs are rejected, not misparsed.
-  util::Bytes broken(blob.begin(), blob.begin() + blob.size() / 2);
-  pos::Pos scratch(options);
-  EXPECT_FALSE(scratch.import_partition(broken));
 }
 
 TEST_F(MigrationTest, PreStartMigrationMovesStateAndEpcAccounting) {
@@ -183,8 +136,6 @@ TEST_F(MigrationTest, PreStartMigrationMovesStateAndEpcAccounting) {
   EXPECT_EQ(actor->value_, 42u);
   EXPECT_EQ(actor->exports_, 1);
   EXPECT_EQ(actor->imports_, 1);
-  EXPECT_EQ(actor->migrated_from_, src.id());
-  EXPECT_EQ(actor->migrated_to_, dst.id());
   EXPECT_EQ(src.committed_bytes(), src_base);
   EXPECT_EQ(dst.committed_bytes(), dst_base + actor->state_bytes());
 

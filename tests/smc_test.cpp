@@ -240,44 +240,3 @@ TEST_F(SmcTest, IntermediateMessagesAreMasked) {
 
 }  // namespace
 }  // namespace ea::smc
-
-// --- voting layer -----------------------------------------------------------------
-
-#include "smc/voting.hpp"
-
-namespace ea::smc {
-namespace {
-
-TEST_F(SmcTest, BallotEncoding) {
-  auto ballot = encode_ballot(2, 4);
-  ASSERT_TRUE(ballot.has_value());
-  EXPECT_EQ(*ballot, (Vec{0, 0, 1, 0}));
-  EXPECT_FALSE(encode_ballot(4, 4).has_value());
-}
-
-TEST_F(SmcTest, WinnerSelection) {
-  EXPECT_EQ(winner(Vec{1, 5, 3}), 1u);
-  EXPECT_EQ(winner(Vec{2, 2, 1}), 0u);  // lowest index wins ties
-  EXPECT_EQ(winner(Vec{0}), 0u);
-}
-
-TEST_F(SmcTest, ElectionTallyMatchesVotes) {
-  std::vector<std::size_t> votes = {0, 2, 2, 1, 2, 0};
-  Vec tally = run_election_sdk(votes, 3);
-  EXPECT_EQ(tally, (Vec{2, 1, 3}));
-  EXPECT_EQ(winner(tally), 2u);
-}
-
-TEST_F(SmcTest, ElectionRejectsInvalidVote) {
-  EXPECT_THROW(run_election_sdk({0, 7}, 3), std::invalid_argument);
-  EXPECT_THROW(run_election_sdk({0}, 3), std::invalid_argument);
-}
-
-TEST_F(SmcTest, ElectionUnanimous) {
-  std::vector<std::size_t> votes(5, 1);
-  Vec tally = run_election_sdk(votes, 2);
-  EXPECT_EQ(tally, (Vec{0, 5}));
-}
-
-}  // namespace
-}  // namespace ea::smc

@@ -115,6 +115,40 @@ TEST(StanzaStreamTest, GarbageMarksFailure) {
   EXPECT_TRUE(stream.failed());
 }
 
+// A client picks the parser's recursion depth. 1,000 levels are 3,000
+// bytes, far below the 64 KiB stanza cap, so only the nesting limit can
+// fail the stream before the rest of the stanza arrives.
+TEST(StanzaStreamTest, DeepNestingFailsTheStream) {
+  StanzaStream stream;
+  stream.feed(make_stream_open("srv"));
+  auto open = stream.next();
+  ASSERT_TRUE(open.has_value());
+  EXPECT_EQ(open->type, StanzaStream::EventType::kStreamOpen);
+  std::string deep;
+  for (int i = 0; i < 1000; ++i) deep += "<a>";
+  stream.feed(deep);
+  EXPECT_FALSE(stream.next().has_value());
+  EXPECT_TRUE(stream.failed());
+}
+
+TEST(Xml, NestingLimitIsInclusive) {
+  auto nested = [](int levels) {
+    std::string open;
+    std::string close;
+    for (int i = 0; i < levels; ++i) {
+      open += "<a>";
+      close += "</a>";
+    }
+    return open + close;
+  };
+  std::size_t pos = 0;
+  const std::string at_limit = nested(kMaxNesting);
+  ASSERT_TRUE(parse_element(at_limit, pos).has_value());
+  EXPECT_EQ(pos, at_limit.size());
+  pos = 0;
+  EXPECT_FALSE(parse_element(nested(kMaxNesting + 1), pos).has_value());
+}
+
 TEST(StanzaStreamTest, XmlDeclarationSkipped) {
   StanzaStream stream;
   stream.feed("<?xml version='1.0'?>" + make_auth("bob"));

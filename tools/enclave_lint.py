@@ -29,6 +29,12 @@ v2 adds the concurrency-correctness passes (DESIGN.md §13):
     hold sealed-bundle plaintext (exported actor state) staged in
     untrusted memory during a migration.
 
+Every top-level directory of the source root must be a module the policy
+lists, and every listed module must hold source files: `module-unlisted`
+fires on a directory in neither list (its files are then linted as
+trusted), `module-missing` on a listed module with no sources left. Both
+also fail `--tcb`, so a module cannot leave the count by leaving a list.
+
 The per-module policy lives in tools/enclave_policy.toml. Files can carry
 inline waivers:
 
@@ -74,7 +80,8 @@ SOURCE_SUFFIXES = {".cpp", ".hpp", ".cc", ".hh", ".cxx", ".h"}
 WAIVER_LINE = re.compile(r"//\s*ea-lint:\s*allow\(([\w\-, ]+)\)")
 WAIVER_NEXT = re.compile(r"//\s*ea-lint:\s*allow-next-line\(([\w\-, ]+)\)")
 WAIVER_FILE = re.compile(r"//\s*ea-lint:\s*allow-file\(([\w\-, ]+)\)")
-EXPECT_RE = re.compile(r"//\s*EXPECT:\s*([\w\-]+)")
+# `// EXPECT:` in fixture sources, `# EXPECT:` in the fixture policy.
+EXPECT_RE = re.compile(r"(?://|#)\s*EXPECT:\s*([\w\-]+)")
 # A quoted #include operand is a header name, not a string literal: the
 # stripping keeps it so pattern rules can match include paths.
 INCLUDE_QUOTED = re.compile(r'\s*#\s*include\s*"[^"]*"')
@@ -211,6 +218,8 @@ class Policy:
     exemptions: list[tuple[str, set[str], str]]
     # trusted module -> maximum code lines (`--tcb`)
     tcb_budget: dict[str, int] = field(default_factory=dict)
+    # the file it was loaded from, for diagnostics about the policy itself
+    path: Path | None = None
 
     @staticmethod
     def load(path: Path) -> "Policy":
@@ -236,6 +245,7 @@ class Policy:
             rules=rules,
             exemptions=exemptions,
             tcb_budget=modules.get("tcb_budget", {}),
+            path=path,
         )
 
     def exempt(self, rel: str, rule: str) -> bool:
@@ -492,8 +502,8 @@ def check_seal_zeroize(path: Path, stripped: list[str]) -> list[Violation]:
     declares `util::Bytes` locals must contain at least one `secure_zero`
     call.
 
-    Those locals hold sealed-bundle *plaintext* — exported actor state and
-    POS partitions staged in untrusted memory during a migration. A return
+    Those locals hold sealed-bundle *plaintext* — exported actor state
+    staged in untrusted memory during a migration. A return
     path that drops them unwiped leaves enclave secrets lying in host
     memory after the bundle is gone (DESIGN.md §17). Wiping through a
     helper lambda counts: facts are attributed to the outermost enclosing
@@ -961,6 +971,55 @@ def _worker_scan(item: tuple[str, str]) -> tuple[str, dict]:
     return rel, scan_to_jsonable(scan)
 
 
+def check_modules(root: Path, policy: Policy) -> list[Violation]:
+    """Rules `module-missing` and `module-unlisted`: the policy's module
+    lists and the source root's top-level directories must name the same
+    modules. A listed module with no source files is reported at the policy
+    line naming it; a directory in neither list at line 1 of its first
+    source file."""
+    sources: dict[str, list[Path]] = {}
+    for path in sorted(root.rglob("*")):
+        if path.suffix in SOURCE_SUFFIXES and path.is_file():
+            module = path.relative_to(root).parts[0]
+            sources.setdefault(module, []).append(path)
+    policy_lines: list[str] = []
+    if policy.path is not None:
+        policy_lines = policy.path.read_text().splitlines()
+    listed = policy.trusted_modules + policy.untrusted_modules
+    violations: list[Violation] = []
+    for module in listed:
+        if module in sources:
+            continue
+        line = next(
+            (i + 1 for i, text in enumerate(policy_lines)
+             if f'"{module}"' in text),
+            1,
+        )
+        violations.append(
+            Violation(
+                policy.path or root,
+                line,
+                "module-missing",
+                f"module `{module}` is listed in [modules] but "
+                f"{root.name}/{module} holds no source files; delete the "
+                "entry, its budget and its exemptions with the module",
+            )
+        )
+    for module, files in sources.items():
+        if module not in listed:
+            violations.append(
+                Violation(
+                    files[0],
+                    1,
+                    "module-unlisted",
+                    f"`{module}` is in neither [modules].trusted nor "
+                    "[modules].untrusted; list it (until then its files "
+                    "are linted as trusted)",
+                )
+            )
+    return violations
+
+
 def run_lint(
     root: Path,
     policy: Policy,
@@ -975,21 +1034,12 @@ def run_lint(
     )
     payload_types = collect_payload_types(files)
 
-    # Per-file scans, module-filtered like v1 for the regex rules — but the
-    # lock pass needs every file, so untrusted modules are scanned too and
-    # their regex rules suppressed via the module filter inside the loop.
-    wanted: list[tuple[Path, str]] = []
-    for path in files:
-        rel = path.relative_to(root).as_posix()
-        module = rel.split("/", 1)[0]
-        if module in policy.untrusted_modules:
-            # Untrusted modules: lock facts + tsa discipline only. Regex
-            # rules don't apply there (blocking on the host is fine).
-            wanted.append((path, rel))
-            continue
-        if policy.trusted_modules and module not in policy.trusted_modules:
-            continue
-        wanted.append((path, rel))
+    # Every file is scanned: the lock pass needs them all. Untrusted
+    # modules' diagnostics are filtered below (blocking on the host is
+    # fine). Trusted and unlisted modules keep every rule: an unlisted one
+    # also fails `module-unlisted`, and its code must not escape the
+    # enclave rules meanwhile.
+    wanted = [(path, path.relative_to(root).as_posix()) for path in files]
 
     untrusted = set(policy.untrusted_modules)
 
@@ -1066,6 +1116,7 @@ def run_lint(
         all_violations.extend(scan.violations)
         total_waivers += scan.waiver_count
 
+    all_violations.extend(check_modules(root, policy))
     for v in detect_lock_cycles(scans, policy):
         # Cycle diagnostics carry tree-relative paths; rebase onto root so
         # render() produces the same shape as other rules.
@@ -1082,13 +1133,18 @@ def self_test(tools_dir: Path) -> int:
     root = fixtures / "src"
     # Hermetic: no cache, in-process scan.
     violations, _ = run_lint(root, policy)
-    got = {(v.path.relative_to(root).as_posix(), v.line, v.rule) for v in violations}
+    # Paths relative to the fixture directory: the policy's own lines can
+    # carry expectations too (`module-missing`).
+    got = {
+        (v.path.relative_to(fixtures).as_posix(), v.line, v.rule)
+        for v in violations
+    }
 
     expected: set[tuple[str, int, str]] = set()
-    for path in sorted(root.rglob("*")):
-        if path.suffix not in SOURCE_SUFFIXES:
+    for path in [fixtures / "policy.toml", *sorted(root.rglob("*"))]:
+        if path.suffix not in SOURCE_SUFFIXES | {".toml"}:
             continue
-        rel = path.relative_to(root).as_posix()
+        rel = path.relative_to(fixtures).as_posix()
         for idx, line in enumerate(path.read_text().splitlines()):
             for m in EXPECT_RE.finditer(line):
                 expected.add((rel, idx + 1, m.group(1)))
@@ -1134,7 +1190,10 @@ def tcb_report(root: Path, policy: Policy) -> int:
                  if p.suffix in SOURCE_SUFFIXES]
         counts[module] = sum(code_lines(p) for p in files)
         budget = policy.tcb_budget.get(module)
-        if budget is None:
+        if not files:
+            verdict = "FAIL: no source files (module-missing)"
+            failed = True
+        elif budget is None:
             verdict = "FAIL: no budget in [modules.tcb_budget]"
             failed = True
         elif counts[module] > budget:
@@ -1143,6 +1202,10 @@ def tcb_report(root: Path, policy: Policy) -> int:
         else:
             verdict = f"ok (budget {budget})"
         print(f"  {module:<12} {counts[module]:>6} code lines  {verdict}")
+    for v in check_modules(root, policy):
+        if v.rule == "module-unlisted":
+            print(f"  FAIL: {v.message}")
+            failed = True
     print(f"  {'total':<12} {sum(counts.values()):>6} code lines")
     framework = sum(counts.get(m, 0) for m in FRAMEWORK_MODULES)
     holds = framework < PAPER_TCB_BOUND
