@@ -10,8 +10,8 @@
 //   pool       — get/put churn with per-thread magazines vs the bare
 //                shared LIFO.
 //
-// Prints the usual CSV rows and additionally writes a machine-readable
-// report to BENCH_batching.json (override with EA_BENCH_JSON).
+// Prints the usual CSV rows and, when EA_BENCH_JSON names a path, writes a
+// machine-readable report there (the committed one is BENCH_batching.json).
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -27,7 +27,6 @@
 #include "sgxsim/enclave.hpp"
 #include "sgxsim/transition.hpp"
 #include "util/bench_report.hpp"
-#include "util/env.hpp"
 
 namespace {
 
@@ -311,12 +310,7 @@ int main() {
     report.add("pool", "magazine", static_cast<double>(w), magazine, "msg/s");
   }
 
-  const std::string path = util::env_str("EA_BENCH_JSON", "BENCH_batching.json");
-  if (!report.write(path)) {
-    bench::note("failed to write %s", path.c_str());
-    return 1;
-  }
-  bench::note("wrote %s (%zu results)", path.c_str(), report.size());
+  if (!bench::write_report(report)) return 1;
   bench::note("burst/per-node at 4 workers: mbox %.2fx", mbox_ratio4);
   return 0;
 }

@@ -15,7 +15,7 @@
 // once and its RTT is a clean stanza-latency sample. RTTs land in a
 // util::LatencyHist per child; children ship raw buckets to the parent
 // over a pipe, which merges them into p50/p99/p999 for the v3 JSON report
-// (BENCH_net.json, override with EA_BENCH_JSON).
+// (written to EA_BENCH_JSON when set; the committed one is BENCH_net.json).
 //
 // The sweep targets 50k–100k clients but is clamped to RLIMIT_NOFILE (the
 // server process holds one fd per connection); the clamp is reported
@@ -453,10 +453,5 @@ int main(int argc, char** argv) {
     report.add("c100k", series, conns, r.throughput, "echo/s", r.pcts);
   }
 
-  const std::string path = util::env_str("EA_BENCH_JSON", "BENCH_net.json");
-  if (!report.write(path)) {
-    bench::note("failed to write %s", path.c_str());
-    return 1;
-  }
-  return 0;
+  return bench::write_report(report) ? 0 : 1;
 }

@@ -14,8 +14,8 @@
 //     every ~50 ms. The throughput ratio is the service-visible dip; the
 //     paired pause row is the tail of those forced moves.
 //
-// Prints CSV rows and writes a v3 JSON report to BENCH_migrate.json
-// (override with EA_BENCH_JSON).
+// Prints CSV rows and, when EA_BENCH_JSON names a path, writes a v3 JSON
+// report there (the committed one is BENCH_migrate.json).
 
 #include <atomic>
 #include <chrono>
@@ -32,7 +32,6 @@
 #include "core/runtime.hpp"
 #include "util/bench_report.hpp"
 #include "util/bytes.hpp"
-#include "util/env.hpp"
 #include "util/latency_hist.hpp"
 #include "xmpp/server.hpp"
 
@@ -234,13 +233,7 @@ int main() {
   report.add("xmpp_echo", "forced_pause", 1,
              static_cast<double>(forced_moves), "moves", xmpp_pcts);
 
-  const std::string path =
-      ea::util::env_str("EA_BENCH_JSON", "BENCH_migrate.json");
-  if (!report.write(path)) {
-    ea::bench::note("failed to write %s", path.c_str());
-    return 1;
-  }
-  ea::bench::note("wrote %s (%zu results)", path.c_str(), report.size());
+  if (!ea::bench::write_report(report)) return 1;
   ea::bench::note("xmpp echo dip under ~20 moves/s of forced migration: "
                   "%.1f%% of baseline (%llu moves)",
                   baseline > 0 ? 100.0 * migrating / baseline : 0.0,

@@ -38,8 +38,8 @@
 // comparable across hosts — including 1-core CI boxes, where the collapse
 // of the global mode under oversubscription is exactly the effect measured.
 //
-// Prints the usual CSV rows and additionally writes a machine-readable
-// report to BENCH_pos.json (override with EA_BENCH_JSON).
+// Prints the usual CSV rows and, when EA_BENCH_JSON names a path, writes a
+// machine-readable report there (the committed one is BENCH_pos.json).
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -50,7 +50,6 @@
 #include "crypto/rng.hpp"
 #include "pos/pos.hpp"
 #include "util/bench_report.hpp"
-#include "util/env.hpp"
 
 namespace {
 
@@ -290,14 +289,7 @@ int main(int argc, char** argv) {
         report.add("cleaner", mode.name, static_cast<double>(w), v, "op/s");
       }
     }
-    const std::string path = util::env_str("EA_BENCH_JSON", "BENCH_pos.json");
-    if (!report.write(path)) {
-      bench::note("failed to write %s", path.c_str());
-      return 1;
-    }
-    bench::note("wrote %s (%zu results, cleaner smoke)", path.c_str(),
-                report.size());
-    return 0;
+    return bench::write_report(report) ? 0 : 1;
   }
 
   // set throughput per [mode][thread-point], for the trailing ratio note.
@@ -340,11 +332,5 @@ int main(int argc, char** argv) {
   bench::note("set @1 thread:  sharded_mag/global = %.2fx (target >= 0.95x)",
               set_tp[2][0] / set_tp[0][0]);
 
-  const std::string path = util::env_str("EA_BENCH_JSON", "BENCH_pos.json");
-  if (!report.write(path)) {
-    bench::note("failed to write %s", path.c_str());
-    return 1;
-  }
-  bench::note("wrote %s (%zu results)", path.c_str(), report.size());
-  return 0;
+  return bench::write_report(report) ? 0 : 1;
 }

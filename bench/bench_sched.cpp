@@ -17,8 +17,8 @@
 //               proof obligation: Channel::payload_copies() must be ZERO
 //               after the move run, or the bench exits nonzero.
 //
-// Prints CSV rows and writes a v2 JSON report to BENCH_sched.json
-// (override with EA_BENCH_JSON).
+// Prints CSV rows and, when EA_BENCH_JSON names a path, writes a JSON
+// report there (the committed one is BENCH_sched.json).
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -34,7 +34,6 @@
 #include "core/worker.hpp"
 #include "sgxsim/transition.hpp"
 #include "util/bench_report.hpp"
-#include "util/env.hpp"
 
 namespace {
 
@@ -245,12 +244,7 @@ int main() {
   report.add("zero_copy", "move_copies", 1,
              static_cast<double>(move_copies), "copies");
 
-  const std::string path = util::env_str("EA_BENCH_JSON", "BENCH_sched.json");
-  if (!report.write(path)) {
-    bench::note("failed to write %s", path.c_str());
-    return 1;
-  }
-  bench::note("wrote %s (%zu results)", path.c_str(), report.size());
+  if (!bench::write_report(report)) return 1;
   bench::note("hot_skew steal/static: %.2fx at 1 worker, %.2fx at 8 workers "
               "(targets: >= 0.95x and >= 3x)",
               static1 > 0 ? steal1 / static1 : 0.0,

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <string>
 
+#include "util/bench_report.hpp"
 #include "util/env.hpp"
 
 namespace ea::bench {
@@ -47,6 +48,23 @@ inline void note(const char* fmt, ...) {
   std::printf("\n");
   va_end(args);
   std::fflush(stdout);
+}
+
+// Writes `report` to the path in EA_BENCH_JSON. With the variable unset it
+// writes nothing and says so, so a run from the repository root cannot
+// overwrite a committed BENCH_*.json. Returns false when the write fails.
+inline bool write_report(const util::BenchReport& report) {
+  const std::string path = util::env_str("EA_BENCH_JSON", "");
+  if (path.empty()) {
+    note("EA_BENCH_JSON unset: JSON report not written");
+    return true;
+  }
+  if (!report.write(path)) {
+    note("failed to write %s", path.c_str());
+    return false;
+  }
+  note("wrote %s (%zu results)", path.c_str(), report.size());
+  return true;
 }
 
 class Timer {

@@ -8,11 +8,11 @@
 #include "core/channel.hpp"
 #include "core/runtime.hpp"
 #include "core/worker.hpp"
+#include "crypto/aead.hpp"
 #include "crypto/rng.hpp"
 #include "crypto/sha256.hpp"
 #include "sgxsim/attested_exchange.hpp"
 #include "sgxsim/monotonic_counter.hpp"
-#include "sgxsim/sealing.hpp"
 #include "sgxsim/transition.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
@@ -61,6 +61,61 @@ std::span<const std::uint8_t> aad_span() {
 
 constexpr char kBundleMagic[8] = {'E', 'A', 'M', 'I', 'G', 'R', '0', '1'};
 
+// The bundle serialised once, in the layout crypto::seal_framed_into seals
+// in place: nonce(12) ‖ magic(8) ‖ ticket(8) ‖ source(4) ‖ target(4) ‖
+// state_len(4) ‖ state ‖ tag(16), little-endian. The source seals it and
+// the target opens it in the same buffer, and the import reads the state
+// straight out of the opened frame. It holds plaintext state before the
+// seal and after the open, so, like Bundle, it wipes itself on every exit.
+class TransferFrame {
+ public:
+  static constexpr std::size_t kHeader = 8 + 8 + 4 + 4 + 4;
+
+  TransferFrame(std::uint64_t ticket, sgxsim::EnclaveId source,
+                sgxsim::EnclaveId target, std::span<const std::uint8_t> state)
+      : ticket_(ticket), source_(source), target_(target) {
+    // Reserve, then append: the state is copied once and never zero-filled.
+    bytes_.reserve(crypto::kAeadOverhead + kHeader + state.size());
+    bytes_.resize(crypto::kAeadNonceSize + kHeader);
+    std::uint8_t* h = bytes_.data() + crypto::kAeadNonceSize;
+    std::memcpy(h, kBundleMagic, 8);
+    util::store_le64(h + 8, ticket);
+    util::store_le32(h + 16, source);
+    util::store_le32(h + 20, target);
+    util::store_le32(h + 24, static_cast<std::uint32_t>(state.size()));
+    bytes_.insert(bytes_.end(), state.begin(), state.end());
+    bytes_.resize(bytes_.size() + crypto::kAeadTagSize);
+  }
+  TransferFrame(const TransferFrame&) = delete;
+  TransferFrame& operator=(const TransferFrame&) = delete;
+  ~TransferFrame() { util::secure_zero(bytes_); }
+
+  std::span<std::uint8_t> bytes() noexcept { return bytes_; }
+
+  // A view of the state in a frame that open_framed_in_place left
+  // `plain_len` plaintext bytes in. Empty unless the header names this
+  // departure (magic, ticket, source, target) and its state length ends
+  // the plaintext exactly.
+  std::optional<std::span<const std::uint8_t>> state(
+      std::size_t plain_len) const {
+    const std::uint8_t* h = bytes_.data() + crypto::kAeadNonceSize;
+    if (plain_len < kHeader || std::memcmp(h, kBundleMagic, 8) != 0 ||
+        util::load_le64(h + 8) != ticket_ ||
+        util::load_le32(h + 16) != source_ ||
+        util::load_le32(h + 20) != target_ ||
+        util::load_le32(h + 24) != plain_len - kHeader) {
+      return std::nullopt;
+    }
+    return std::span<const std::uint8_t>(h + kHeader, plain_len - kHeader);
+  }
+
+ private:
+  std::uint64_t ticket_;
+  sgxsim::EnclaveId source_;
+  sgxsim::EnclaveId target_;
+  util::Bytes bytes_;
+};
+
 }  // namespace
 
 const char* to_string(MigrateResult result) noexcept {
@@ -91,48 +146,17 @@ const char* to_string(MigrateResult result) noexcept {
   return "unknown";
 }
 
-// Wire layout: magic(8) ‖ ticket(8) ‖ source(4) ‖ target(4) ‖
-// state_len(4) ‖ state, little-endian.
-//
 // A bundle holds exported actor state in plaintext, so it is its own scope
-// guard: every copy — exported at the source, opened at the target,
-// unsealed for a rollback — wipes itself on every exit.
+// guard: it wipes itself on every exit. It stays in the coordinator's hands
+// for the whole attempt, and every rollback restores the source from it.
 struct MigrationCoordinator::Bundle {
   std::uint64_t ticket = 0;
-  sgxsim::EnclaveId source = sgxsim::kUntrusted;
-  sgxsim::EnclaveId target = sgxsim::kUntrusted;
   util::Bytes state;
 
   Bundle() = default;
   Bundle(const Bundle&) = delete;
   Bundle& operator=(const Bundle&) = delete;
   ~Bundle() { util::secure_zero(state); }
-
-  util::Bytes serialize() const {
-    util::Bytes out(8 + 8 + 4 + 4 + 4 + state.size());
-    std::uint8_t* p = out.data();
-    std::memcpy(p, kBundleMagic, 8);
-    util::store_le64(p + 8, ticket);
-    util::store_le32(p + 16, source);
-    util::store_le32(p + 20, target);
-    util::store_le32(p + 24, static_cast<std::uint32_t>(state.size()));
-    if (!state.empty()) std::memcpy(p + 28, state.data(), state.size());
-    return out;
-  }
-
-  // Rejects a short bundle and one with bytes after the state.
-  static bool parse(std::span<const std::uint8_t> in, Bundle& out) {
-    if (in.size() < 28 || std::memcmp(in.data(), kBundleMagic, 8) != 0) {
-      return false;
-    }
-    out.ticket = util::load_le64(in.data() + 8);
-    out.source = util::load_le32(in.data() + 16);
-    out.target = util::load_le32(in.data() + 20);
-    const std::uint32_t state_len = util::load_le32(in.data() + 24);
-    if (in.size() - 28 != state_len) return false;
-    out.state.assign(in.begin() + 28, in.end());
-    return true;
-  }
 };
 
 // --- park/unpark barrier ----------------------------------------------------
@@ -238,25 +262,19 @@ std::size_t MigrationCoordinator::place(Actor& actor, sgxsim::Enclave& from,
   return carried;
 }
 
-MigrateResult MigrationCoordinator::roll_back(
-    MigrateResult why, Actor& actor, sgxsim::Enclave& source,
-    sgxsim::Enclave& target, const Bundle& bundle,
-    std::span<const std::uint8_t> rollback_blob) {
+MigrateResult MigrationCoordinator::roll_back(MigrateResult why, Actor& actor,
+                                              sgxsim::Enclave& source,
+                                              sgxsim::Enclave& target,
+                                              const Bundle& bundle) {
   // A seal failure drew no ticket, and export_state() left the actor as it
   // was: nothing left the source, so there is nothing to restore.
   if (why != MigrateResult::kSealFailed) {
-    // The canonical restore path unseals the rollback copy — proving the
-    // sealed bundle alone suffices to bring the source back. The in-hand
-    // plaintext is only a belt-and-braces fallback for a broken sealer.
-    Bundle restored;
-    std::optional<util::Bytes> plain = sgxsim::unseal(source, rollback_blob);
-    const bool from_seal = plain.has_value() && Bundle::parse(*plain, restored);
-    if (plain.has_value()) util::secure_zero(*plain);
-    const Bundle& use = from_seal ? restored : bundle;
+    // Every later exit restores the source from the exported bundle, which
+    // never left the coordinator's hands.
     {
       sgxsim::EnclaveScope scope(source);
       try {
-        actor.import_state(use.state);
+        actor.import_state(bundle.state);
       } catch (const std::exception& e) {
         EA_WARN("core", "migration rollback import threw for %s: %s",
                 actor.name().c_str(), e.what());
@@ -293,13 +311,8 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
   if (!park(actor)) return MigrateResult::kBusy;
   const std::uint64_t pause_start_us = steady_now_us();
 
-  Bundle bundle;
-  Bundle received;
-  util::Bytes rollback_blob;
-
   // --- export inside the source enclave ----------------------------------
-  bundle.source = source.id();
-  bundle.target = target.id();
+  Bundle bundle;
   bool export_ok = true;
   {
     sgxsim::EnclaveScope scope(source);
@@ -315,7 +328,7 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
   }
   if (!export_ok || EA_FAIL_TRIGGERED("migrate.seal.fail")) {
     return roll_back(MigrateResult::kSealFailed, actor, source, target,
-                     bundle, rollback_blob);
+                     bundle);
   }
 
   // --- departure ticket ----------------------------------------------------
@@ -323,12 +336,7 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
   const std::uint32_t slot = ticket_slot(actor.name());
   auto& counters = sgxsim::MonotonicCounterService::instance();
   bundle.ticket = counters.increment_ns(ns, slot);
-
-  util::Bytes plain = bundle.serialize();
-  // Rollback copy, sealed to the source identity: only the source enclave
-  // can restore it, and the embedded ticket keeps even the rollback replay
-  // honest (the restore path consumes the ticket as the winner).
-  rollback_blob = sgxsim::seal(source, plain);
+  TransferFrame frame(bundle.ticket, source.id(), target.id(), bundle.state);
 
   // --- attested transfer ---------------------------------------------------
   const std::uint64_t nonce_src = fresh_nonce();
@@ -343,28 +351,23 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
   std::optional<crypto::AeadKey> key_tgt = ex_tgt.complete(
       ex_src.quote(), nonce_tgt, verifier, &source.measurement());
 
-  std::optional<util::Bytes> received_plain;
+  std::optional<std::span<const std::uint8_t>> received;
   if (key_src.has_value() && key_tgt.has_value()) {
-    util::Bytes wire = crypto::seal_with_counter(*key_src, bundle.ticket,
-                                                 aad_span(), plain);
-    if (!EA_FAIL_TRIGGERED("migrate.transfer.drop")) {
-      received_plain = crypto::open_framed(*key_tgt, aad_span(), wire);
+    crypto::seal_framed_into(*key_src, bundle.ticket, aad_span(),
+                             frame.bytes());
+    std::size_t plain_len = 0;
+    if (!EA_FAIL_TRIGGERED("migrate.transfer.drop") &&
+        crypto::open_framed_in_place(*key_tgt, aad_span(), frame.bytes(),
+                                     plain_len)) {
+      received = frame.state(plain_len);
     }
-    util::secure_zero(wire);
   }
-  util::secure_zero(plain);
   if (key_src.has_value()) util::secure_zero(key_src->data(), key_src->size());
   if (key_tgt.has_value()) util::secure_zero(key_tgt->data(), key_tgt->size());
-  const bool transfer_ok = received_plain.has_value() &&
-                           Bundle::parse(*received_plain, received) &&
-                           received.ticket == bundle.ticket &&
-                           received.source == source.id() &&
-                           received.target == target.id();
-  if (received_plain.has_value()) util::secure_zero(*received_plain);
   // The bundle never (verifiably) reached the target.
-  if (!transfer_ok) {
+  if (!received.has_value()) {
     return roll_back(MigrateResult::kTransferFailed, actor, source, target,
-                     bundle, rollback_blob);
+                     bundle);
   }
 
   // --- worker affinity (grant BEFORE the placement flip so there is never
@@ -380,20 +383,20 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
   }
   if (!granted) {
     return roll_back(MigrateResult::kAffinityFailed, actor, source, target,
-                     bundle, rollback_blob);
+                     bundle);
   }
 
   // --- resume-once ticket consume ------------------------------------------
   if (EA_FAIL_TRIGGERED("migrate.resume.spent")) {
     // Injected race: a copy of this bundle resumed first and spent the
     // ticket, so the consume below must lose.
-    counters.consume(ns, slot, received.ticket);
+    counters.consume(ns, slot, bundle.ticket);
   }
-  const bool consumed = counters.consume(ns, slot, received.ticket);
+  const bool consumed = counters.consume(ns, slot, bundle.ticket);
   if (consumed && EA_FAIL_TRIGGERED("migrate.resume.dup")) {
     // Injected duplicate resume of the SAME bundle: the compare-and-
     // increment must refuse it — if it did not, the fork guard is broken.
-    if (counters.consume(ns, slot, received.ticket)) {
+    if (counters.consume(ns, slot, bundle.ticket)) {
       EA_WARN("core",
               "migration fork guard BROKEN: duplicate ticket consume "
               "succeeded for %s",
@@ -407,7 +410,7 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
     // fork. Refuse it; the source copy is the only survivor.
     forks_prevented_.fetch_add(1, std::memory_order_relaxed);
     return roll_back(MigrateResult::kResumeRefused, actor, source, target,
-                     bundle, rollback_blob);
+                     bundle);
   }
 
   // --- placement flip: EPC accounting, placement, channel routes ----------
@@ -419,7 +422,7 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
   {
     sgxsim::EnclaveScope scope(target);
     try {
-      import_ok = actor.import_state(received.state);
+      import_ok = actor.import_state(*received);
     } catch (const std::exception& e) {
       EA_WARN("core", "migration import threw for %s: %s",
               actor.name().c_str(), e.what());
@@ -431,7 +434,7 @@ MigrateResult MigrationCoordinator::migrate_locked(Actor& actor,
   if (!import_ok) {
     place(actor, target, source);  // undo the flip
     return roll_back(MigrateResult::kImportFailed, actor, source, target,
-                     bundle, rollback_blob);
+                     bundle);
   }
 
   unpark(actor);

@@ -17,10 +17,11 @@
 //                the pause window.
 //  * export    — the actor serialises its private state inside the
 //                SOURCE enclave.
-//  * seal      — the bundle is sealed to the source enclave's identity
-//                (MRENCLAVE) as the rollback copy, then transferred under a
-//                fresh AEAD key from an attested X25519 exchange in which
-//                each side pins the other's expected measurement.
+//  * seal      — the bundle is serialised once into a transfer frame and
+//                sealed in place under a fresh AEAD key from an attested
+//                X25519 exchange in which each side pins the other's
+//                expected measurement; the target opens it in place and
+//                imports straight from the opened frame.
 //  * ticket    — a monotonic-counter ticket (namespace "ea-migration-
 //                ticket", slot = hash(actor)) is incremented at departure
 //                and embedded in the bundle; resuming CONSUMES it with a
@@ -34,12 +35,12 @@
 //                messages re-sealed under a fresh channel key, FIFO
 //                preserved), and the actor imports its state inside the
 //                TARGET enclave.
-//  * rollback  — any failure restores the source copy (from the sealed
-//                bundle once one exists) and, unless the failure was
-//                source-local or a full affinity table, quarantines the
-//                (source, target) ROUTE, never the actor: the actor
-//                resumes at the source and later migrations simply avoid
-//                the bad route.
+//  * rollback  — any failure past the export restores the source from
+//                the exported bundle the coordinator still holds and,
+//                unless the failure was source-local or a full affinity
+//                table, quarantines the (source, target) ROUTE, never the
+//                actor: the actor resumes at the source and later
+//                migrations simply avoid the bad route.
 //
 // The caller picks the actor and the target; no policy in this module
 // moves actors on its own.
@@ -84,7 +85,8 @@ const char* to_string(MigrateResult result) noexcept;
 struct MigrationStats {
   std::uint64_t attempted = 0;
   std::uint64_t completed = 0;
-  std::uint64_t rolled_back = 0;       // source restored from sealed bundle
+  std::uint64_t rolled_back = 0;       // failed attempts, actor resumed at
+                                       // the source (DESIGN.md §17 table)
   std::uint64_t forks_prevented = 0;   // duplicate resumes refused by ticket
   std::uint64_t in_flight_carried = 0; // channel messages re-sealed across
                                        // rebinds (zero lost by construction)
@@ -135,14 +137,12 @@ class MigrationCoordinator {
   std::size_t place(Actor& actor, sgxsim::Enclave& from, sgxsim::Enclave& to)
       EA_REQUIRES(mu_);
   // The one failure exit after park() (DESIGN.md §17 rollback table):
-  // past the seal, restores the actor at the source from the sealed
-  // rollback blob and spends the ticket; quarantines the route unless `why`
-  // is kSealFailed or kAffinityFailed, and unparks the actor. Returns `why`.
+  // past the export, restores the actor at the source from the exported
+  // bundle and spends the ticket; quarantines the route unless `why` is
+  // kSealFailed or kAffinityFailed, and unparks the actor. Returns `why`.
   MigrateResult roll_back(MigrateResult why, Actor& actor,
                           sgxsim::Enclave& source, sgxsim::Enclave& target,
-                          const Bundle& bundle,
-                          std::span<const std::uint8_t> rollback_blob)
-      EA_REQUIRES(mu_);
+                          const Bundle& bundle) EA_REQUIRES(mu_);
   void quarantine_route(sgxsim::EnclaveId source, sgxsim::EnclaveId target)
       EA_REQUIRES(mu_);
 

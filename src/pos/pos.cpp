@@ -137,17 +137,13 @@ Pos::Pos(PosOptions options) : options_(std::move(options)) {
   if (shards > kMaxFreeShards) shards = kMaxFreeShards;
   options_.free_shards = shards;
 
-  const std::size_t entry_stride =
-      round_up(sizeof(Entry) + options_.entry_payload, 64);
-  const std::size_t sb_bytes = round_up(sizeof(Superblock), 64);
-  const std::size_t bucket_bytes = round_up(
-      options_.bucket_count * sizeof(std::atomic<std::uint64_t>), 64);
-  const std::size_t free_bytes =
-      round_up(shards * sizeof(std::atomic<std::uint64_t>), 64);
+  constexpr std::size_t kHead = sizeof(std::atomic<std::uint64_t>);
+  entry_stride_ = round_up(sizeof(Entry) + options_.entry_payload, 64);
+  buckets_off_ = round_up(sizeof(Superblock), 64);
+  free_off_ = buckets_off_ + round_up(options_.bucket_count * kHead, 64);
+  entries_off_ = free_off_ + round_up(shards * kHead, 64);
   map_bytes_ = round_up(
-      sb_bytes + bucket_bytes + free_bytes +
-          static_cast<std::size_t>(options_.entry_count) * entry_stride,
-      4096);
+      entries_off_ + std::size_t{options_.entry_count} * entry_stride_, 4096);
 
   if (options_.path.empty()) {
     map_ = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
@@ -191,8 +187,6 @@ Pos::Pos(PosOptions options) : options_(std::move(options)) {
   }
 
   sb_ = reinterpret_cast<Superblock*>(map_);
-  // Cache derived pointers; for existing files these come from the
-  // superblock after validation.
   if (fresh) {
     sb_->magic = kPosMagic;
     sb_->version = kPosVersion;
@@ -201,17 +195,15 @@ Pos::Pos(PosOptions options) : options_(std::move(options)) {
     sb_->entry_payload = options_.entry_payload;
     sb_->free_shard_count = shards;
     sb_->reserved = 0;
-    sb_->entry_stride = entry_stride;
-    sb_->buckets_off = sb_bytes;
-    sb_->free_off = sb_bytes + bucket_bytes;
-    sb_->entries_off = sb_bytes + bucket_bytes + free_bytes;
+    sb_->entry_stride = entry_stride_;
+    sb_->buckets_off = buckets_off_;
+    sb_->free_off = free_off_;
+    sb_->entries_off = entries_off_;
     sb_->epoch.store(1, std::memory_order_relaxed);
     sb_->reclaim_epoch.store(1, std::memory_order_relaxed);
-    entries_base_ = static_cast<std::byte*>(map_) + sb_->entries_off;
     init_fresh();
   } else {
     validate_existing();
-    entries_base_ = static_cast<std::byte*>(map_) + sb_->entries_off;
     // Epoch 0 means "quiescent slot", so a (theoretically) torn image that
     // lost the initial store is healed rather than trusted.
     if (sb_->reclaim_epoch.load(std::memory_order_relaxed) == 0) {
@@ -221,18 +213,17 @@ Pos::Pos(PosOptions options) : options_(std::move(options)) {
   epochs_.attach(&sb_->reclaim_epoch);
 
   bucket_locks_ =
-      std::make_unique<concurrent::HleSpinLock[]>(sb_->bucket_count);
-  free_locks_ =
-      std::make_unique<concurrent::HleSpinLock[]>(sb_->free_shard_count);
+      std::make_unique<concurrent::HleSpinLock[]>(options_.bucket_count);
+  free_locks_ = std::make_unique<concurrent::HleSpinLock[]>(shards);
   // Array construction cannot pass constructor arguments, so the locks are
   // ranked post-construction — before the store is visible to any other
   // thread. All buckets share kPosBucket and all shards share kPosFree:
   // the runtime never nests two locks of the same family (each walk locks
   // one bucket/shard at a time), so same-rank nesting stays forbidden.
-  for (std::uint32_t b = 0; b < sb_->bucket_count; ++b) {
+  for (std::uint32_t b = 0; b < options_.bucket_count; ++b) {
     bucket_locks_[b].set_rank(concurrent::LockRank::kPosBucket);
   }
-  for (std::uint32_t s = 0; s < sb_->free_shard_count; ++s) {
+  for (std::uint32_t s = 0; s < shards; ++s) {
     free_locks_[s].set_rank(concurrent::LockRank::kPosFree);
   }
 
@@ -270,17 +261,17 @@ void Pos::init_fresh() {
   // Thread all entries onto the shard free lists (stacks, like the pool
   // abstraction they share their implementation with). Each shard owns a
   // contiguous block of slots for locality.
-  for (std::uint32_t b = 0; b < sb_->bucket_count; ++b) {
+  for (std::uint32_t b = 0; b < options_.bucket_count; ++b) {
     bucket_head(b).store(0, std::memory_order_relaxed);
   }
-  const std::uint32_t shards = sb_->free_shard_count;
-  const std::uint64_t count = sb_->entry_count;
+  const std::uint32_t shards = options_.free_shards;
+  const std::uint64_t count = options_.entry_count;
   for (std::uint32_t s = 0; s < shards; ++s) {
     const std::uint64_t lo = count * s / shards;
     const std::uint64_t hi = count * (s + 1) / shards;
     std::uint64_t prev = 0;
     for (std::uint64_t i = lo; i < hi; ++i) {
-      std::uint64_t off = sb_->entries_off + i * sb_->entry_stride;
+      std::uint64_t off = entries_off_ + i * entry_stride_;
       Entry* e = entry_at(off);
       e->state.store(kStateFree, std::memory_order_relaxed);
       e->next.store(prev, std::memory_order_relaxed);
@@ -291,18 +282,29 @@ void Pos::init_fresh() {
 }
 
 void Pos::validate_existing() {
-  if (sb_->magic != kPosMagic) throw std::runtime_error("POS: bad magic");
-  if (sb_->version != kPosVersion) throw std::runtime_error("POS: bad version");
-  if (sb_->bucket_count == 0 || sb_->entry_count == 0) {
+  const Superblock& sb = *sb_;
+  if (sb.magic != kPosMagic) throw std::runtime_error("POS: bad magic");
+  if (sb.version != kPosVersion) throw std::runtime_error("POS: bad version");
+  if (sb.bucket_count == 0 || sb.entry_count == 0) {
     throw std::runtime_error("POS: corrupt superblock");
   }
-  if (sb_->free_shard_count == 0 || sb_->free_shard_count > kMaxFreeShards) {
+  if (sb.free_shard_count == 0 || sb.free_shard_count > kMaxFreeShards) {
     throw std::runtime_error("POS: corrupt superblock (free shards)");
   }
-  options_.bucket_count = sb_->bucket_count;
-  options_.entry_count = sb_->entry_count;
-  options_.entry_payload = sb_->entry_payload;
-  options_.free_shards = sb_->free_shard_count;
+  // The mapping was sized from the superblock read before it was mapped;
+  // the mapped one must describe that same layout.
+  if (!opened_layout(sb)) {
+    throw std::runtime_error("POS: corrupt superblock (layout)");
+  }
+}
+
+bool Pos::opened_layout(const Superblock& sb) const noexcept {
+  return sb.bucket_count == options_.bucket_count &&
+         sb.entry_count == options_.entry_count &&
+         sb.entry_payload == options_.entry_payload &&
+         sb.free_shard_count == options_.free_shards &&
+         sb.entry_stride == entry_stride_ && sb.buckets_off == buckets_off_ &&
+         sb.free_off == free_off_ && sb.entries_off == entries_off_;
 }
 
 Pos::Entry* Pos::entry_at(std::uint64_t offset) noexcept {
@@ -319,25 +321,26 @@ std::uint64_t Pos::offset_of(const Entry* e) const noexcept {
                                     static_cast<const std::byte*>(map_));
 }
 
-std::atomic<std::uint64_t>& Pos::bucket_head(std::uint32_t bucket) noexcept {
+std::atomic<std::uint64_t>& Pos::bucket_head(std::uint32_t bucket)
+    const noexcept {
   auto* base = reinterpret_cast<std::atomic<std::uint64_t>*>(
-      static_cast<std::byte*>(map_) + sb_->buckets_off);
+      static_cast<std::byte*>(map_) + buckets_off_);
   return base[bucket];
 }
 
 std::atomic<std::uint64_t>& Pos::free_head(std::uint32_t shard)
     const noexcept {
   auto* base = reinterpret_cast<std::atomic<std::uint64_t>*>(
-      static_cast<std::byte*>(map_) + sb_->free_off);
+      static_cast<std::byte*>(map_) + free_off_);
   return base[shard];
 }
 
 std::uint32_t Pos::bucket_of(std::span<const std::uint8_t> key) const noexcept {
-  return static_cast<std::uint32_t>(fnv1a(key) % sb_->bucket_count);
+  return static_cast<std::uint32_t>(fnv1a(key) % options_.bucket_count);
 }
 
 std::uint32_t Pos::home_shard() const noexcept {
-  return thread_token() % sb_->free_shard_count;
+  return thread_token() % options_.free_shards;
 }
 
 // --- sharded free lists -----------------------------------------------------
@@ -372,7 +375,7 @@ void Pos::shard_push_chain(std::uint32_t s, std::uint64_t head,
 
 std::uint32_t Pos::pop_or_steal(std::uint64_t* out,
                                 std::uint32_t max) EA_LOCK_NOEXCEPT {
-  const std::uint32_t shards = sb_->free_shard_count;
+  const std::uint32_t shards = options_.free_shards;
   const std::uint32_t home = home_shard();
   std::uint32_t got = shard_pop(home, out, max);
   if (got != 0) return got;
@@ -390,7 +393,7 @@ std::uint32_t Pos::pop_or_steal(std::uint64_t* out,
 
 std::uint32_t Pos::pop_striped(std::uint64_t* out,
                                std::uint32_t max) EA_LOCK_NOEXCEPT {
-  const std::uint32_t shards = sb_->free_shard_count;
+  const std::uint32_t shards = options_.free_shards;
   const std::uint32_t home = home_shard();
   // Hint pass, no locks held: guess every shard's top and start its cache
   // line loading. Popping a whole batch off one list chases dependent next
@@ -520,7 +523,7 @@ void Pos::set_walk_hook(WalkHook hook, void* ctx) noexcept {
 
 bool Pos::set(std::span<const std::uint8_t> key,
               std::span<const std::uint8_t> value) {
-  if (key.empty() || key.size() + value.size() > sb_->entry_payload) {
+  if (key.empty() || key.size() + value.size() > options_.entry_payload) {
     return false;
   }
   if (set_once(key, value)) return true;
@@ -662,7 +665,7 @@ bool Pos::erase(std::span<const std::uint8_t> key) {
 
 std::size_t Pos::gather_retired() {
   std::vector<std::uint64_t> batch;
-  for (std::uint32_t b = 0; b < sb_->bucket_count; ++b) {
+  for (std::uint32_t b = 0; b < options_.bucket_count; ++b) {
     concurrent::HleGuard guard(bucket_locks_[b]);
     std::uint64_t prev = 0;
     std::uint64_t cur = bucket_head(b).load(std::memory_order_acquire);
@@ -762,7 +765,7 @@ std::size_t Pos::flush_retired() {
       // dereferences this entry reads 0xDD garbage (and zero lengths), not
       // stale data, and the bucket-walk hazard counter fires on the Free
       // state.
-      std::memset(e->data(), kPoisonByte, sb_->entry_payload);
+      std::memset(e->data(), kPoisonByte, options_.entry_payload);
       e->klen = 0;
       e->vlen = 0;
       e->state.store(kStateFree, std::memory_order_release);
@@ -775,7 +778,7 @@ std::size_t Pos::flush_retired() {
       // the target shard spreads the recycled capacity.
       const std::uint32_t shard =
           clean_rr_.fetch_add(1, std::memory_order_relaxed) %
-          sb_->free_shard_count;
+          options_.free_shards;
       shard_push_chain(shard, chain_head, chain_tail);
     }
     freed += batch.entries.size();
@@ -815,43 +818,23 @@ bool Pos::persist() {
 }
 
 std::optional<std::string> Pos::integrity_error() const {
-  const Superblock* sb = sb_;
-  if (sb->magic != kPosMagic) return "bad magic";
-  if (sb->version != kPosVersion) return "bad version";
-  if (sb->bucket_count == 0 || sb->entry_count == 0) return "zero geometry";
-  if (sb->free_shard_count == 0 || sb->free_shard_count > kMaxFreeShards) {
-    return "free shard count out of range";
-  }
-  if (sb->entry_stride < sizeof(Entry) + sb->entry_payload) {
-    return "stride smaller than entry";
-  }
-  const std::uint64_t stride = sb->entry_stride;
+  if (sb_->magic != kPosMagic) return "bad magic";
+  if (sb_->version != kPosVersion) return "bad version";
+  // Every walk below uses the opened layout, which fits the mapping by
+  // construction; a superblock that no longer describes it is the error.
+  if (!opened_layout(*sb_)) return "superblock geometry changed since open";
   const std::uint64_t entries_end =
-      sb->entries_off + static_cast<std::uint64_t>(sb->entry_count) * stride;
-  if (sb->entries_off >= map_bytes_ || entries_end > map_bytes_) {
-    return "entry region out of bounds";
-  }
-  if (sb->buckets_off + sb->bucket_count * sizeof(std::uint64_t) >
-      map_bytes_) {
-    return "bucket region out of bounds";
-  }
-  if (sb->free_off + sb->free_shard_count * sizeof(std::uint64_t) >
-      map_bytes_) {
-    return "free shard region out of bounds";
-  }
-
+      entries_off_ + std::uint64_t{options_.entry_count} * entry_stride_;
   auto slot_of = [&](std::uint64_t off) -> std::int64_t {
-    if (off < sb->entries_off || off >= entries_end) return -1;
-    if ((off - sb->entries_off) % stride != 0) return -1;
-    return static_cast<std::int64_t>((off - sb->entries_off) / stride);
+    if (off < entries_off_ || off >= entries_end) return -1;
+    if ((off - entries_off_) % entry_stride_ != 0) return -1;
+    return static_cast<std::int64_t>((off - entries_off_) / entry_stride_);
   };
   // 0 = unseen, 1 = on a bucket chain, 2 = on a free-shard list.
-  std::vector<std::uint8_t> seen(sb->entry_count, 0);
+  std::vector<std::uint8_t> seen(options_.entry_count, 0);
 
-  const auto* bucket_base = reinterpret_cast<const std::atomic<std::uint64_t>*>(
-      static_cast<const std::byte*>(map_) + sb->buckets_off);
-  for (std::uint32_t b = 0; b < sb->bucket_count; ++b) {
-    std::uint64_t cur = bucket_base[b].load(std::memory_order_acquire);
+  for (std::uint32_t b = 0; b < options_.bucket_count; ++b) {
+    std::uint64_t cur = bucket_head(b).load(std::memory_order_acquire);
     while (cur != 0) {
       const std::int64_t slot = slot_of(cur);
       if (slot < 0) return "bucket chain offset out of range or misaligned";
@@ -866,14 +849,15 @@ std::optional<std::string> Pos::integrity_error() const {
         return "free or invalid-state entry reachable from a bucket";
       }
       if (e->klen == 0 ||
-          static_cast<std::uint64_t>(e->klen) + e->vlen > sb->entry_payload) {
+          static_cast<std::uint64_t>(e->klen) + e->vlen >
+            options_.entry_payload) {
         return "entry length fields exceed payload";
       }
       cur = e->next.load(std::memory_order_acquire);
     }
   }
 
-  for (std::uint32_t s = 0; s < sb->free_shard_count; ++s) {
+  for (std::uint32_t s = 0; s < options_.free_shards; ++s) {
     std::uint64_t cur = free_head(s).load(std::memory_order_acquire);
     while (cur != 0) {
       const std::int64_t slot = slot_of(cur);
@@ -905,9 +889,8 @@ PosStats Pos::stats() const {
     stats.sets += sets_[i].v.load(std::memory_order_relaxed);
     stats.gets += gets_[i].v.load(std::memory_order_relaxed);
   }
-  for (std::uint32_t i = 0; i < sb_->entry_count; ++i) {
-    const Entry* e =
-        entry_at(sb_->entries_off + i * sb_->entry_stride);
+  for (std::uint32_t i = 0; i < options_.entry_count; ++i) {
+    const Entry* e = entry_at(entries_off_ + i * entry_stride_);
     switch (e->state.load(std::memory_order_relaxed)) {
       case kStateLive:
         ++stats.live;
@@ -930,8 +913,8 @@ PosStats Pos::stats() const {
   // under its lock (capped defensively — a concurrent writer cannot extend
   // the walk past the entry count without a cycle, which integrity_error()
   // owns detecting).
-  std::uint64_t walk_budget = sb_->entry_count;
-  for (std::uint32_t s = 0; s < sb_->free_shard_count; ++s) {
+  std::uint64_t walk_budget = options_.entry_count;
+  for (std::uint32_t s = 0; s < options_.free_shards; ++s) {
     concurrent::HleGuard guard(free_locks_[s]);
     std::uint64_t cur = free_head(s).load(std::memory_order_relaxed);
     while (cur != 0 && walk_budget != 0) {
@@ -946,10 +929,14 @@ PosStats Pos::stats() const {
   return stats;
 }
 
-std::uint32_t Pos::bucket_count() const noexcept { return sb_->bucket_count; }
-std::uint32_t Pos::entry_payload() const noexcept { return sb_->entry_payload; }
+std::uint32_t Pos::bucket_count() const noexcept {
+  return options_.bucket_count;
+}
+std::uint32_t Pos::entry_payload() const noexcept {
+  return options_.entry_payload;
+}
 std::uint32_t Pos::free_shard_count() const noexcept {
-  return sb_->free_shard_count;
+  return options_.free_shards;
 }
 
 }  // namespace ea::pos

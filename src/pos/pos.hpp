@@ -206,8 +206,9 @@ class Pos {
   bool persist();
 
   // Structural validation of the mapped image, for crash-recovery checks:
-  // walks the superblock geometry, every bucket chain, and every free-shard
-  // list, rejecting out-of-range/misaligned offsets, cycles, entries linked
+  // checks that the superblock still describes the opened layout, then
+  // walks every bucket chain and every free-shard list with that layout,
+  // rejecting out-of-range/misaligned offsets, cycles, entries linked
   // twice, free-state entries reachable from a bucket, and length fields
   // exceeding the payload. Entries reachable from *nothing* are fine — a
   // crash between alloc and link (or with entries in a magazine or a
@@ -260,7 +261,7 @@ class Pos {
   Entry* entry_at(std::uint64_t offset) noexcept;
   const Entry* entry_at(std::uint64_t offset) const noexcept;
   std::uint64_t offset_of(const Entry* e) const noexcept;
-  std::atomic<std::uint64_t>& bucket_head(std::uint32_t bucket) noexcept;
+  std::atomic<std::uint64_t>& bucket_head(std::uint32_t bucket) const noexcept;
   std::atomic<std::uint64_t>& free_head(std::uint32_t shard) const noexcept;
   std::uint32_t bucket_of(std::span<const std::uint8_t> key) const noexcept;
 
@@ -294,6 +295,8 @@ class Pos {
   void note_hazard() noexcept;
   void init_fresh();
   void validate_existing();
+  // True when `sb` describes the layout the store opened with.
+  bool opened_layout(const Superblock& sb) const noexcept;
 
   PosOptions options_;
   int fd_ = -1;
@@ -301,7 +304,15 @@ class Pos {
   std::size_t map_bytes_ = 0;
 
   Superblock* sb_ = nullptr;
-  std::byte* entries_base_ = nullptr;
+  // The layout fixed at open: options_ holds the counts and the payload,
+  // these the entry stride and the region offsets derived from them. The
+  // mapped superblock is host memory that can change under the store, so
+  // no operation re-reads its geometry; only integrity_error() walks the
+  // image, and it checks bounds first.
+  std::uint64_t entry_stride_ = 0;
+  std::uint64_t buckets_off_ = 0;
+  std::uint64_t free_off_ = 0;
+  std::uint64_t entries_off_ = 0;
 
   // In-RAM (per-process) concurrency control; the on-file structures hold
   // only offsets and data. The lock arrays are ranked kPosBucket/kPosFree

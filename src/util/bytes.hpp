@@ -49,23 +49,20 @@ std::string to_string(std::span<const std::uint8_t> data);
 // Constant-time comparison; returns true when equal. Used for MAC checks.
 bool ct_equal(std::span<const std::uint8_t> a, std::span<const std::uint8_t> b);
 
-// Zeroes a buffer through a volatile pointer so the store cannot be elided
-// by dead-store elimination. Sealing/unsealing staging buffers hold secrets
-// (plaintext actor state, migration bundles) and must be wiped before the
+// Zeroes a buffer in one memset the compiler may not drop as a dead store:
+// the empty asm takes the buffer's address and clobbers memory, so the
+// compiler must assume something reads the zeroes (BoringSSL's
+// OPENSSL_cleanse idiom). Sealing staging buffers hold secrets (plaintext
+// actor state, the migration transfer frame) and must be wiped before the
 // backing allocation is released; the enclave lint's seal-plaintext-zeroize
 // rule enforces that every sealing call site does so.
 inline void secure_zero(void* p, std::size_t n) {
-  volatile std::uint8_t* vp = static_cast<volatile std::uint8_t*>(p);
-  for (std::size_t i = 0; i < n; ++i) {
-    vp[i] = 0;
-  }
+  if (n == 0) return;
+  std::memset(p, 0, n);
+  asm volatile("" : : "r"(p) : "memory");
 }
 
-inline void secure_zero(Bytes& b) {
-  if (!b.empty()) {
-    secure_zero(b.data(), b.size());
-  }
-}
+inline void secure_zero(Bytes& b) { secure_zero(b.data(), b.size()); }
 
 // Deterministic pseudo-random printable string of length `n` (benchmark
 // payloads: the paper fills ping-pong messages with pseudo-random strings).

@@ -7,9 +7,9 @@
 //   migrate.seal.fail     export/seal dies source-locally → the actor
 //                         resumes in place, nothing leaves the enclave;
 //   migrate.transfer.drop the bundle never reaches the target → the source
-//                         copy is restored FROM THE SEALED BUNDLE and the
-//                         (source, target) route — never the actor — is
-//                         quarantined;
+//                         is restored from the exported bundle, byte for
+//                         byte, and the (source, target) route — never the
+//                         actor — is quarantined;
 //   migrate.resume.spent  a copy of the bundle resumed first → this resume
 //                         is refused as a fork, the source restored and
 //                         the route quarantined;
@@ -97,13 +97,13 @@ struct Deployment {
 };
 
 // What every post-ticket rollback leaves behind: the actor Runnable at the
-// source, its state restored from the sealed bundle, and the EPC accounting
-// as it was before the attempt.
+// source, its state restored from the exported bundle, and the EPC
+// accounting as it was before the attempt.
 void expect_restored_at_source(const Deployment& d) {
   EXPECT_EQ(d.victim->lifecycle(), ActorState::kRunnable);
   EXPECT_EQ(d.victim->placement(), d.src->id());
   EXPECT_EQ(d.victim->value_, 7u);
-  EXPECT_EQ(d.victim->imports_, 1);  // restored via the sealed bundle
+  EXPECT_EQ(d.victim->imports_, 1);  // restored from the exported bundle
   EXPECT_EQ(d.src->committed_bytes(), d.src_base + d.victim->state_bytes());
   EXPECT_EQ(d.dst->committed_bytes(), d.dst_base);
 }
@@ -152,6 +152,51 @@ TEST_F(MigrationFaultTest, TransferDropRestoresSourceAndQuarantinesRoute) {
   EXPECT_EQ(coordinator.migrate(*d.victim, alt), MigrateResult::kOk);
   EXPECT_EQ(d.victim->placement(), alt.id());
   EXPECT_EQ(d.victim->value_, 7u);
+}
+
+// The restore hands back the whole exported state, not just a counter: a
+// 200,003-byte state (past glibc's mmap threshold) whose transfer is
+// dropped comes back at the source byte for byte.
+class BlobVictim : public Actor {
+ public:
+  BlobVictim(std::string name, util::Bytes state)
+      : Actor(std::move(name)), state_(std::move(state)) {}
+
+  bool body() override { return false; }
+  bool migratable() const override { return true; }
+
+  util::Bytes export_state() override { return state_; }
+  bool import_state(std::span<const std::uint8_t> state) override {
+    state_.assign(state.begin(), state.end());
+    ++imports_;
+    return true;
+  }
+
+  util::Bytes state_;
+  int imports_ = 0;
+};
+
+TEST_F(MigrationFaultTest, TransferDropRestoresLargeStateByteForByte) {
+  Runtime rt;
+  sgxsim::Enclave& src = rt.enclave("bigdrop.src");
+  sgxsim::Enclave& dst = rt.enclave("bigdrop.dst");
+  util::Bytes state(200'003);
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    state[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+  }
+  auto owned = std::make_unique<BlobVictim>("bigdrop.victim", state);
+  BlobVictim* victim = owned.get();
+  rt.add_actor(std::move(owned), "bigdrop.src");
+  MigrationCoordinator coordinator(rt);
+  ASSERT_TRUE(fp::set("migrate.transfer.drop", "once"));
+
+  EXPECT_EQ(coordinator.migrate(*victim, dst), MigrateResult::kTransferFailed);
+  EXPECT_EQ(fp::hits("migrate.transfer.drop"), 1u);
+  EXPECT_EQ(victim->lifecycle(), ActorState::kRunnable);
+  EXPECT_EQ(victim->placement(), src.id());
+  EXPECT_EQ(victim->imports_, 1);
+  EXPECT_EQ(victim->state_, state);
+  EXPECT_TRUE(coordinator.route_quarantined(src.id(), dst.id()));
 }
 
 TEST_F(MigrationFaultTest, DuplicateResumeTripsTheCounterGuard) {

@@ -10,7 +10,7 @@
 //   * the clean run bounces the actor across enclaves while traffic flows
 //     and loses no acknowledged message;
 //   * the faulted run injects migrate.transfer.drop into the first attempt:
-//     rollback restores the source copy from the sealed bundle, quarantines
+//     rollback restores the source from the exported bundle, quarantines
 //     only the (source, target) route, and the service keeps echoing — a
 //     later migration over a clean route still succeeds.
 

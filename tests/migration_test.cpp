@@ -5,6 +5,8 @@
 //
 //  * the monotonic-counter ticket has exactly one consume winner;
 //  * a pre-start migration moves placement AND the EPC accounting;
+//  * an odd-sized state past the mmap threshold and an empty state both
+//    round-trip byte for byte;
 //  * every refusal code (not-migratable, untrusted, same placement, unknown
 //    names) fires before any state moves;
 //  * a live migration under the stealing scheduler mid-traffic loses and
@@ -27,6 +29,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "concurrent/arena.hpp"
@@ -144,6 +147,59 @@ TEST_F(MigrationTest, PreStartMigrationMovesStateAndEpcAccounting) {
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.rolled_back, 0u);
   EXPECT_EQ(coordinator.pause_hist().count(), 1u);
+}
+
+// A migratable actor whose private state is an arbitrary byte string,
+// exported and imported verbatim.
+class BlobActor : public Actor {
+ public:
+  BlobActor(std::string name, util::Bytes state)
+      : Actor(std::move(name)), state_(std::move(state)) {}
+
+  bool body() override { return false; }
+  bool migratable() const override { return true; }
+
+  util::Bytes export_state() override { return state_; }
+  bool import_state(std::span<const std::uint8_t> state) override {
+    state_.assign(state.begin(), state.end());
+    ++imports_;
+    return true;
+  }
+
+  util::Bytes state_;
+  int imports_ = 0;
+};
+
+// The transfer frame carries any state length: an odd size past glibc's
+// 128 KiB mmap threshold, and nothing at all. Both come back byte for byte
+// after a move there and back.
+TEST_F(MigrationTest, OddSizedAndEmptyStatesRoundTripByteForByte) {
+  const std::pair<const char*, std::size_t> cases[] = {{"blob.big", 200'003},
+                                                        {"blob.empty", 0}};
+  for (const auto& [tag, size] : cases) {
+    SCOPED_TRACE(tag);
+    const std::string name(tag);
+    Runtime rt;
+    sgxsim::Enclave& a = rt.enclave(name + ".a");
+    sgxsim::Enclave& b = rt.enclave(name + ".b");
+    util::Bytes state(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      state[i] = static_cast<std::uint8_t>((i * 131) ^ (i >> 9));
+    }
+    auto owned = std::make_unique<BlobActor>(name + ".actor", state);
+    BlobActor* actor = owned.get();
+    rt.add_actor(std::move(owned), name + ".a");
+
+    MigrationCoordinator coordinator(rt);
+    ASSERT_EQ(coordinator.migrate(*actor, b), MigrateResult::kOk);
+    EXPECT_EQ(actor->placement(), b.id());
+    EXPECT_EQ(actor->state_, state);
+    ASSERT_EQ(coordinator.migrate(*actor, a), MigrateResult::kOk);
+    EXPECT_EQ(actor->placement(), a.id());
+    EXPECT_EQ(actor->state_, state);
+    EXPECT_EQ(actor->imports_, 2);
+    EXPECT_EQ(coordinator.stats().rolled_back, 0u);
+  }
 }
 
 TEST_F(MigrationTest, RefusalCodesFireBeforeAnyStateMoves) {

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <map>
+#include <ostream>
 #include <thread>
 
 #include "crypto/rng.hpp"
@@ -299,6 +302,92 @@ TEST_P(PosModelCheck, MatchesStdMapModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PosModelCheck,
                          ::testing::Values(1, 2, 3, 42, 1337));
+
+// --- hostile host: the mapped superblock is host memory ----------------------
+//
+// A second MAP_SHARED mapping of the store's file stands in for the host. It
+// rewrites one geometry field of the superblock after the store opened;
+// set, get, erase, the cleaner and stats() must keep the layout the store
+// opened with, and integrity_error() must report the rewrite.
+
+struct SuperblockField {
+  const char* name;
+  std::size_t offset;  // on-file superblock layout (pos.cpp)
+  std::size_t width;
+  std::uint64_t hostile;
+};
+
+// Names the field in the discovered test name instead of its raw bytes.
+void PrintTo(const SuperblockField& field, std::ostream* os) {
+  *os << field.name;
+}
+
+class PosHostileHost : public ::testing::TestWithParam<SuperblockField> {};
+
+TEST_P(PosHostileHost, OperationsKeepTheOpenedGeometry) {
+  const SuperblockField& field = GetParam();
+  const std::string path =
+      str_cat("/tmp/ea_pos_hostile_", ::getpid(), "_", field.name, ".img");
+  ::unlink(path.c_str());
+  PosOptions options = small_options();  // 8 buckets, 64 entries of 128 B
+  options.path = path;
+  options.free_shards = 2;
+  Pos store(options);
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_TRUE(store.set(to_bytes(str_cat("k", i)), to_bytes("v")));
+  }
+
+  const int fd = ::open(path.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0);
+  void* host = ::mmap(nullptr, 4096, PROT_READ | PROT_WRITE, MAP_SHARED, fd, 0);
+  ASSERT_NE(host, MAP_FAILED);
+  auto* sb = static_cast<std::uint8_t*>(host);
+  if (field.width == 4) {
+    util::store_le32(sb + field.offset,
+                     static_cast<std::uint32_t>(field.hostile));
+  } else {
+    util::store_le64(sb + field.offset, field.hostile);
+  }
+
+  EXPECT_EQ(store.bucket_count(), 8u);
+  EXPECT_EQ(store.entry_payload(), 128u);
+  EXPECT_EQ(store.free_shard_count(), 2u);
+  for (int i = 0; i < 16; ++i) {
+    const Bytes key = to_bytes(str_cat("k", i));
+    ASSERT_TRUE(store.set(key, to_bytes(str_cat("w", i))));
+    auto got = store.get(key);
+    ASSERT_TRUE(got.has_value()) << i;
+    EXPECT_EQ(util::to_string(*got), str_cat("w", i));
+  }
+  EXPECT_FALSE(store.set(to_bytes("big"), Bytes(126, 0x7)));  // 129 > 128
+  EXPECT_TRUE(store.erase(to_bytes("k0")));
+  EXPECT_FALSE(store.get(to_bytes("k0")).has_value());
+  for (int step = 0; step < 3; ++step) store.clean_step();
+  const PosStats stats = store.stats();
+  EXPECT_EQ(stats.live, 15u);
+  EXPECT_EQ(stats.live + stats.outdated + stats.retired + stats.free, 64u);
+  EXPECT_EQ(stats.free, stats.free_listed + stats.in_magazine);
+  EXPECT_EQ(store.integrity_error(),
+            std::optional<std::string>("superblock geometry changed since open"));
+
+  ::munmap(host, 4096);
+  ::close(fd);
+  ::unlink(path.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SuperblockFields, PosHostileHost,
+    ::testing::Values(SuperblockField{"bucket_count", 12, 4, 1u << 20},
+                      SuperblockField{"entry_count", 16, 4, 1u << 20},
+                      SuperblockField{"entry_payload", 20, 4, 1u << 20},
+                      SuperblockField{"free_shard_count", 24, 4, 1u << 20},
+                      SuperblockField{"entry_stride", 32, 8, 1ull << 40},
+                      SuperblockField{"buckets_off", 40, 8, 1ull << 40},
+                      SuperblockField{"free_off", 48, 8, 1ull << 40},
+                      SuperblockField{"entries_off", 56, 8, 1ull << 40}),
+    [](const ::testing::TestParamInfo<SuperblockField>& field) {
+      return std::string(field.param.name);
+    });
 
 // --- encrypted view -----------------------------------------------------------
 

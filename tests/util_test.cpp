@@ -54,6 +54,35 @@ TEST(Bytes, CtEqual) {
   EXPECT_TRUE(ct_equal({}, {}));
 }
 
+// secure_zero clears exactly [p, p + n): every length and start alignment
+// the memset may split into head, vector body and tail, with guard bytes
+// on both sides that must keep their pattern.
+TEST(Bytes, SecureZeroClearsExactlyTheRange) {
+  constexpr std::size_t kGuard = 64;
+  const std::size_t lengths[] = {0, 1, 7, 8, 63, 64, 65, 4099, 65541};
+  for (std::size_t len : lengths) {
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+      Bytes buf(kGuard + offset + len + kGuard);
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        buf[i] = static_cast<std::uint8_t>(0x80 | (i % 127));
+      }
+      const Bytes before = buf;
+      secure_zero(buf.data() + kGuard + offset, len);
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        const bool inside = i >= kGuard + offset && i < kGuard + offset + len;
+        ASSERT_EQ(buf[i], inside ? 0 : before[i])
+            << "len " << len << " offset " << offset << " byte " << i;
+      }
+    }
+  }
+  Bytes whole(100, 0xa5);
+  secure_zero(whole);
+  EXPECT_EQ(whole, Bytes(100, 0));
+  Bytes empty;
+  secure_zero(empty);
+  EXPECT_TRUE(empty.empty());
+}
+
 TEST(Bytes, LoadStoreLe) {
   std::uint8_t buf[8];
   store_le32(buf, 0x12345678u);

@@ -24,10 +24,11 @@ v2 adds the concurrency-correctness passes (DESIGN.md §13):
     returns without leaving pins the global epoch and stalls POS
     reclamation forever. The RAII Section halves carry inline waivers.
   * seal-plaintext-zeroize — a function that calls into the sealing layer
-    (seal/unseal/seal_with_counter/open_framed) and declares util::Bytes
+    (seal/unseal) or seals a frame in place
+    (seal_framed_into/open_framed_in_place) and declares util::Bytes
     locals must secure_zero() before release (DESIGN.md §17): those locals
-    hold sealed-bundle plaintext (exported actor state) staged in
-    untrusted memory during a migration.
+    hold sealed-state plaintext, such as a migration's exported actor
+    state, staged in untrusted memory.
 
 Every top-level directory of the source root must be a module the policy
 lists, and every listed module must hold source files: `module-unlisted`
@@ -117,17 +118,20 @@ EPOCH_DECL = re.compile(
 )
 
 # Sealed-bundle hygiene (rule `seal-plaintext-zeroize`): a function that
-# moves state through the SEALING layer (sgxsim::seal/unseal — migration
-# bundles, sealed master keys) and owns byte buffers must wipe them before
-# release (DESIGN.md §17 — sealed-state plaintext in untrusted memory
-# outlives the enclave it came from). The channel AEAD helpers
+# moves state through the SEALING layer (sgxsim::seal/unseal — sealed
+# master keys) or seals a frame in place (crypto::seal_framed_into/
+# open_framed_in_place — the migration transfer frame) and owns byte
+# buffers must wipe them before release (DESIGN.md §17 — sealed-state
+# plaintext in untrusted memory outlives the enclave it came from). The
+# channel makes the same in-place calls on pool nodes and owns no
+# util::Bytes there, so it passes. The copying helpers
 # (seal_with_counter/open_framed) are deliberately out of scope: their
-# plaintext is in-flight message payload owned by the node lifecycle, not
-# an at-rest state bundle.
-SEAL_CALL = re.compile(r"\b(unseal|seal)\s*\(")
+# plaintext is in-flight message payload, not an at-rest state bundle.
+SEAL_NAMES = r"(?:unseal|seal|seal_framed_into|open_framed_in_place)"
+SEAL_CALL = re.compile(r"\b(" + SEAL_NAMES + r")\s*\(")
 SEAL_DECL = re.compile(
     r"\b(?!return\b|throw\b)[A-Za-z_][\w:<>]*\s+"
-    r"(?:[A-Za-z_]\w*::)*(?:unseal|seal)\s*\("
+    r"(?:[A-Za-z_]\w*::)*" + SEAL_NAMES + r"\s*\("
 )
 BYTES_LOCAL = re.compile(r"\b(?:util::)?Bytes\s+\w+\s*[;({=]")
 SECURE_ZERO = re.compile(r"\bsecure_zero\s*\(")
@@ -498,11 +502,11 @@ def check_epoch_pairing(path: Path, stripped: list[str]) -> list[Violation]:
 
 def check_seal_zeroize(path: Path, stripped: list[str]) -> list[Violation]:
     """Rule `seal-plaintext-zeroize`: a function body that calls into the
-    sealing layer (`seal`/`unseal`/`seal_with_counter`/`open_framed`) and
-    declares `util::Bytes` locals must contain at least one `secure_zero`
-    call.
+    sealing layer (`seal`/`unseal`) or seals a frame in place
+    (`seal_framed_into`/`open_framed_in_place`) and declares `util::Bytes`
+    locals must contain at least one `secure_zero` call.
 
-    Those locals hold sealed-bundle *plaintext* — exported actor state
+    Those locals hold sealed-state *plaintext* — exported actor state
     staged in untrusted memory during a migration. A return
     path that drops them unwiped leaves enclave secrets lying in host
     memory after the bundle is gone (DESIGN.md §17). Wiping through a
@@ -526,7 +530,8 @@ def check_seal_zeroize(path: Path, stripped: list[str]) -> list[Violation]:
                     seal_lines[0],
                     "seal-plaintext-zeroize",
                     "this function stages sealed-bundle plaintext "
-                    "(seal/unseal call plus util::Bytes locals) but never "
+                    "(a seal/unseal or in-place frame seal/open call plus "
+                    "util::Bytes locals) but never "
                     "secure_zero()s a buffer; every exit path must wipe "
                     "exported state before releasing it to untrusted "
                     "memory (DESIGN.md §17)",
