@@ -8,9 +8,9 @@
 //
 // Three deployments of the identical protocol:
 //   TCP      — the runtime's networked ring (smc/net_ring.hpp): enclaved
-//              party eactors on their own workers, every hop sealed and
-//              carried over loopback TCP by the untrusted net actors and
-//              reconnector-owned links
+//              party eactors on the workers Runtime::start() places them
+//              on, every hop sealed and carried over loopback TCP by the
+//              untrusted net actors and reconnector-owned links
 //   EC       — co-located SDK-style ring (ecalls per hop, no network)
 //   EA       — co-located EActors ring (no transitions, no network)
 // Every TCP sum is checked against the parties' secrets; a wrong or missing
@@ -38,7 +38,7 @@ std::optional<double> run_tcp(const smc::SmcConfig& config,
   options.node_payload_bytes =
       std::max<std::size_t>(2048, config.dim * sizeof(smc::Element) + 256);
   core::Runtime rt(options);
-  net::NetSubsystem net = net::install_networking(rt, "net.sys", {0});
+  net::NetSubsystem net = net::install_networking(rt, "net.sys");
   net::ReconnectorActor& recon = net::install_reconnector(rt, net);
   smc::NetRingDeployment dep = smc::install_net_ring(rt, config, net, recon);
   rt.start();

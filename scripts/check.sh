@@ -28,11 +28,12 @@
 #               sealed handoff, rollback + route quarantine, the
 #               duplicate-resume fork guard and the EPC accounting run
 #               under ASan+UBSan with failpoints and the rank checker live
-#   stress      the scheduler, migration, supervision, net and POS suites
-#               (ctest -L 'sched|migrate|supervise|net|pos') repeated until
-#               one fails, up to 20 rounds, JOBS (default: nproc) tests at a
-#               time, on the TSan sched tree and on the fault tree — races
-#               a single pass misses
+#   stress      the scheduler, migration, supervision, net, POS, service,
+#               TSan and fault suites (ctest -L
+#               'sched|migrate|supervise|net|pos|service|tsan|fault')
+#               repeated until one fails, up to 50 rounds, JOBS (default:
+#               nproc) tests at a time, on the TSan sched tree and on the
+#               fault tree — races a single pass misses
 #   nofailpoint zero-overhead-when-off symbol check on the plain tree
 #   bench       bench smoke: bench_batching + bench_pos + bench_sched +
 #               bench_migrate, JSON schema check (incl. the zero-copy
@@ -215,17 +216,18 @@ leg migrate "migrate suite (ctest -L migrate, ASan+UBSan, failpoints, lock-rank)
 
 # --- stress: timing-dependent protocol races (park barrier, home poll, ----
 # restart rediscovery, steal/migrate interleavings, READER subscribe vs
-# CLOSER, POS epoch reclamation under randomized interleavings) need many
-# runs on real parallel hardware, not one. Reuses the sched and fault trees.
-STRESS_LABELS='sched|migrate|supervise|net|pos'
+# CLOSER, POS epoch reclamation under randomized interleavings, services
+# packed onto shared workers) need many runs on real parallel hardware, not
+# one. Reuses the sched and fault trees.
+STRESS_LABELS='sched|migrate|supervise|net|pos|service|tsan|fault'
 run_stress() {
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}" \
-    build_and_test build-sched -L "$STRESS_LABELS" --repeat until-fail:20 -- \
+    build_and_test build-sched -L "$STRESS_LABELS" --repeat until-fail:50 -- \
     -DEA_WERROR=ON -DEA_SANITIZE=thread -DEA_LOCK_RANK=ON || return 1
-  build_and_test build-fault -L "$STRESS_LABELS" --repeat until-fail:20 -- \
+  build_and_test build-fault -L "$STRESS_LABELS" --repeat until-fail:50 -- \
     "${FAULT_FLAGS[@]}"
 }
-leg stress "stress (ctest -L '$STRESS_LABELS' --repeat until-fail:20, TSan sched tree + fault tree)" \
+leg stress "stress (ctest -L '$STRESS_LABELS' --repeat until-fail:50, TSan sched tree + fault tree)" \
   run_stress
 
 # --- zero-overhead-when-off: the plain tree must contain no failpoint

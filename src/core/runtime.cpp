@@ -1,8 +1,10 @@
 #include "core/runtime.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "sgxsim/transition.hpp"
+#include "util/affinity.hpp"
 #include "util/logging.hpp"
 
 namespace ea::core {
@@ -52,6 +54,74 @@ Worker& Runtime::add_worker(const std::string& name, std::vector<int> cpus,
   return *workers_.back();
 }
 
+void Runtime::add_group(WorkerGroup group) {
+  if (started_) throw std::logic_error("add_group after start");
+  groups_.push_back(std::move(group));
+}
+
+std::vector<PlacedWorker> place_groups(const std::vector<WorkerGroup>& groups,
+                                       int cpus) {
+  const std::size_t n = static_cast<std::size_t>(std::max(cpus, 1));
+  std::vector<PlacedWorker> out;
+  if (groups.size() <= n) {
+    for (const WorkerGroup& g : groups) {
+      out.push_back({g.name, static_cast<int>(out.size()), g.actors});
+    }
+    return out;
+  }
+  struct Role {
+    std::string name;
+    std::vector<const WorkerGroup*> groups;
+    std::size_t workers;
+  };
+  std::vector<Role> roles;  // in declaration order
+  for (const WorkerGroup& g : groups) {
+    auto it = std::find_if(roles.begin(), roles.end(),
+                           [&](const Role& r) { return r.name == g.role; });
+    if (it == roles.end()) {
+      it = roles.insert(roles.end(), Role{g.role, {}, 1});
+    }
+    it->groups.push_back(&g);
+  }
+  // More roles than CPUs: whole roles fold round-robin onto n workers.
+  for (std::size_t r = n; r < roles.size(); ++r) {
+    Role& into = roles[r % n];
+    into.name += "+" + roles[r].name;
+    into.groups.insert(into.groups.end(), roles[r].groups.begin(),
+                       roles[r].groups.end());
+  }
+  roles.resize(std::min(roles.size(), n));
+  // Each spare CPU goes to the role with the most groups per worker (the
+  // first declared on a tie). Total workers stay below the group count,
+  // so that role always has more groups than workers.
+  for (std::size_t spare = n - roles.size(); spare > 0; --spare) {
+    Role* most = &roles.front();
+    for (Role& r : roles) {
+      if (r.groups.size() * most->workers > most->groups.size() * r.workers) {
+        most = &r;
+      }
+    }
+    ++most->workers;
+  }
+  for (const Role& r : roles) {
+    const std::size_t first = out.size();
+    for (std::size_t w = 0; w < r.workers; ++w) {
+      std::string name = r.name;
+      if (r.workers > 1) {
+        name += '.';
+        name += std::to_string(w);
+      }
+      out.push_back({std::move(name), static_cast<int>(out.size()), {}});
+    }
+    for (std::size_t k = 0; k < r.groups.size(); ++k) {
+      std::vector<std::string>& actors = out[first + k % r.workers].actors;
+      actors.insert(actors.end(), r.groups[k]->actors.begin(),
+                    r.groups[k]->actors.end());
+    }
+  }
+  return out;
+}
+
 Channel& Runtime::channel(const std::string& name, ChannelOptions options) {
   auto it = channels_.find(name);
   if (it != channels_.end()) return *it->second;
@@ -80,6 +150,18 @@ ChannelEnd* Runtime::connect_channel(const std::string& name,
 
 void Runtime::start() {
   if (started_) return;
+  // Declared groups become workers by the placement rule, minus the actors
+  // an explicit add_worker() already runs.
+  std::vector<WorkerGroup> groups = groups_;
+  for (auto& worker : workers_) {
+    for (Actor* actor : worker->actors()) {
+      for (WorkerGroup& g : groups) std::erase(g.actors, actor->name());
+    }
+  }
+  std::erase_if(groups, [](const WorkerGroup& g) { return g.actors.empty(); });
+  for (const PlacedWorker& w : place_groups(groups, util::online_cpus())) {
+    add_worker(w.name, {w.cpu}, w.actors);
+  }
   started_ = true;
   // Constructor functions run inside their actor's enclave, as the
   // generated EActors runtime does after creating the enclaves. A throwing

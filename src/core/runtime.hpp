@@ -34,6 +34,32 @@ struct RuntimeOptions {
   SchedMode sched = SchedMode::kStatic;
 };
 
+// Actors an installer wants run together on one worker. Groups of one
+// role do the same job (every XMPP instance, every READER/WRITER pair), so
+// the placement rule may put several of them on one worker.
+struct WorkerGroup {
+  std::string name;
+  std::string role;
+  std::vector<std::string> actors;
+};
+
+// A worker the placement rule creates, pinned to `cpu`.
+struct PlacedWorker {
+  std::string name;
+  int cpu = 0;
+  std::vector<std::string> actors;
+};
+
+// The placement rule (DESIGN.md §14 "Placement"). Groups that fit in
+// `cpus` get one worker each, pinned in declaration order to CPUs 0, 1, ...
+// Otherwise they share at most `cpus` workers: each role gets a worker
+// while there are CPUs for every role (roles fold round-robin onto the
+// workers when there are not), spare CPUs go to the roles with the most
+// groups per worker, and a role's groups are dealt round-robin over its
+// workers.
+std::vector<PlacedWorker> place_groups(const std::vector<WorkerGroup>& groups,
+                                       int cpus);
+
 class Runtime {
  public:
   explicit Runtime(RuntimeOptions options = {});
@@ -53,8 +79,16 @@ class Runtime {
                    const std::string& enclave_name = "");
 
   // Creates a worker bound to `cpus` executing `actor_names` round-robin.
+  // An explicit worker runs as written and takes its actors out of any
+  // declared group.
   Worker& add_worker(const std::string& name, std::vector<int> cpus,
                      const std::vector<std::string>& actor_names);
+
+  // Declares a worker group (installers call this instead of choosing
+  // CPUs); start() turns the groups into workers by place_groups().
+  void add_group(WorkerGroup group);
+
+  const std::vector<WorkerGroup>& groups() const noexcept { return groups_; }
 
   // Declares (or retrieves) a channel. Actors bind to it via
   // Actor::connect() inside their constructor functions.
@@ -64,7 +98,8 @@ class Runtime {
 
   // --- execution ----------------------------------------------------------
 
-  // Calls every actor's constructor (inside its enclave) and starts all
+  // Places the declared groups on at most one worker per online CPU,
+  // calls every actor's constructor (inside its enclave) and starts all
   // workers. Idempotent per runtime instance.
   void start();
 
@@ -81,10 +116,6 @@ class Runtime {
   // --- shared resources ----------------------------------------------------
 
   concurrent::Pool& public_pool() noexcept { return pool_; }
-
-  // The options this runtime was built with (net/sched mode selection for
-  // subsystem installers like net::install_networking).
-  const RuntimeOptions& options() const noexcept { return options_; }
 
   // Allocates a dedicated arena + pool (e.g. a large-payload pool for a
   // high-throughput channel). The runtime owns the memory.
@@ -132,6 +163,7 @@ class Runtime {
   std::map<std::string, sgxsim::Enclave*> enclaves_;
   std::vector<std::unique_ptr<Actor>> actors_;
   std::vector<std::unique_ptr<Worker>> workers_;
+  std::vector<WorkerGroup> groups_;
   std::map<std::string, std::unique_ptr<Channel>> channels_;
   bool started_ = false;
   std::atomic<bool> running_{false};

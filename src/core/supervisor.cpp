@@ -183,12 +183,11 @@ void SupervisorActor::prune_window(Watch& w, Clock::time_point now) const {
 
 SupervisorActor& install_supervisor(Runtime& rt,
                                     SupervisorActor::Options options,
-                                    const std::string& name,
-                                    std::vector<int> cpus) {
+                                    const std::string& name) {
   auto sup = std::make_unique<SupervisorActor>(name, options);
   SupervisorActor& ref = *sup;
   rt.add_actor(std::move(sup));  // untrusted: it enters enclaves on demand
-  rt.add_worker(name + ".worker", std::move(cpus), {name});
+  rt.add_group({name + ".worker", name + ".worker", {name}});
   return ref;
 }
 

@@ -102,8 +102,8 @@ class SupervisorActor : public Actor {
   void prune_window(Watch& w, Clock::time_point now) const;
 
   // All supervisor state below is single-threaded by construction: it is
-  // built during construct() (pre-start) and then touched only from body()
-  // on the supervisor's own worker — thread affinity, not a lock, so no
+  // built during construct() (pre-start) and then touched only from body(),
+  // which runs one quantum at a time — dispatch, not a lock, so no
   // capability annotations apply (DESIGN.md §13). Cross-thread reads of
   // watched actors go through the atomics in core/actor.hpp; the actors'
   // failure records are behind Actor::failure_lock_ (kActorFailure).
@@ -122,12 +122,11 @@ class SupervisorActor : public Actor {
   std::uint64_t stalls_flagged_ = 0;
 };
 
-// Adds a SupervisorActor (untrusted) on its own worker. Call after every
-// other actor has been added and before rt.start(). Returns the actor so
-// callers can set policies/escalation before start.
+// Adds a SupervisorActor (untrusted) in its own worker group. Call after
+// every other actor has been added and before rt.start(). Returns the actor
+// so callers can set policies/escalation before start.
 SupervisorActor& install_supervisor(Runtime& rt,
                                     SupervisorActor::Options options = {},
-                                    const std::string& name = "core.supervisor",
-                                    std::vector<int> cpus = {0});
+                                    const std::string& name = "core.supervisor");
 
 }  // namespace ea::core

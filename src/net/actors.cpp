@@ -344,8 +344,7 @@ bool CloserActor::body() {
 }
 
 NetSubsystem install_networking(core::Runtime& rt,
-                                const std::string& worker_name,
-                                std::vector<int> cpus) {
+                                const std::string& worker_name) {
   NetSubsystem sub;
   sub.table = std::make_shared<SocketTable>();
   concurrent::Pool& pool = rt.public_pool();
@@ -378,7 +377,7 @@ NetSubsystem install_networking(core::Runtime& rt,
        {".opener", ".accepter", ".reader", ".writer", ".closer"}) {
     actor_names.push_back(worker_name + suffix);
   }
-  rt.add_worker(worker_name, std::move(cpus), actor_names);
+  rt.add_group({worker_name, worker_name, std::move(actor_names)});
   return sub;
 }
 

@@ -237,12 +237,11 @@ struct NetSubsystem {
   CloserActor* closer = nullptr;
 };
 
-// Adds the system actors (untrusted) and a worker named `worker_name`
-// executing them. The SocketTable is owned by the runtime's actor objects
+// Adds the system actors (untrusted) as one worker group named
+// `worker_name`. The SocketTable is owned by the runtime's actor objects
 // (the opener holds it); the returned view stays valid for the runtime's
 // lifetime.
 NetSubsystem install_networking(core::Runtime& rt,
-                                const std::string& worker_name,
-                                std::vector<int> cpus);
+                                const std::string& worker_name);
 
 }  // namespace ea::net

@@ -236,12 +236,11 @@ void ReconnectorActor::publish_status(Conn& conn, std::uint64_t conn_id) {
 
 ReconnectorActor& install_reconnector(core::Runtime& rt,
                                       const NetSubsystem& net,
-                                      const std::string& name,
-                                      std::vector<int> cpus) {
+                                      const std::string& name) {
   auto recon = std::make_unique<ReconnectorActor>(name, net, rt.public_pool());
   ReconnectorActor& ref = *recon;
   rt.add_actor(std::move(recon));
-  rt.add_worker(name + ".worker", std::move(cpus), {name});
+  rt.add_group({name + ".worker", name + ".worker", {name}});
   return ref;
 }
 

@@ -134,12 +134,11 @@ class ReconnectorActor : public core::Actor {
   std::uint64_t gave_up_ = 0;
 };
 
-// Adds a ReconnectorActor (untrusted) on its own worker. Call after
+// Adds a ReconnectorActor (untrusted) in its own worker group. Call after
 // install_networking(); register connections on the returned actor before
 // rt.start().
 ReconnectorActor& install_reconnector(core::Runtime& rt,
                                       const NetSubsystem& net,
-                                      const std::string& name = "net.reconnector",
-                                      std::vector<int> cpus = {0});
+                                      const std::string& name = "net.reconnector");
 
 }  // namespace ea::net

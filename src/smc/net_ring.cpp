@@ -5,6 +5,7 @@
 
 #include "core/runtime.hpp"
 #include "sgxsim/attestation.hpp"
+#include "smc/party_actor.hpp"
 #include "util/logging.hpp"
 
 namespace ea::smc {
@@ -398,16 +399,8 @@ NetRingDeployment install_net_ring(core::Runtime& rt, const SmcConfig& config,
     keys[static_cast<std::size_t>(i)] = *key;
   }
 
-  // Driver mboxes outlive the call: parked in a holder actor that never
-  // runs (same pattern as install_secure_sum).
-  struct MboxHolder : core::Actor {
-    using core::Actor::Actor;
-    concurrent::Mbox requests;
-    concurrent::Mbox results;
-    bool body() override { return false; }
-  };
-  auto holder = std::make_unique<MboxHolder>("smc.net.driver-mboxes");
-  MboxHolder* mboxes = holder.get();
+  auto holder = std::make_unique<DriverMboxes>("smc.net.driver-mboxes");
+  DriverMboxes* mboxes = holder.get();
   rt.add_actor(std::move(holder));
 
   NetRingDeployment dep;
@@ -422,7 +415,7 @@ NetRingDeployment install_net_ring(core::Runtime& rt, const SmcConfig& config,
         i == 0 ? &mboxes->results : nullptr);
     dep.parties.push_back(party.get());
     rt.add_actor(std::move(party), "smc.net.e" + std::to_string(i));
-    rt.add_worker("smc.net.w" + std::to_string(i), {i}, {name});
+    rt.add_group({"smc.net.w" + std::to_string(i), "smc.net.party", {name}});
   }
 
   // K listeners, registered with the ACCEPTER up front; the subscription

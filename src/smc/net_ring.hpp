@@ -3,7 +3,7 @@
 // smc/party_actor.hpp runs the ring over in-process channels. This
 // deployment is the distributed setting §5.2 contrasts co-location with
 // (bench_ablation_colocated's TCP series): K party eactors, each in its own
-// enclave with its own worker, linked by loopback TCP carried through the
+// enclave and worker group, linked by loopback TCP carried through the
 // untrusted system actors (net/actors.hpp) — and the links *heal*:
 //
 //   * outbound links are owned by the RECONNECTOR (net/reconnector.hpp);
@@ -145,7 +145,8 @@ struct NetRingDeployment {
 
 // Builds the TCP secure-sum ring on top of an installed networking
 // subsystem and reconnector: K listeners, K reconnector-owned outbound
-// links, K enclaved parties ("smc.net.e<i>") each on its own worker.
+// links, K enclaved parties ("smc.net.e<i>") each in worker group
+// "smc.net.w<i>" (role "smc.net.party").
 // Requires config.dynamic == false (see header comment). Call after
 // install_networking()/install_reconnector(), before rt.start().
 NetRingDeployment install_net_ring(core::Runtime& rt, const SmcConfig& config,

@@ -100,16 +100,8 @@ bool PartyActor::body() {
 }
 
 SmcDeployment install_secure_sum(core::Runtime& rt, const SmcConfig& config) {
-  // The driver mboxes live as long as the runtime: park them in a tiny
-  // holder actor that never runs.
-  struct MboxHolder : core::Actor {
-    using core::Actor::Actor;
-    concurrent::Mbox requests;
-    concurrent::Mbox results;
-    bool body() override { return false; }
-  };
-  auto holder = std::make_unique<MboxHolder>("smc.driver-mboxes");
-  MboxHolder* mboxes = holder.get();
+  auto holder = std::make_unique<DriverMboxes>("smc.driver-mboxes");
+  DriverMboxes* mboxes = holder.get();
   rt.add_actor(std::move(holder));
 
   for (int i = 0; i < config.parties; ++i) {
@@ -122,7 +114,7 @@ SmcDeployment install_secure_sum(core::Runtime& rt, const SmcConfig& config) {
       party = std::make_unique<PartyActor>(name, i, config);
     }
     rt.add_actor(std::move(party), "smc.e" + std::to_string(i));
-    rt.add_worker("smc.w" + std::to_string(i), {i}, {name});
+    rt.add_group({"smc.w" + std::to_string(i), "smc.party", {name}});
   }
   return SmcDeployment{&mboxes->requests, &mboxes->results};
 }

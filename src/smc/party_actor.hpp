@@ -1,10 +1,11 @@
 // EActors deployment of the secure-sum service (paper Fig. 9a).
 //
-// Each party is an independent eactor in its own enclave with its own
-// worker; hops travel over encrypted channels. In steady state no worker
-// ever leaves its enclave — the protocol costs zero transitions, and in the
-// dynamic-secret variant each party recomputes its secret while the token
-// circulates elsewhere (pipelining the SDK variant cannot have).
+// Each party is an independent eactor in its own enclave; hops travel over
+// encrypted channels. On a worker of its own (the paper's deployment) a
+// party never leaves its enclave in steady state — the protocol costs zero
+// transitions, and in the dynamic-secret variant each party recomputes its
+// secret while the token circulates elsewhere (pipelining the SDK variant
+// cannot have).
 //
 // Channel topology: party i sends on channel "smc.ring.<i>" and receives on
 // "smc.ring.<i-1 mod K>". Party 0 additionally serves a request mbox and
@@ -55,10 +56,20 @@ class PartyActor : public core::Actor {
   concurrent::Pool* result_pool_;
 };
 
+// The driver's request/result mboxes, parked in an actor that no worker
+// runs so they live as long as the runtime. Both ring installers use it.
+struct DriverMboxes : core::Actor {
+  using core::Actor::Actor;
+  concurrent::Mbox requests;
+  concurrent::Mbox results;
+  bool body() override { return false; }
+};
+
 // Convenience: builds the full EActors secure-sum deployment — K parties,
-// each in its own enclave ("smc.e<i>") with its own worker — and returns
-// the request/result mboxes. The caller pushes one (empty) node per
-// invocation into `requests` and pops serialized sums from `results`.
+// each in its own enclave ("smc.e<i>") and worker group ("smc.w<i>", role
+// "smc.party") — and returns the request/result mboxes. The caller pushes
+// one (empty) node per invocation into `requests` and pops serialized sums
+// from `results`.
 struct SmcDeployment {
   concurrent::Mbox* requests = nullptr;
   concurrent::Mbox* results = nullptr;

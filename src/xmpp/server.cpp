@@ -572,8 +572,6 @@ XmppService install_xmpp_service(core::Runtime& rt,
   service.port = listener.local_port();
   net::SocketId listener_id = table->add(std::move(listener));
 
-  int cpu = config.first_cpu;
-
   // Global network actors: ACCEPTER (feeding the Online list) and CLOSER.
   auto accepter = std::make_unique<net::AccepterActor>("xmpp.accepter", table,
                                                        rt.public_pool());
@@ -589,14 +587,14 @@ XmppService install_xmpp_service(core::Runtime& rt,
   }
   rt.add_actor(std::move(accepter));
   rt.add_actor(std::move(closer));
-  rt.add_worker("xmpp.net0", {cpu++}, {"xmpp.accepter", "xmpp.closer"});
+  rt.add_group({"xmpp.net0", "xmpp.net0", {"xmpp.accepter", "xmpp.closer"}});
 
   // The CONNECTOR, enclaved when the service is trusted.
   auto connector = std::make_unique<ConnectorActor>("xmpp.connector", shared);
   service.connector = connector.get();
   rt.add_actor(std::move(connector),
                config.trusted ? "xmpp.connector.enclave" : "");
-  rt.add_worker("xmpp.conn", {cpu++}, {"xmpp.connector"});
+  rt.add_group({"xmpp.conn", "xmpp.conn", {"xmpp.connector"}});
 
   // Instances with their dedicated READER/WRITER pairs.
   const int enclave_count =
@@ -626,9 +624,9 @@ XmppService install_xmpp_service(core::Runtime& rt,
     rt.add_actor(std::move(reader));
     rt.add_actor(std::move(writer));
 
-    rt.add_worker("xmpp.app" + suffix, {cpu++}, {"xmpp.i" + suffix});
-    rt.add_worker("xmpp.net" + std::to_string(i + 1), {cpu++},
-                  {"xmpp.reader" + suffix, "xmpp.writer" + suffix});
+    rt.add_group({"xmpp.app" + suffix, "xmpp.app", {"xmpp.i" + suffix}});
+    rt.add_group({"xmpp.net" + std::to_string(i + 1), "xmpp.net",
+                  {"xmpp.reader" + suffix, "xmpp.writer" + suffix}});
   }
   return service;
 }

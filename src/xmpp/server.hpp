@@ -239,7 +239,6 @@ struct XmppServiceConfig {
   bool trusted = true;       // place XMPP eactors (and connector) in enclaves
   int enclaves = -1;         // enclaves to spread instances over; -1 = one each
   std::uint16_t port = 0;    // 0 = pick a free port
-  int first_cpu = 0;         // workers are pinned starting at this cpu
   // Store messages for offline users in an encrypted POS and deliver them
   // at the next login (instead of returning recipient-unavailable).
   bool offline_messages = false;

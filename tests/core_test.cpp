@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -10,7 +12,9 @@
 #include "deploy/config.hpp"
 #include "sgxsim/cost_model.hpp"
 #include "sgxsim/transition.hpp"
+#include "util/affinity.hpp"
 #include "util/bytes.hpp"
+#include "str_cat.hpp"
 
 namespace ea::core {
 namespace {
@@ -563,6 +567,158 @@ TEST_F(CoreTest, AddActorAfterStartThrows) {
 TEST_F(CoreTest, WorkerWithUnknownActorThrows) {
   Runtime rt;
   EXPECT_THROW(rt.add_worker("w", {}, {"ghost"}), std::invalid_argument);
+}
+
+// --- Placement rule (DESIGN.md §14) -----------------------------------------
+
+// Groups shaped like an installed XMPP service: the accept/close group, the
+// connector, then every instance followed by its READER/WRITER pair — 34
+// groups in 4 roles for EA/48 (16 instances).
+std::vector<WorkerGroup> xmpp_shaped_groups(int instances) {
+  std::vector<WorkerGroup> groups{{"net0", "net0", {"accepter", "closer"}},
+                                  {"conn", "conn", {"connector"}}};
+  for (int i = 0; i < instances; ++i) {
+    groups.push_back({test::str_cat("app", i), "app", {test::str_cat("i", i)}});
+    groups.push_back(
+        {test::str_cat("net", i + 1), "net",
+         {test::str_cat("reader", i), test::str_cat("writer", i)}});
+  }
+  return groups;
+}
+
+TEST(PlacementTest, InvariantsHoldForEveryCpuCount) {
+  for (int n : {1, 2, 4, 8}) {
+    for (int instances : {0, 1, 2, 3, 16}) {
+      SCOPED_TRACE(test::str_cat("cpus=", n, " instances=", instances));
+      std::vector<WorkerGroup> groups = xmpp_shaped_groups(instances);
+      groups.push_back({"sup.worker", "sup.worker", {"sup"}});
+      const std::vector<PlacedWorker> plan = place_groups(groups, n);
+      ASSERT_LE(plan.size(), static_cast<std::size_t>(n));
+
+      std::map<std::string, std::string> role_of;
+      std::set<std::string> all_roles;
+      for (const WorkerGroup& g : groups) {
+        for (const std::string& a : g.actors) role_of[a] = g.role;
+        all_roles.insert(g.role);
+      }
+      std::map<std::string, int> seen;
+      std::set<int> cpus;
+      for (const PlacedWorker& w : plan) {
+        EXPECT_TRUE(cpus.insert(w.cpu).second) << w.name;
+        EXPECT_LT(w.cpu, n) << w.name;
+        std::set<std::string> roles;
+        for (const std::string& a : w.actors) {
+          ++seen[a];
+          roles.insert(role_of.at(a));
+        }
+        if (all_roles.size() <= static_cast<std::size_t>(n)) {
+          EXPECT_EQ(roles.size(), 1u) << w.name << " mixes roles";
+        }
+      }
+      EXPECT_EQ(seen.size(), role_of.size());
+      for (const auto& [actor, count] : seen) {
+        EXPECT_EQ(count, 1) << actor;
+      }
+      if (groups.size() <= static_cast<std::size_t>(n)) {
+        ASSERT_EQ(plan.size(), groups.size());
+        for (std::size_t k = 0; k < groups.size(); ++k) {
+          EXPECT_EQ(plan[k].name, groups[k].name);
+          EXPECT_EQ(plan[k].cpu, static_cast<int>(k));
+          EXPECT_EQ(plan[k].actors, groups[k].actors);
+        }
+      }
+    }
+  }
+}
+
+TEST(PlacementTest, Ea48OnFourCpusGetsOneWorkerPerRole) {
+  const std::vector<PlacedWorker> plan =
+      place_groups(xmpp_shaped_groups(16), 4);
+  ASSERT_EQ(plan.size(), 4u);
+  EXPECT_EQ(plan[0].name, "net0");
+  EXPECT_EQ(plan[0].actors, (std::vector<std::string>{"accepter", "closer"}));
+  EXPECT_EQ(plan[1].name, "conn");
+  EXPECT_EQ(plan[2].name, "app");
+  EXPECT_EQ(plan[2].actors.size(), 16u);
+  EXPECT_EQ(plan[3].name, "net");
+  EXPECT_EQ(plan[3].actors.size(), 32u);
+  for (int k = 0; k < 4; ++k) EXPECT_EQ(plan[k].cpu, k);
+}
+
+TEST(PlacementTest, SpareCpusGoToTheMostLoadedRolesRoundRobin) {
+  // 8 CPUs for 4 roles: app and net (16 groups each) get the 4 spare CPUs.
+  const std::vector<PlacedWorker> plan =
+      place_groups(xmpp_shaped_groups(16), 8);
+  std::vector<std::string> names;
+  for (const PlacedWorker& w : plan) names.push_back(w.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"net0", "conn", "app.0", "app.1",
+                                             "app.2", "net.0", "net.1",
+                                             "net.2"}));
+  EXPECT_EQ(plan[2].actors.front(), "i0");
+  EXPECT_EQ(plan[3].actors.front(), "i1");
+  EXPECT_EQ(plan[2].actors[1], "i3");
+  EXPECT_EQ(plan[2].actors.size(), 6u);
+  EXPECT_EQ(plan[4].actors.size(), 5u);
+}
+
+TEST(PlacementTest, MoreRolesThanCpusFoldWholeRoles) {
+  // 4 roles on 2 CPUs: app folds onto net0's worker, net onto conn's.
+  const std::vector<PlacedWorker> plan = place_groups(xmpp_shaped_groups(2), 2);
+  ASSERT_EQ(plan.size(), 2u);
+  EXPECT_EQ(plan[0].name, "net0+app");
+  EXPECT_EQ(plan[0].actors, (std::vector<std::string>{"accepter", "closer",
+                                                      "i0", "i1"}));
+  EXPECT_EQ(plan[1].name, "conn+net");
+}
+
+class NopActor : public Actor {
+ public:
+  using Actor::Actor;
+  bool body() override { return false; }
+};
+
+TEST_F(CoreTest, StartPlacesGroupsAndLeavesExplicitWorkersAlone) {
+  Runtime rt;
+  for (int i = 0; i < 12; ++i) {
+    rt.add_actor(std::make_unique<NopActor>(test::str_cat("a", i)));
+    rt.add_group({test::str_cat("g", i), "nop", {test::str_cat("a", i)}});
+  }
+  rt.add_actor(std::make_unique<NopActor>("solo"));
+  // An explicit worker takes a0 out of its group and runs exactly as
+  // written.
+  rt.add_worker("explicit", {0, 1}, {"a0", "solo"});
+  rt.start();
+  const std::vector<PlacedWorker> plan =
+      place_groups(std::vector<WorkerGroup>(rt.groups().begin() + 1,
+                                            rt.groups().end()),
+                   util::online_cpus());
+  ASSERT_EQ(rt.workers().size(), 1 + plan.size());
+  EXPECT_LE(plan.size(), static_cast<std::size_t>(util::online_cpus()));
+  const Worker& explicit_worker = *rt.workers().front();
+  EXPECT_EQ(explicit_worker.name(), "explicit");
+  ASSERT_EQ(explicit_worker.actors().size(), 2u);
+  EXPECT_EQ(explicit_worker.actors()[0]->name(), "a0");
+  EXPECT_EQ(explicit_worker.actors()[1]->name(), "solo");
+  std::size_t placed = 0;
+  for (std::size_t k = 0; k < plan.size(); ++k) {
+    const Worker& w = *rt.workers()[k + 1];
+    EXPECT_EQ(w.name(), plan[k].name);
+    ASSERT_EQ(w.actors().size(), plan[k].actors.size());
+    for (std::size_t j = 0; j < plan[k].actors.size(); ++j) {
+      EXPECT_EQ(w.actors()[j]->name(), plan[k].actors[j]);
+      EXPECT_NE(w.actors()[j]->name(), "a0");
+    }
+    placed += w.actors().size();
+  }
+  EXPECT_EQ(placed, 11u);
+  rt.stop();
+}
+
+TEST_F(CoreTest, GroupAfterStartThrows) {
+  Runtime rt;
+  rt.start();
+  EXPECT_THROW(rt.add_group({"g", "r", {}}), std::logic_error);
+  rt.stop();
 }
 
 // --- DeploymentConfig ----------------------------------------------------------

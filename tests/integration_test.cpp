@@ -167,6 +167,53 @@ TEST_F(IntegrationTest, XmppAndSmcCoexistInOneRuntime) {
   rt.stop();
 }
 
+// Worker names and CPUs that installed services get on 4 CPUs: the
+// layouts perfbench's xmpp_echo and smc_ring run (one worker per group),
+// and EA/48 (16 instances) packed onto one worker per role.
+TEST_F(IntegrationTest, InstalledServicesPlaceOntoFourCpus) {
+  auto layout = [](const core::Runtime& rt) {
+    std::vector<std::pair<std::string, int>> out;
+    for (const core::PlacedWorker& w : core::place_groups(rt.groups(), 4)) {
+      out.emplace_back(w.name, w.cpu);
+    }
+    return out;
+  };
+  using Layout = std::vector<std::pair<std::string, int>>;
+  {
+    core::Runtime rt;
+    xmpp::XmppServiceConfig config;
+    config.instances = 1;
+    xmpp::install_xmpp_service(rt, config);
+    EXPECT_EQ(layout(rt), (Layout{{"xmpp.net0", 0},
+                                  {"xmpp.conn", 1},
+                                  {"xmpp.app0", 2},
+                                  {"xmpp.net1", 3}}));
+  }
+  {
+    core::Runtime rt;
+    smc::SmcConfig config;
+    config.parties = 3;
+    smc::install_secure_sum(rt, config);
+    EXPECT_EQ(layout(rt),
+              (Layout{{"smc.w0", 0}, {"smc.w1", 1}, {"smc.w2", 2}}));
+  }
+  {
+    core::Runtime rt;
+    xmpp::XmppServiceConfig config;
+    config.instances = 16;
+    xmpp::install_xmpp_service(rt, config);
+    EXPECT_EQ(rt.groups().size(), 34u);
+    const std::vector<core::PlacedWorker> plan =
+        core::place_groups(rt.groups(), 4);
+    EXPECT_EQ(layout(rt), (Layout{{"xmpp.net0", 0},
+                                  {"xmpp.conn", 1},
+                                  {"xmpp.app", 2},
+                                  {"xmpp.net", 3}}));
+    EXPECT_EQ(plan[2].actors.size(), 16u);
+    EXPECT_EQ(plan[3].actors.size(), 32u);
+  }
+}
+
 TEST_F(IntegrationTest, Figure16StyleEnclavePacking) {
   // 4 instances packed into 1, 2 and 4 enclaves must all be functional.
   for (int enclaves : {1, 2, 4}) {

@@ -342,7 +342,7 @@ TEST(InstallNetworking, FullRuntimeEchoThroughSystemActors) {
   // application actor opens a listener via OPENER, accepts via ACCEPTER,
   // echoes via READER/WRITER, closes via CLOSER.
   core::Runtime rt;
-  NetSubsystem net = install_networking(rt, "netw", {0});
+  NetSubsystem net = install_networking(rt, "netw");
 
   concurrent::Mbox open_reply;
   concurrent::Mbox accepted;

@@ -57,7 +57,7 @@ struct Rig {
   net::Socket listener;
   std::uint16_t port = 0;
 
-  Rig() : net(net::install_networking(rt, "net.sys", {0})),
+  Rig() : net(net::install_networking(rt, "net.sys")),
           recon("recon.test", net, rt.public_pool()) {
     listener = net::Socket::listen_on(0);
     EXPECT_TRUE(listener.valid());

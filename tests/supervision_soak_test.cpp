@@ -99,7 +99,7 @@ struct ReconnectScenario {
   std::uint64_t conn = 0;
 
   ReconnectScenario() {
-    net = net::install_networking(rt, "net.sys", {0});
+    net = net::install_networking(rt, "net.sys");
     recon = &net::install_reconnector(rt, net);
 
     net::Socket listener = net::Socket::listen_on(0);
@@ -311,7 +311,7 @@ TEST_F(SupervisionSoakTest, NetRingComputesOnlyCorrectSumsUnderFaultStorm) {
   options.pool_nodes = 8192;
   options.node_payload_bytes = 2048;
   core::Runtime rt(options);
-  net::NetSubsystem net = net::install_networking(rt, "net.sys", {0});
+  net::NetSubsystem net = net::install_networking(rt, "net.sys");
   net::ReconnectorActor& recon = net::install_reconnector(rt, net);
   smc::SmcConfig config;
   config.parties = 3;

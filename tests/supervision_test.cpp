@@ -522,7 +522,7 @@ TEST_F(SupervisionTest, ReconnectorReestablishesAfterPeerCloses) {
   options.pool_nodes = 4096;
   options.node_payload_bytes = 2048;
   core::Runtime rt(options);
-  net::NetSubsystem net = net::install_networking(rt, "net.sys", {0});
+  net::NetSubsystem net = net::install_networking(rt, "net.sys");
   net::ReconnectorActor& recon = net::install_reconnector(rt, net);
 
   // A listener whose accepted sockets land in a test-owned mbox.
@@ -605,7 +605,7 @@ TEST_F(SupervisionTest, NetRingComputesCorrectSumsOverTcp) {
   options.pool_nodes = 8192;
   options.node_payload_bytes = 2048;
   core::Runtime rt(options);
-  net::NetSubsystem net = net::install_networking(rt, "net.sys", {0});
+  net::NetSubsystem net = net::install_networking(rt, "net.sys");
   net::ReconnectorActor& recon = net::install_reconnector(rt, net);
   smc::SmcConfig config;
   config.parties = 3;
@@ -636,7 +636,7 @@ TEST_F(SupervisionTest, NetRingComputesCorrectSumsOverTcp) {
 
 TEST_F(SupervisionTest, NetRingRejectsDynamicSecrets) {
   core::Runtime rt;
-  net::NetSubsystem net = net::install_networking(rt, "net.sys", {0});
+  net::NetSubsystem net = net::install_networking(rt, "net.sys");
   net::ReconnectorActor& recon = net::install_reconnector(rt, net);
   smc::SmcConfig config;
   config.dynamic = true;
