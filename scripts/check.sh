@@ -37,8 +37,11 @@
 #   nofailpoint zero-overhead-when-off symbol check on the plain tree
 #   bench       bench smoke: bench_batching + bench_pos + bench_sched +
 #               bench_migrate, JSON schema check (incl. the zero-copy
-#               counter guard), and the end-to-end benchmark's self-test
-#               (perfbench/run.py --self-test, built under build-check)
+#               counter guard), bench_ablation_colocated (all three
+#               secure-sum rings — TCP, SDK, EActors; exits 1 on a wrong
+#               or missing TCP-ring sum), and the end-to-end benchmark's
+#               self-test (perfbench/run.py --self-test, built under
+#               build-check)
 #   posperf     perf-regression guard: a fresh `bench_pos --smoke` cleaner
 #               sweep must hold >= 0.8x of the committed BENCH_pos.json
 #               cleaner rows, per-mode geomean (the epoch-reclamation
@@ -302,9 +305,11 @@ run_bench_smoke() {
     ./build-check/bench/bench_migrate >/dev/null || return 1
   check_bench_json build-check/BENCH_migrate.json migrate \
     pause xmpp_echo || return 1
+  EA_BENCH_SECONDS=0.02 EA_BENCH_SCALE=0.01 \
+    ./build-check/bench/bench_ablation_colocated >/dev/null || return 1
   CARGO_TARGET_DIR=build-check python3 perfbench/run.py --self-test
 }
-leg bench "bench smoke (bench_batching + bench_pos + bench_sched + bench_migrate + JSON schema + perfbench self-test)" \
+leg bench "bench smoke (bench_batching + bench_pos + bench_sched + bench_migrate + JSON schema + bench_ablation_colocated rings + perfbench self-test)" \
   run_bench_smoke
 
 # --- POS cleaner perf-regression guard: `--smoke` pins its own 0.25 s ------

@@ -4,9 +4,6 @@
 #include <vector>
 
 #include "core/actor.hpp"
-#include "crypto/hkdf.hpp"
-#include "crypto/rng.hpp"
-#include "sgxsim/attestation.hpp"
 #include "util/failpoint.hpp"
 #include "util/logging.hpp"
 
@@ -22,14 +19,7 @@ Channel::Channel(std::string name, ChannelOptions options,
 }
 
 void Channel::decide_wire_format() {
-  encrypted_ = false;
-  key_.reset();
-  for (int side = 0; side < 2; ++side) {
-    // The top counter bit is the sending side: both directions use the
-    // channel key, so they count in disjoint halves.
-    recv_next_[side] = static_cast<std::uint64_t>(side) << 63;
-    send_counter_[side].store(recv_next_[side], std::memory_order_relaxed);
-  }
+  seal_.reset();
   const bool cross_enclave = placements_[0] != placements_[1] &&
                              placements_[0] != sgxsim::kUntrusted &&
                              placements_[1] != sgxsim::kUntrusted;
@@ -37,22 +27,8 @@ void Channel::decide_wire_format() {
     auto& mgr = sgxsim::EnclaveManager::instance();
     sgxsim::Enclave* a = mgr.find(placements_[0]);
     sgxsim::Enclave* b = mgr.find(placements_[1]);
-    if (a != nullptr && b != nullptr) {
-      key_ = sgxsim::establish_session_key(*a, *b);
-    }
-    if (key_.has_value()) {
-      // The attested key is the same for every channel between these two
-      // enclaves: each channel, and each rebind, derives its own from it
-      // and overwrites it.
-      std::uint8_t salt[32];
-      crypto::secure_random(salt);
-      util::Bytes okm = crypto::hkdf(salt, *key_, util::to_bytes("ea-channel"),
-                                     crypto::kAeadKeySize);
-      std::memcpy(key_->data(), okm.data(), key_->size());
-      util::secure_zero(okm);
-      encrypted_ = true;
-    }
-    if (!encrypted_) {
+    if (a != nullptr && b != nullptr) seal_ = HopSeal::link(*a, *b);
+    if (!seal_.has_value()) {
       EA_WARN("core", "channel %s: attestation failed, staying plain",
               name_.c_str());
     }
@@ -69,7 +45,7 @@ ChannelEnd* Channel::connect(sgxsim::EnclaveId placement, Actor* owner) {
     decide_wire_format();
     EA_DEBUG("core", "channel %s connected (%u <-> %u) %s", name_.c_str(),
              placements_[0], placements_[1],
-             encrypted_ ? "encrypted" : "plain");
+             encrypted() ? "encrypted" : "plain");
   }
   return &ends_[side];
 }
@@ -118,67 +94,29 @@ std::size_t Channel::rebind_for_migration(const Actor& owner,
   }
   EA_DEBUG("core", "channel %s rebound (%u <-> %u) %s, %zu in-flight carried",
            name_.c_str(), placements_[0], placements_[1],
-           encrypted_ ? "encrypted" : "plain", carried);
+           encrypted() ? "encrypted" : "plain", carried);
   return carried;
 }
 
 // --- sealing / opening ------------------------------------------------------
 
-std::size_t Channel::plaintext_offset() const noexcept {
-  return encrypted_ ? crypto::kAeadNonceSize : 0;
-}
-
-std::size_t Channel::cipher_overhead() const noexcept {
-  return encrypted_ ? crypto::kAeadOverhead : 0;
-}
-
 void Channel::seal_in_place(int side, concurrent::Node& node,
                             std::size_t len) {
-  std::uint8_t* p = node.payload();
-  if (!encrypted_) {
-    node.size = static_cast<std::uint32_t>(len);
-    return;
+  if (seal_.has_value()) {
+    len += HopSeal::kOverhead;
+    seal_->seal(side, std::span<std::uint8_t>(node.payload(), len));
   }
-  std::uint64_t ctr =
-      send_counter_[side].fetch_add(1, std::memory_order_relaxed);
-  // The AAD pins direction so a malicious runtime cannot reflect messages
-  // back at their sender.
-  const std::uint8_t aad[1] = {static_cast<std::uint8_t>(side)};
-  const std::size_t total = len + crypto::kAeadOverhead;
-  crypto::seal_framed_into(*key_, ctr, aad, std::span<std::uint8_t>(p, total));
-  node.size = static_cast<std::uint32_t>(total);
-}
-
-bool Channel::seal_into(int side, concurrent::Node& node,
-                        std::span<const std::uint8_t> bytes) {
-  if (bytes.size() + cipher_overhead() > node.capacity) return false;
-  if (!bytes.empty()) {
-    std::memcpy(node.payload() + plaintext_offset(), bytes.data(),
-                bytes.size());
-  }
-  seal_in_place(side, node, bytes.size());
-  return true;
+  node.size = static_cast<std::uint32_t>(len);
 }
 
 bool Channel::open_in_place(int side, concurrent::Node& node) {
-  if (!encrypted_) return true;
-  const int sender = 1 - side;
+  if (!seal_.has_value()) return true;
   std::uint8_t* p = node.payload();
-  const std::uint8_t aad[1] = {static_cast<std::uint8_t>(sender)};
   std::size_t plain_len = 0;
-  if (!crypto::open_framed_in_place(
-          *key_, aad, std::span<std::uint8_t>(p, node.size), plain_len)) {
+  if (!seal_->open(side, std::span<std::uint8_t>(p, node.size), plain_len)) {
     return false;
   }
-  // The authenticated counter must come from the sender's half and be new:
-  // a reflected, replayed or overtaken frame is dropped.
-  const std::uint64_t ctr = util::load_le64(p + crypto::kAeadNonceSize - 8);
-  if (ctr >> 63 != static_cast<std::uint64_t>(sender) ||
-      ctr < recv_next_[sender]) {
-    return false;
-  }
-  recv_next_[sender] = ctr + 1;
-  std::memmove(p, p + crypto::kAeadNonceSize, plain_len);
+  std::memmove(p, p + HopSeal::kHeader, plain_len);
   node.size = static_cast<std::uint32_t>(plain_len);
   return true;
 }
@@ -188,10 +126,16 @@ bool Channel::open_in_place(int side, concurrent::Node& node) {
 bool Channel::send_from(int side, std::span<const std::uint8_t> bytes) {
   concurrent::Node* node = pool_.get();
   if (node == nullptr) return false;  // pool exhausted; caller retries
-  if (!seal_into(side, *node, bytes)) {
+  const bool sealed = seal_.has_value();
+  if (bytes.size() + (sealed ? HopSeal::kOverhead : 0) > node->capacity) {
     pool_.put(node);
     return false;
   }
+  if (!bytes.empty()) {
+    std::memcpy(node->payload() + (sealed ? HopSeal::kHeader : 0),
+                bytes.data(), bytes.size());
+  }
+  seal_in_place(side, *node, bytes.size());
   payload_copies_.fetch_add(1, std::memory_order_relaxed);
   dir_[side == 0 ? 0 : 1].push(node);
   return true;
@@ -200,7 +144,7 @@ bool Channel::send_from(int side, std::span<const std::uint8_t> bytes) {
 bool Channel::send_node_from(int side, concurrent::NodeLease&& lease) {
   concurrent::Node* node = lease.get();
   if (node == nullptr) return false;
-  if (!encrypted_) {
+  if (!seal_.has_value()) {
     // Co-located (or explicitly plain) fast path: donate the node pointer.
     // The payload is not touched — EActors' "only pointers are passed
     // around" discipline applied to channel sends.
@@ -212,10 +156,9 @@ bool Channel::send_node_from(int side, concurrent::NodeLease&& lease) {
   // be sealed. Stage it to the wire's plaintext offset (the one copy this
   // path pays) and seal in place; AEAD framing is identical to send().
   const std::size_t len = node->size;
-  if (len + cipher_overhead() > node->capacity) return false;  // lease frees
+  if (len + HopSeal::kOverhead > node->capacity) return false;  // lease frees
   std::uint8_t* p = node->payload();
-  const std::size_t off = plaintext_offset();
-  if (off != 0 && len != 0) std::memmove(p + off, p, len);
+  if (len != 0) std::memmove(p + HopSeal::kHeader, p, len);
   seal_in_place(side, *node, len);
   payload_copies_.fetch_add(1, std::memory_order_relaxed);
   dir_[side == 0 ? 0 : 1].push(lease.release());
@@ -265,6 +208,6 @@ bool ChannelEnd::pending() const {
   return !channel_->dir_[side_ == 0 ? 1 : 0].empty();
 }
 
-bool ChannelEnd::encrypted() const { return channel_->encrypted_; }
+bool ChannelEnd::encrypted() const { return channel_->encrypted(); }
 
 }  // namespace ea::core

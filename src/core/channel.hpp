@@ -4,23 +4,15 @@
 // mboxes. Channels hide the location of the endpoints: if both eactors sit
 // in the same enclave (or both untrusted) messages travel in plaintext; if
 // they sit in *different* enclaves the channel transparently seals every
-// message with ChaCha20-Poly1305 (crypto/aead.hpp) — the underlying node
-// memory is untrusted, so the runtime must not be able to read, forge,
-// replay or reorder messages. The frame is nonce(12) || ciphertext ||
-// tag(16), sealed and opened in place inside the node. A channel can also
-// be explicitly configured plain (§3.3: "except if the channel is
-// configured as non-encrypted").
-//
-// Key and nonce schedule. (Simulated) SGX local attestation yields one
-// session key per enclave pair, shared by every channel between them, so
-// each channel derives its own key from it by HKDF with 32 fresh random
-// bytes, on connect and again on every migration rebind. The nonce carries
-// a per-direction frame counter whose top bit is the sending side, so the
-// two directions never share a nonce under the channel key. The receiver
-// accepts a frame only if its authenticated counter carries the peer's
-// side and is not below the next one it expects: a frame reflected to its
-// sender, moved from another channel, duplicated or overtaken by a later
-// one is dropped and counted in auth_failures().
+// message — the underlying node memory is untrusted, so the runtime must
+// not be able to read, forge, replay or reorder messages. Each node
+// carries one frame, sealed and opened in place by the rule every hop
+// between enclaves follows (core/hop_seal.hpp): a key of the channel's own,
+// derived on connect and again on every migration rebind, per-direction
+// counters, and a receiver that drops reflected, moved, duplicated and
+// overtaken frames (counted in auth_failures()). A channel can also be
+// explicitly configured plain (§3.3: "except if the channel is configured
+// as non-encrypted").
 //
 // The two-phase connect mirrors the paper: the first endpoint to connect is
 // the *initiator*, the second the *client*; the encryption decision is made
@@ -34,7 +26,7 @@
 
 #include "concurrent/mbox.hpp"
 #include "concurrent/pool.hpp"
-#include "crypto/aead.hpp"
+#include "core/hop_seal.hpp"
 #include "sgxsim/enclave.hpp"
 
 namespace ea::core {
@@ -133,7 +125,7 @@ class Channel {
   std::size_t rebind_for_migration(const Actor& owner,
                                    sgxsim::EnclaveId new_placement);
 
-  bool encrypted() const noexcept { return encrypted_; }
+  bool encrypted() const noexcept { return seal_.has_value(); }
 
   // Number of messages dropped due to failed authentication or a counter
   // that was reflected, replayed or out of order.
@@ -167,17 +159,9 @@ class Channel {
   bool send_from(int side, std::span<const std::uint8_t> bytes);
   bool send_node_from(int side, concurrent::NodeLease&& lease);
   concurrent::NodeLease recv_at(int side);
-  // Byte offset inside a node payload where plaintext begins for this
-  // channel's wire format (after the nonce / counter header), and the
-  // total cipher expansion.
-  std::size_t plaintext_offset() const noexcept;
-  std::size_t cipher_overhead() const noexcept;
-  // Seals the `len` plaintext bytes already sitting at plaintext_offset()
-  // inside `node`; writes header and trailer in place and sets node.size.
+  // Seals the `len` plaintext bytes sitting in `node` at HopSeal::kHeader
+  // (at 0 on a plain channel), in place, and sets node.size.
   void seal_in_place(int side, concurrent::Node& node, std::size_t len);
-  // Copies `bytes` into `node` and seals; false if they cannot fit.
-  bool seal_into(int side, concurrent::Node& node,
-                 std::span<const std::uint8_t> bytes);
   bool open_in_place(int side, concurrent::Node& node);
 
   std::string name_;
@@ -195,12 +179,8 @@ class Channel {
 
   concurrent::Mbox dir_[2];  // dir_[0]: A->B, dir_[1]: B->A
 
-  bool encrypted_ = false;
-  std::optional<crypto::AeadKey> key_;
-  std::atomic<std::uint64_t> send_counter_[2] = {0, 0};
-  // Next acceptable counter per sending side; only the receiving end's
-  // owner touches its entry.
-  std::uint64_t recv_next_[2] = {0, 0};
+  // Set while the channel seals: the ends cross an enclave boundary.
+  std::optional<HopSeal> seal_;
   std::atomic<std::uint64_t> auth_failures_{0};
   std::atomic<std::uint64_t> frame_errors_{0};
   std::atomic<std::uint64_t> payload_copies_{0};

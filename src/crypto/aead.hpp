@@ -36,11 +36,12 @@ std::optional<util::Bytes> aead_decrypt(const AeadKey& key,
                                         std::span<const std::uint8_t> aad,
                                         std::span<const std::uint8_t> sealed);
 
-// Message framing used by channels: out = nonce(12) || ciphertext || tag(16),
-// with the nonce = 4 zero bytes || le64(counter). Nothing here stops a
-// (key, counter) pair from repeating; each caller must rule it out for its
-// keys (core::Channel derives a fresh key per channel and per rebind and
-// gives each direction its own half of the counter space).
+// Message framing: out = nonce(12) || ciphertext || tag(16), with the
+// nonce = 4 zero bytes || le64(counter). Nothing here stops a (key,
+// counter) pair from repeating; each caller must rule it out for its keys.
+// Every hop between enclaves seals through core::HopSeal, which derives a
+// fresh key per link and gives each direction its own half of the counter
+// space.
 util::Bytes seal_with_counter(const AeadKey& key, std::uint64_t counter,
                               std::span<const std::uint8_t> aad,
                               std::span<const std::uint8_t> plaintext);
@@ -49,8 +50,9 @@ std::optional<util::Bytes> open_framed(const AeadKey& key,
                                        std::span<const std::uint8_t> aad,
                                        std::span<const std::uint8_t> framed);
 
-// Zero-allocation variants used on the channel fast path (§3.3 forbids
-// dynamic allocation on the message path: nodes are the only buffers).
+// Zero-allocation variants used by core::HopSeal and the migration transfer
+// frame (§3.3 forbids dynamic allocation on the message path: nodes are
+// the only buffers).
 //
 // seal_framed_into seals a frame the caller has already laid out in place:
 // `frame` must be kAeadNonceSize + plaintext + kAeadTagSize bytes with the

@@ -149,7 +149,7 @@ void ReconnectorActor::handle_reply(const OpenReply& reply,
   }
 
   // Success: re-arm the READER subscription for the new socket and tell the
-  // owner which socket/epoch to talk through now.
+  // owner which socket to talk through now.
   concurrent::Node* sub_node = pool_.get();
   if (sub_node == nullptr) {
     // Without a subscription the connection would be write-only; treat as a
@@ -166,15 +166,15 @@ void ReconnectorActor::handle_reply(const OpenReply& reply,
   net_.reader->requests().push(sub_node);
 
   conn.socket = id;
-  ++conn.epoch;
   conn.state = ConnState::kUp;
   conn.attempts = 0;
   conn.backoff.reset();
   ++opens_;
-  if (conn.epoch > 1) ++reconnects_;
-  EA_INFO("net", "reconnector: conn %llu up (socket %lld, epoch %u)",
+  if (conn.opened) ++reconnects_;
+  conn.opened = true;
+  EA_INFO("net", "reconnector: conn %llu up (socket %lld)",
           static_cast<unsigned long long>(reply.cookie),
-          static_cast<long long>(id), conn.epoch);
+          static_cast<long long>(id));
   publish_status(conn, reply.cookie);
 }
 
@@ -227,7 +227,6 @@ void ReconnectorActor::publish_status(Conn& conn, std::uint64_t conn_id) {
   ConnStatus status;
   status.conn_id = conn_id;
   status.socket = conn.socket;
-  status.epoch = conn.epoch;
   status.up = conn.state == ConnState::kUp ? 1 : 0;
   status.gave_up = conn.state == ConnState::kGaveUp ? 1 : 0;
   write_struct(*node, status);

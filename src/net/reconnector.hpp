@@ -11,14 +11,14 @@
 //     add_connection(spec)  ── pre-start ──▶  registry entry
 //                                             │ construct(): OpenRequest
 //     data mbox  ◀── READER ── inbound bytes ─┤ on OpenReply: subscribe
-//     status mbox ◀── ConnStatus{socket,epoch,up} ── publish
+//     status mbox ◀── ConnStatus{socket,up} ── publish
 //     control()  ── down note (reset seen) ──▶ close old, backoff, re-open
 //
-// Every successful (re)open bumps the connection's epoch. Owners running
-// counter-sealed AEAD streams fold the epoch into their nonce schedule
-// ((epoch << 32) | counter), so both sides restart the counter space on a
-// fresh epoch and a reconnect can never reuse a nonce or trip the replay
-// check (see smc/net_ring.cpp).
+// Every successful (re)open publishes exactly one Up note naming the new
+// socket; a failed or stale open publishes none. The reconnector hands an
+// owner a new socket, never a new nonce space: an owner that seals its
+// stream keeps its counters across reconnects (core/hop_seal.hpp,
+// smc/net_ring.cpp).
 //
 // Re-open pacing uses core::BackoffSchedule — capped exponential backoff
 // with jitter — so a dead peer is probed gently and a restored one is
@@ -43,8 +43,7 @@ namespace ea::net {
 // transition (node payload, trivially copyable).
 struct ConnStatus {
   std::uint64_t conn_id = 0;
-  SocketId socket = -1;     // valid while up
-  std::uint32_t epoch = 0;  // bumped on every successful (re)open
+  SocketId socket = -1;  // valid while up
   std::uint8_t up = 0;
   std::uint8_t gave_up = 0;  // max_attempts exhausted; no more retries
 };
@@ -109,7 +108,7 @@ class ReconnectorActor : public core::Actor {
     ConnState state = ConnState::kBackoff;
     core::BackoffSchedule backoff;
     SocketId socket = -1;
-    std::uint32_t epoch = 0;
+    bool opened = false;         // up at least once: the next open reconnects
     std::uint32_t attempts = 0;  // consecutive failures
     Clock::time_point retry_at{};
     Clock::time_point deadline{};

@@ -97,7 +97,7 @@ Socket Socket::connect_to(const std::string& host, std::uint16_t port) {
     // the socket up. A refused dial can also surface as EINPROGRESS (the
     // refusal only appears later via SO_ERROR), and callers — the OPENER
     // in particular — treat a valid return as "connection up": the
-    // reconnector would bump its epoch for a socket that never existed.
+    // reconnector would publish an Up note for a socket that never existed.
     pollfd pfd{fd, POLLOUT, 0};
     int err = 0;
     socklen_t len = sizeof(err);

@@ -4,26 +4,16 @@
 #include <stdexcept>
 
 #include "core/runtime.hpp"
-#include "sgxsim/attestation.hpp"
 #include "smc/party_actor.hpp"
 #include "util/logging.hpp"
 
 namespace ea::smc {
 namespace {
 
-// Wire frame: [u32 len][u32 epoch][u64 ctr][sealed], len covering
-// everything after itself. The AEAD nonce counter is (epoch << 32) | ctr
-// and the AAD binds {epoch, ctr, sender index}, so a frame can neither be
-// replayed across reconnects nor spliced between links.
-constexpr std::size_t kHeaderBytes = 4 + 4 + 8;
+// Wire frame: [u32 len][sealed frame], len covering the sealed frame
+// (core/hop_seal.hpp), whose plaintext is [u64 round id][vector].
+constexpr std::uint32_t kMinFrameLen = core::HopSeal::kOverhead + 8;
 constexpr std::uint32_t kMaxFrameLen = 1u << 16;
-
-void build_aad(std::uint8_t out[16], std::uint32_t epoch, std::uint64_t ctr,
-               std::uint32_t sender) {
-  util::store_le32(out, epoch);
-  util::store_le64(out + 4, ctr);
-  util::store_le32(out + 12, sender);
-}
 
 void drain_mbox_to_pools(concurrent::Mbox& mbox) noexcept {
   concurrent::Node* burst[net::kRequestBurst];
@@ -38,14 +28,14 @@ void drain_mbox_to_pools(concurrent::Mbox& mbox) noexcept {
 }  // namespace
 
 NetRingParty::NetRingParty(std::string name, int index, SmcConfig config,
-                           crypto::AeadKey prev_key, crypto::AeadKey next_key,
+                           core::HopSeal in, core::HopSeal out,
                            concurrent::Mbox* requests,
                            concurrent::Mbox* results)
     : core::Actor(std::move(name)),
       config_(config),
       index_(index),
-      prev_key_(prev_key),
-      next_key_(next_key),
+      in_(in),
+      out_(out),
       requests_(requests),
       results_(results) {}
 
@@ -65,8 +55,7 @@ void NetRingParty::on_restart() {
   // A failure may have interrupted a partial rx append: the buffer can no
   // longer be trusted to sit on a frame boundary, so drop it. If that loses
   // stream sync, the parser poisons the link and the upstream peer redials
-  // a fresh (higher-epoch) connection — the retransmit machinery re-feeds
-  // the lost token.
+  // a fresh connection — the retransmit machinery re-feeds the lost token.
   rx_buf_.clear();
   if (!out_cache_.empty()) send_pending_ = true;
 }
@@ -150,8 +139,6 @@ bool NetRingParty::pump_net() {
       if (!net::read_struct(*burst[b], status)) continue;
       if (status.up != 0) {
         out_socket_ = status.socket;
-        out_epoch_ = status.epoch;
-        out_ctr_ = 0;
         // The downstream peer may have missed the last token: re-forward it
         // on the fresh link (duplicates are deduped by round id).
         if (!out_cache_.empty()) send_pending_ = true;
@@ -187,12 +174,12 @@ bool NetRingParty::parse_frames() {
   bool progress = false;
   std::size_t consumed = 0;
   while (rx_buf_.size() - consumed >= 4) {
-    const std::uint8_t* frame = rx_buf_.data() + consumed;
-    std::uint32_t len = util::load_le32(frame);
-    if (len < 12 + crypto::kAeadOverhead || len > kMaxFrameLen) {
+    std::uint8_t* frame = rx_buf_.data() + consumed;
+    const std::uint32_t len = util::load_le32(frame);
+    if (len < kMinFrameLen || len > kMaxFrameLen) {
       // Stream desync or garbage: poison the link. Closing our inbound end
       // resets the upstream peer's outbound socket; its reconnector redials
-      // and its cached token is re-sent on the fresh epoch.
+      // and its cached token is re-sent on the fresh connection.
       EA_WARN("smc", "%s: bad frame length %u, poisoning inbound link",
               name().c_str(), len);
       if (in_socket_ >= 0) {
@@ -207,35 +194,17 @@ bool NetRingParty::parse_frames() {
       return progress;
     }
     if (rx_buf_.size() - consumed < 4 + len) break;  // incomplete frame
-    std::uint32_t epoch = util::load_le32(frame + 4);
-    std::uint64_t ctr = util::load_le64(frame + 8);
-    std::span<const std::uint8_t> sealed(frame + kHeaderBytes, len - 12);
     consumed += 4 + len;
-
-    // Replay/reorder guard: (epoch, ctr) must advance strictly.
-    bool fresh = !rx_any_ || epoch > last_rx_epoch_ ||
-                 (epoch == last_rx_epoch_ && ctr > last_rx_ctr_);
-    if (!fresh) continue;
-
-    std::uint8_t aad[16];
-    const int k = config_.parties;
-    build_aad(aad, epoch, ctr,
-              static_cast<std::uint32_t>((index_ + k - 1) % k));
-    auto plain = crypto::open_framed(prev_key_, aad, sealed);
-    if (!plain.has_value()) {
+    std::size_t plain_len = 0;
+    if (!in_.open(/*side=*/1, std::span<std::uint8_t>(frame + 4, len),
+                  plain_len)) {
       ++auth_failures_;
-      EA_WARN("smc", "%s: hop auth failed (epoch %u ctr %llu)",
-              name().c_str(), epoch, static_cast<unsigned long long>(ctr));
+      EA_WARN("smc", "%s: hop failed authentication or the replay guard",
+              name().c_str());
       continue;
     }
-    rx_any_ = true;
-    last_rx_epoch_ = epoch;
-    last_rx_ctr_ = ctr;
-    if (plain->size() < 8) continue;
-    std::uint64_t round = util::load_le64(plain->data());
-    Vec vec = deserialize(
-        std::span<const std::uint8_t>(plain->data() + 8, plain->size() - 8));
-    handle_token(round, vec);
+    handle_token(std::span<const std::uint8_t>(
+        frame + 4 + core::HopSeal::kHeader, plain_len));
     progress = true;
   }
   if (consumed != 0) {
@@ -245,21 +214,20 @@ bool NetRingParty::parse_frames() {
   return progress;
 }
 
-void NetRingParty::handle_token(std::uint64_t round_id, const Vec& vec) {
-  if (vec.size() != config_.dim) return;
+void NetRingParty::handle_token(std::span<const std::uint8_t> token) {
+  if (token.size() != 8 + config_.dim * sizeof(Element)) return;
+  const std::uint64_t round_id = util::load_le64(token.data());
   if (index_ == 0) {
     // Ring completion. Only the current unresolved round counts; stale
     // duplicates from retransmissions are dropped.
     if (!round_in_flight_ || round_id != round_id_) return;
-    Vec sum = vec;
-    sub_in_place(sum, rnd_);
     round_in_flight_ = false;
     ++rounds_completed_;
     if (results_ != nullptr) {
       concurrent::Node* node = pool_->get();
-      util::Bytes bytes = serialize(sum);
-      if (node != nullptr && bytes.size() <= node->capacity) {
-        node->fill(bytes);
+      if (node != nullptr && token.size() - 8 <= node->capacity) {
+        node->fill(token.subspan(8));
+        sub_from_bytes(node->payload(), rnd_);
         results_->push(node);
       } else {
         concurrent::NodeLease(node).reset();
@@ -277,25 +245,19 @@ void NetRingParty::handle_token(std::uint64_t round_id, const Vec& vec) {
     send_pending_ = true;
     return;
   }
-  Vec m = vec;
-  add_in_place(m, secret_);
   round_id_ = round_id;
-  out_cache_.resize(8 + config_.dim * sizeof(Element));
-  util::store_le64(out_cache_.data(), round_id);
-  util::Bytes body = serialize(m);
-  std::memcpy(out_cache_.data() + 8, body.data(), body.size());
+  out_cache_.assign(token.begin(), token.end());
+  add_to_bytes(out_cache_.data() + 8, secret_);
   send_pending_ = true;
 }
 
 void NetRingParty::start_round() {
   ++round_id_;
   refill_random_trusted(rnd_);
-  Vec m = secret_;
-  add_in_place(m, rnd_);
   out_cache_.resize(8 + config_.dim * sizeof(Element));
   util::store_le64(out_cache_.data(), round_id_);
-  util::Bytes body = serialize(m);
-  std::memcpy(out_cache_.data() + 8, body.data(), body.size());
+  serialize_into(out_cache_.data() + 8, secret_);
+  add_to_bytes(out_cache_.data() + 8, rnd_);
   round_in_flight_ = true;
   idle_polls_ = 0;
   retransmit_after_ = 512;
@@ -316,13 +278,7 @@ bool NetRingParty::send_cached() {
     send_pending_ = true;  // pool pressure: retry next body
     return false;
   }
-  std::uint64_t ctr = out_ctr_++ & 0xffffffffull;
-  std::uint64_t counter = (static_cast<std::uint64_t>(out_epoch_) << 32) | ctr;
-  std::uint8_t aad[16];
-  build_aad(aad, out_epoch_, ctr, static_cast<std::uint32_t>(index_));
-  util::Bytes sealed =
-      crypto::seal_with_counter(next_key_, counter, aad, out_cache_);
-  std::uint32_t len = static_cast<std::uint32_t>(12 + sealed.size());
+  const std::size_t len = core::HopSeal::kOverhead + out_cache_.size();
   if (4 + len > node->capacity) {
     concurrent::NodeLease(node).reset();
     EA_WARN("smc", "%s: frame exceeds node capacity, dropped", name().c_str());
@@ -330,11 +286,11 @@ bool NetRingParty::send_cached() {
     return false;
   }
   std::uint8_t* out = node->payload();
-  util::store_le32(out, len);
-  util::store_le32(out + 4, out_epoch_);
-  util::store_le64(out + 8, ctr);
-  std::memcpy(out + kHeaderBytes, sealed.data(), sealed.size());
-  node->size = 4 + len;
+  util::store_le32(out, static_cast<std::uint32_t>(len));
+  std::memcpy(out + 4 + core::HopSeal::kHeader, out_cache_.data(),
+              out_cache_.size());
+  out_.seal(/*side=*/0, std::span<std::uint8_t>(out + 4, len));
+  node->size = static_cast<std::uint32_t>(4 + len);
   node->tag = static_cast<std::uint64_t>(out_socket_);
   net_.writer->input().push(node);
   send_pending_ = false;
@@ -383,20 +339,21 @@ NetRingDeployment install_net_ring(core::Runtime& rt, const SmcConfig& config,
   }
   const int k = config.parties;
 
-  // Pairwise session keys (attestation model), key[i] securing link
-  // i -> i+1.
+  // One sealed link per hop, link i carrying party i -> i+1, each with a
+  // key of its own: the two links of a 2-party ring join the same enclave
+  // pair.
   std::vector<sgxsim::Enclave*> enclaves(static_cast<std::size_t>(k));
   for (int i = 0; i < k; ++i) {
     enclaves[static_cast<std::size_t>(i)] =
         &rt.enclave("smc.net.e" + std::to_string(i));
   }
-  std::vector<crypto::AeadKey> keys(static_cast<std::size_t>(k));
+  std::vector<core::HopSeal> links;
   for (int i = 0; i < k; ++i) {
-    auto key = sgxsim::establish_session_key(
+    std::optional<core::HopSeal> link = core::HopSeal::link(
         *enclaves[static_cast<std::size_t>(i)],
         *enclaves[static_cast<std::size_t>((i + 1) % k)]);
-    if (!key.has_value()) throw std::runtime_error("attestation failed");
-    keys[static_cast<std::size_t>(i)] = *key;
+    if (!link.has_value()) throw std::runtime_error("attestation failed");
+    links.push_back(*link);
   }
 
   auto holder = std::make_unique<DriverMboxes>("smc.net.driver-mboxes");
@@ -409,8 +366,8 @@ NetRingDeployment install_net_ring(core::Runtime& rt, const SmcConfig& config,
   for (int i = 0; i < k; ++i) {
     std::string name = "smc.net.p" + std::to_string(i);
     auto party = std::make_unique<NetRingParty>(
-        name, i, config, keys[static_cast<std::size_t>((i + k - 1) % k)],
-        keys[static_cast<std::size_t>(i)],
+        name, i, config, links[static_cast<std::size_t>((i + k - 1) % k)],
+        links[static_cast<std::size_t>(i)],
         i == 0 ? &mboxes->requests : nullptr,
         i == 0 ? &mboxes->results : nullptr);
     dep.parties.push_back(party.get());

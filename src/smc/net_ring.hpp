@@ -8,15 +8,14 @@
 //
 //   * outbound links are owned by the RECONNECTOR (net/reconnector.hpp);
 //     a reset is redialed with backoff and the party learns the new
-//     socket + epoch from its status mbox;
+//     socket from its status mbox;
 //   * inbound links re-arrive through the party's ACCEPTER subscription —
 //     the listener stays registered forever;
-//   * every hop is sealed with the pairwise session key under a
-//     (epoch << 32 | counter) nonce schedule, with AAD binding
-//     {epoch, counter, sender index}. A reconnect bumps the epoch and
-//     restarts the counter, so retransmitted tokens can never reuse a
-//     nonce, and the receiver enforces strictly increasing (epoch, ctr) to
-//     kill replays;
+//   * every hop is sealed by the rule of every hop between enclaves
+//     (core/hop_seal.hpp): each link has a key of its own, and its
+//     counters keep counting across reconnects, so a retransmitted token
+//     is sealed under a fresh nonce and the receiver drops replayed,
+//     reflected and spliced frames;
 //   * lost tokens are survived by retransmission: party 0 re-sends its
 //     masked vector while a round is unresolved, and intermediate parties
 //     cache their last forwarded token per round id, so duplicates are
@@ -33,7 +32,7 @@
 #include "concurrent/mbox.hpp"
 #include "concurrent/pool.hpp"
 #include "core/actor.hpp"
-#include "crypto/aead.hpp"
+#include "core/hop_seal.hpp"
 #include "net/actors.hpp"
 #include "net/reconnector.hpp"
 #include "smc/secure_sum.hpp"
@@ -42,8 +41,10 @@ namespace ea::smc {
 
 class NetRingParty : public core::Actor {
  public:
+  // `in` seals the link from party index-1 (this party is its side 1),
+  // `out` the link to party index+1 (side 0).
   NetRingParty(std::string name, int index, SmcConfig config,
-               crypto::AeadKey prev_key, crypto::AeadKey next_key,
+               core::HopSeal in, core::HopSeal out,
                concurrent::Mbox* requests = nullptr,
                concurrent::Mbox* results = nullptr);
 
@@ -83,15 +84,16 @@ class NetRingParty : public core::Actor {
  private:
   bool pump_net();
   bool parse_frames();
-  void handle_token(std::uint64_t round_id, const Vec& vec);
+  // `token` is an opened hop: [u64 round id][vector].
+  void handle_token(std::span<const std::uint8_t> token);
   void start_round();
   bool send_cached();
   void drain_owned_mboxes() noexcept;
 
   SmcConfig config_;
   int index_;
-  crypto::AeadKey prev_key_;
-  crypto::AeadKey next_key_;
+  core::HopSeal in_;
+  core::HopSeal out_;
   concurrent::Mbox* requests_;
   concurrent::Mbox* results_;
 
@@ -109,12 +111,7 @@ class NetRingParty : public core::Actor {
   // Link state.
   net::SocketId in_socket_ = -1;
   net::SocketId out_socket_ = -1;
-  std::uint32_t out_epoch_ = 0;
-  std::uint64_t out_ctr_ = 0;
-  std::uint32_t last_rx_epoch_ = 0;
-  std::uint64_t last_rx_ctr_ = 0;
-  bool rx_any_ = false;  // nothing received yet: accept any (epoch, ctr)
-  util::Bytes rx_buf_;   // frame reassembly
+  util::Bytes rx_buf_;  // frame reassembly
 
   // Protocol state.
   Vec secret_;

@@ -25,41 +25,36 @@ void PartyActor::construct(core::Runtime& rt) {
 }
 
 void PartyActor::start_round() {
+  concurrent::NodeLease token(result_pool_->get());
+  const std::size_t bytes = config_.dim * sizeof(Element);
+  if (!token || bytes > token->capacity) {
+    EA_WARN("smc", "party 0: no node for the token, dropping request");
+    return;
+  }
   // Refill the masking vector from the trusted RNG on *every* request —
   // the protocol requires fresh randomness per invocation and this is the
   // sgx_read_rand cost the paper highlights.
   refill_random_trusted(rnd_);
-  Vec m = secret_;
-  add_in_place(m, rnd_);
-  if (out_->send(serialize(m))) {
+  serialize_into(token->payload(), secret_);
+  add_to_bytes(token->payload(), rnd_);
+  token->size = static_cast<std::uint32_t>(bytes);
+  if (out_->send_node(std::move(token))) {
     round_in_flight_ = true;
   } else {
-    EA_WARN("smc", "party 0: pool exhausted, dropping request");
+    EA_WARN("smc", "party 0: token does not fit a sealed node, dropped");
   }
 }
 
-void PartyActor::finish_round(const Vec& incoming) {
-  Vec sum = incoming;
-  sub_in_place(sum, rnd_);
+void PartyActor::finish_round(concurrent::NodeLease token) {
+  sub_from_bytes(token->payload(), rnd_);
   round_in_flight_ = false;
-  if (results_ != nullptr) {
-    concurrent::Node* node = result_pool_->get();
-    if (node != nullptr) {
-      util::Bytes bytes = serialize(sum);
-      if (bytes.size() <= node->capacity) {
-        node->fill(bytes);
-        results_->push(node);
-      } else {
-        concurrent::NodeLease(node).reset();
-        EA_WARN("smc", "result larger than node capacity, dropped");
-      }
-    }
-  }
+  if (results_ != nullptr) results_->push(token.release());
   if (config_.dynamic) update_secret(secret_);
 }
 
 bool PartyActor::body() {
   bool progress = false;
+  const std::size_t bytes = config_.dim * sizeof(Element);
 
   if (index_ == 0) {
     // Serve at most one in-flight invocation; further requests stay queued.
@@ -71,28 +66,28 @@ bool PartyActor::body() {
       }
     }
     if (round_in_flight_) {
-      if (concurrent::NodeLease msg = in_->recv()) {
-        finish_round(deserialize(msg->data()));
+      if (concurrent::NodeLease token = in_->recv()) {
+        if (token->size == bytes) finish_round(std::move(token));
         progress = true;
       }
     }
     return progress;
   }
 
-  // Intermediate party: add the secret and forward.
-  if (concurrent::NodeLease msg = in_->recv()) {
-    Vec m = deserialize(msg->data());
-    msg.reset();  // return the node before potentially blocking on send
-    add_in_place(m, secret_);
-    // send() can fail on pool exhaustion; dropping would lose the round, so
-    // spin on the (enclave-safe, syscall-free) send until a node frees up.
-    util::Bytes bytes = serialize(m);
-    while (!out_->send(bytes)) {
-    }
-    if (config_.dynamic) {
-      // Recompute the secret while the token travels on — the pipelining
-      // the single-threaded SDK deployment cannot exploit.
-      update_secret(secret_);
+  // Intermediate party: add the secret to the token and pass the same node
+  // on. A node that is not one vector is dropped.
+  if (concurrent::NodeLease token = in_->recv()) {
+    if (token->size == bytes) {
+      add_to_bytes(token->payload(), secret_);
+      if (!out_->send_node(std::move(token))) {
+        EA_WARN("smc", "party %d: token does not fit a sealed node, dropped",
+                index_);
+      }
+      if (config_.dynamic) {
+        // Recompute the secret while the token travels on — the pipelining
+        // the single-threaded SDK deployment cannot exploit.
+        update_secret(secret_);
+      }
     }
     progress = true;
   }

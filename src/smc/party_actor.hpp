@@ -1,11 +1,13 @@
 // EActors deployment of the secure-sum service (paper Fig. 9a).
 //
 // Each party is an independent eactor in its own enclave; hops travel over
-// encrypted channels. On a worker of its own (the paper's deployment) a
-// party never leaves its enclave in steady state — the protocol costs zero
-// transitions, and in the dynamic-secret variant each party recomputes its
-// secret while the token circulates elsewhere (pipelining the SDK variant
-// cannot have).
+// encrypted channels. One node carries a round's token all the way round:
+// each party adds its secret where the channel opened it and passes the
+// same node on, and party 0 unmasks it and hands it to the result mbox. On
+// a worker of its own (the paper's deployment) a party never leaves its
+// enclave in steady state — the protocol costs zero transitions, and in
+// the dynamic-secret variant each party recomputes its secret while the
+// token circulates elsewhere (pipelining the SDK variant cannot have).
 //
 // Channel topology: party i sends on channel "smc.ring.<i>" and receives on
 // "smc.ring.<i-1 mod K>". Party 0 additionally serves a request mbox and
@@ -24,7 +26,9 @@ namespace ea::smc {
 class PartyActor : public core::Actor {
  public:
   // `index` in [0, config.parties). For index 0 the request/result mboxes
-  // and the pool used for result nodes must be provided.
+  // must be provided; `result_pool` (default: the runtime's public pool)
+  // supplies each round's token node, which party 0 hands to `results`
+  // once it has come round the ring.
   PartyActor(std::string name, int index, SmcConfig config,
              concurrent::Mbox* requests = nullptr,
              concurrent::Mbox* results = nullptr,
@@ -41,7 +45,7 @@ class PartyActor : public core::Actor {
 
  private:
   void start_round();
-  void finish_round(const Vec& incoming);
+  void finish_round(concurrent::NodeLease token);
 
   SmcConfig config_;
   int index_;

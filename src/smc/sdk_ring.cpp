@@ -2,9 +2,7 @@
 
 #include <stdexcept>
 
-#include "sgxsim/attestation.hpp"
 #include "sgxsim/transition.hpp"
-#include "sgxsim/trusted_rng.hpp"
 
 namespace ea::smc {
 
@@ -25,56 +23,62 @@ SdkSecureSum::SdkSecureSum(SmcConfig config, std::vector<Vec> secrets)
                    : std::move(secrets[static_cast<std::size_t>(i)]);
     if (i == 0) p.rnd.resize(config_.dim);
   }
-  // Pairwise session keys between ring neighbours via local attestation —
-  // the preparation phase of the protocol.
+  // One sealed link per pair of ring neighbours, attested and keyed — the
+  // preparation phase of the protocol.
   for (int i = 0; i < config_.parties; ++i) {
-    Party& p = parties_[static_cast<std::size_t>(i)];
-    Party& n = parties_[static_cast<std::size_t>((i + 1) % config_.parties)];
-    auto key = sgxsim::establish_session_key(*p.enclave, *n.enclave);
-    if (!key.has_value()) throw std::runtime_error("attestation failed");
-    p.next_key = *key;
-    n.prev_key = *key;
+    std::optional<core::HopSeal> link = core::HopSeal::link(
+        *parties_[static_cast<std::size_t>(i)].enclave,
+        *parties_[static_cast<std::size_t>((i + 1) % config_.parties)]
+             .enclave);
+    if (!link.has_value()) throw std::runtime_error("attestation failed");
+    links_.push_back(*link);
+  }
+  wire_.resize(core::HopSeal::kOverhead + config_.dim * sizeof(Element));
+}
+
+void SdkSecureSum::open_hop(int from) {
+  std::size_t plain_len = 0;
+  if (!links_[static_cast<std::size_t>(from)].open(/*side=*/1, wire_,
+                                                   plain_len) ||
+      plain_len != config_.dim * sizeof(Element)) {
+    throw std::runtime_error("SMC hop auth failed");
   }
 }
 
 Vec SdkSecureSum::run_once() {
   const int k = config_.parties;
-  util::Bytes wire;  // ciphertext handed between enclaves by the one thread
+  std::uint8_t* token = wire_.data() + core::HopSeal::kHeader;
 
-  // Party 0: generate Rnd, mask, encrypt for party 1.
+  // Party 0: generate Rnd, mask, seal for party 1.
   {
     Party& p = parties_[0];
     sgxsim::ecall(*p.enclave, [&] {
       refill_random_trusted(p.rnd);
-      Vec m = p.secret;
-      add_in_place(m, p.rnd);
-      wire = crypto::seal_with_counter(p.next_key, p.send_counter++, {},
-                                       serialize(m));
+      serialize_into(token, p.secret);
+      add_to_bytes(token, p.rnd);
+      links_[0].seal(/*side=*/0, wire_);
     });
   }
 
-  // Parties 1..K-1: decrypt, add secret, re-encrypt for the next hop.
+  // Parties 1..K-1: open, add the secret, seal for the next hop.
   for (int i = 1; i < k; ++i) {
     Party& p = parties_[static_cast<std::size_t>(i)];
     sgxsim::ecall(*p.enclave, [&] {
-      auto plain = crypto::open_framed(p.prev_key, {}, wire);
-      if (!plain.has_value()) throw std::runtime_error("SMC hop auth failed");
-      Vec m = deserialize(*plain);
-      add_in_place(m, p.secret);
-      wire = crypto::seal_with_counter(p.next_key, p.send_counter++, {},
-                                       serialize(m));
+      open_hop(i - 1);
+      add_to_bytes(token, p.secret);
+      links_[static_cast<std::size_t>(i)].seal(/*side=*/0, wire_);
       if (config_.dynamic) update_secret(p.secret);
     });
   }
 
-  // Party 0: decrypt the full ring result and unmask.
+  // Party 0: open the full ring result and unmask.
   Vec sum;
   {
     Party& p = parties_[0];
     sgxsim::ecall(*p.enclave, [&] {
-      auto plain = crypto::open_framed(p.prev_key, {}, wire);
-      if (!plain.has_value()) throw std::runtime_error("SMC final auth failed");
-      sum = deserialize(*plain);
+      open_hop(k - 1);
+      sum = deserialize(std::span<const std::uint8_t>(
+          token, config_.dim * sizeof(Element)));
       sub_in_place(sum, p.rnd);
       if (config_.dynamic) update_secret(p.secret);
     });

@@ -5,14 +5,15 @@
 // another." Every hop costs two transitions (leave P_i, enter P_i+1), and
 // the dynamic secret update serialises with the protocol because there is
 // only one thread. ECalls are used "efficiently": no buffer marshalling —
-// the ciphertext is handed over by reference, matching the paper's note
-// that transition costs do not depend on the vector size.
+// the one sealed frame is handed over by reference and opened and sealed
+// in place (core/hop_seal.hpp), matching the paper's note that transition
+// costs do not depend on the vector size.
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "crypto/aead.hpp"
+#include "core/hop_seal.hpp"
 #include "sgxsim/enclave.hpp"
 #include "smc/secure_sum.hpp"
 
@@ -34,14 +35,19 @@ class SdkSecureSum {
   struct Party {
     sgxsim::Enclave* enclave = nullptr;
     Vec secret;
-    Vec rnd;                       // party 0 only
-    crypto::AeadKey next_key{};    // shared with the successor
-    crypto::AeadKey prev_key{};    // shared with the predecessor
-    std::uint64_t send_counter = 0;
+    Vec rnd;  // party 0 only
   };
+
+  // Opens the frame party `from` sealed for its successor, in place; the
+  // plaintext must be one vector.
+  void open_hop(int from);
 
   SmcConfig config_;
   std::vector<Party> parties_;
+  // links_[i] seals the hop from party i (side 0) to party i+1 (side 1).
+  std::vector<core::HopSeal> links_;
+  // The one frame the single thread hands from enclave to enclave.
+  util::Bytes wire_;
 };
 
 }  // namespace ea::smc

@@ -48,12 +48,36 @@ inline void update_secret(Vec& v) {
   }
 }
 
+// Writes `v` as little-endian elements at `out` (v.size() * 4 bytes).
+// The byte loops below read `v` through locals: a store through a byte
+// pointer may alias the vector itself, which would stop vectorisation.
+inline void serialize_into(std::uint8_t* out, const Vec& v) {
+  const Element* in = v.data();
+  for (std::size_t i = 0, n = v.size(); i < n; ++i) {
+    util::store_le32(out + i * 4, in[i]);
+  }
+}
+
 inline util::Bytes serialize(const Vec& v) {
   util::Bytes out(v.size() * sizeof(Element));
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    util::store_le32(out.data() + i * 4, v[i]);
-  }
+  serialize_into(out.data(), v);
   return out;
+}
+
+// add_in_place / sub_in_place on a vector serialised at `bytes`, so a hop
+// works on the token where it was opened.
+inline void add_to_bytes(std::uint8_t* bytes, const Vec& v) {
+  const Element* in = v.data();
+  for (std::size_t i = 0, n = v.size(); i < n; ++i) {
+    util::store_le32(bytes + i * 4, util::load_le32(bytes + i * 4) + in[i]);
+  }
+}
+
+inline void sub_from_bytes(std::uint8_t* bytes, const Vec& v) {
+  const Element* in = v.data();
+  for (std::size_t i = 0, n = v.size(); i < n; ++i) {
+    util::store_le32(bytes + i * 4, util::load_le32(bytes + i * 4) - in[i]);
+  }
 }
 
 inline Vec deserialize(std::span<const std::uint8_t> bytes) {

@@ -26,10 +26,13 @@ std::optional<Route> Directory::get(const std::string& jid) const {
   return it->second;
 }
 
-void Directory::remove(const std::string& jid) {
+bool Directory::remove(const std::string& jid, net::SocketId socket) {
   Shard& s = shard(jid);
   concurrent::HleGuard guard(s.lock);
-  s.users.erase(jid);
+  auto it = s.users.find(jid);
+  if (it == s.users.end() || it->second.socket != socket) return false;
+  s.users.erase(it);
+  return true;
 }
 
 std::size_t Directory::size() const {
@@ -421,9 +424,11 @@ void XmppActor::process_groupchat(const std::string& from,
 void XmppActor::drop_client(net::SocketId socket) {
   auto it = clients_.find(socket);
   if (it != clients_.end()) {
-    if (!it->second.jid.empty()) {
-      std::string jid = it->second.jid;
-      shared_->directory.remove(jid);
+    // Only the jid's current login goes offline: when the same jid has
+    // logged in again, its route names the new socket and this teardown
+    // must not take that login out of the directory or its rooms.
+    const std::string& jid = it->second.jid;
+    if (!jid.empty() && shared_->directory.remove(jid, socket)) {
       shared_->rooms.leave_all(jid);
       broadcast_presence(jid, /*available=*/false);
     }
@@ -615,9 +620,12 @@ XmppService install_xmpp_service(core::Runtime& rt,
     shared->writer_inputs[static_cast<std::size_t>(i)] = &writer->input();
     service.instances.push_back(xmpp.get());
 
+    // Each enclave holds a contiguous block of instances, so a worker that
+    // runs them in order enters each enclave once per round.
     std::string enclave_name;
     if (config.trusted) {
-      enclave_name = "xmpp.e" + std::to_string(i % enclave_count);
+      enclave_name =
+          "xmpp.e" + std::to_string(i * enclave_count / config.instances);
     }
     rt.add_actor(std::move(xmpp), enclave_name);
 

@@ -64,7 +64,9 @@ class Directory {
  public:
   void put(const std::string& jid, Route route);
   std::optional<Route> get(const std::string& jid) const;
-  void remove(const std::string& jid);
+  // Removes `jid`'s route only while it still names `socket`; false when
+  // there is none or a later login of the jid has replaced it.
+  bool remove(const std::string& jid, net::SocketId socket);
   std::size_t size() const;
 
  private:
@@ -237,7 +239,8 @@ class XmppActor : public core::Actor {
 struct XmppServiceConfig {
   int instances = 1;
   bool trusted = true;       // place XMPP eactors (and connector) in enclaves
-  int enclaves = -1;         // enclaves to spread instances over; -1 = one each
+  int enclaves = -1;         // enclaves to spread instances over, each
+                             // holding a contiguous block; -1 = one each
   std::uint16_t port = 0;    // 0 = pick a free port
   // Store messages for offline users in an encrypted POS and deliver them
   // at the next login (instead of returning recipient-unavailable).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <map>
 #include <set>
 #include <thread>
@@ -263,6 +264,41 @@ TEST_F(ChannelWireTest, OlderOfTwoSwappedFramesIsDropped) {
   EXPECT_EQ(msg->view(), "second");
   EXPECT_FALSE(b->recv());
   EXPECT_EQ(x.auth_failures(), 1u);
+}
+
+// Attestation gives an enclave pair one key, the same in both orders and
+// again after the enclave manager is reset. Every link derived from it
+// must still seal under a key of its own: equal plaintexts at the same
+// counter never give equal ciphertexts (the repeat check above).
+TEST_F(CoreTest, HopSealLinksOfOnePairNeverShareAKeystream) {
+  auto& mgr = sgxsim::EnclaveManager::instance();
+  std::vector<HopSeal> links;
+  for (int reset = 0; reset < 2; ++reset) {
+    if (reset == 1) mgr.reset_for_testing();
+    sgxsim::Enclave& a = mgr.create("hop.a");
+    sgxsim::Enclave& b = mgr.create("hop.b");
+    for (auto [x, y] : {std::pair{&a, &b}, std::pair{&b, &a}}) {
+      std::optional<HopSeal> link = HopSeal::link(*x, *y);
+      ASSERT_TRUE(link.has_value());
+      links.push_back(*link);
+    }
+  }
+  const std::string plain = "same plaintext";
+  std::vector<std::string> ciphertexts;
+  for (HopSeal& link : links) {
+    for (int side : {0, 1}) {
+      std::vector<std::uint8_t> frame(HopSeal::kOverhead + plain.size());
+      std::memcpy(frame.data() + HopSeal::kHeader, plain.data(), plain.size());
+      link.seal(side, frame);
+      ciphertexts.emplace_back(frame.begin() + HopSeal::kHeader,
+                               frame.end() - crypto::kAeadTagSize);
+    }
+  }
+  for (std::size_t i = 0; i < ciphertexts.size(); ++i) {
+    for (std::size_t j = i + 1; j < ciphertexts.size(); ++j) {
+      EXPECT_NE(ciphertexts[i], ciphertexts[j]) << i << "," << j;
+    }
+  }
 }
 
 TEST_F(CoreTest, ChannelBidirectional) {

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "core/runtime.hpp"
+#include "core/worker.hpp"
 #include "pos/cleaner_actor.hpp"
 #include "pos/pos.hpp"
 #include "sgxsim/cost_model.hpp"
@@ -235,6 +236,53 @@ TEST_F(IntegrationTest, Figure16StyleEnclavePacking) {
     EXPECT_EQ(msg->body, "packed");
     rt.stop();
   }
+}
+
+// Fig. 16's packing: 16 instances on one worker, in 2 enclaves. Each
+// enclave holds a contiguous block of instances, so the worker enters each
+// enclave once per round instead of on every dispatch.
+TEST_F(IntegrationTest, PackedInstancesEnterEachEnclaveOncePerRound) {
+  core::RuntimeOptions options;
+  options.pool_nodes = 2048;
+  core::Runtime rt(options);
+  xmpp::XmppServiceConfig config;
+  config.instances = 16;
+  config.enclaves = 2;
+  xmpp::install_xmpp_service(rt, config);
+  std::vector<std::string> instances;
+  for (int i = 0; i < config.instances; ++i) {
+    instances.push_back("xmpp.i" + std::to_string(i));
+  }
+  const core::Worker& packed = rt.add_worker("packed", {0}, instances);
+  rt.start();
+
+  sgxsim::Enclave& e0 = rt.enclave("xmpp.e0");
+  sgxsim::Enclave& e1 = rt.enclave("xmpp.e1");
+  // The counter WorkerHealth::rounds reports, read without a snapshot so
+  // that a sample fits inside one round.
+  auto rounds = [&] { return packed.rounds(); };
+  // Rounds and entries read within one round: the worker enters e0 at
+  // instance 0 and e1 at instance 8, so such a pair is off by at most 2.
+  auto sample = [&] {
+    for (;;) {
+      const std::uint64_t r = rounds();
+      const std::uint64_t e = e0.entries() + e1.entries();
+      if (rounds() == r) return std::pair{r, e};
+    }
+  };
+  const auto [rounds0, entries0] = sample();
+  auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (rounds() < rounds0 + 50 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  const auto [rounds1, entries1] = sample();
+  rt.stop();
+
+  const std::uint64_t window_rounds = rounds1 - rounds0;
+  ASSERT_GE(window_rounds, 50u);
+  EXPECT_NEAR(static_cast<double>(entries1 - entries0),
+              2.0 * static_cast<double>(window_rounds), 2.0)
+      << window_rounds << " rounds";
 }
 
 TEST_F(IntegrationTest, TransitionAccountingAcrossDeployments) {

@@ -1,16 +1,18 @@
-// Reconnector epoch edge cases (ctest label: net).
+// Reconnector edge cases (ctest label: net).
 //
-// The reconnector's epoch counter is a correctness anchor: owners fold it
-// into AEAD nonce schedules ((epoch << 32) | counter), so a duplicate bump
-// or a bump from a stale socket would reuse nonce space. These tests drive
-// the OPENER and RECONNECTOR bodies by hand (no worker threads), making the
+// Each successful open publishes exactly one Up note and counts once in
+// opens(); a failed or stale open publishes none and counts in neither
+// opens() nor reconnects(). Owners act on every Up note (the secure-sum
+// ring re-sends its cached token on the new socket), so a duplicate note
+// or one for a stale socket would mislead them. These tests drive the
+// OPENER and RECONNECTOR bodies by hand (no worker threads), making the
 // races deterministic:
 //
 //   * a stale OpenReply — the redial already timed out and a fresh attempt
-//     is in flight — must not double-bump the epoch or leak its socket;
+//     is in flight — must not count as a second open or leak its socket;
 //   * quarantine with status/control traffic queued must conserve nodes and
 //     resume cleanly: on_restart writes off mid-open attempts and the
-//     following redial produces exactly one Up note per epoch;
+//     following redial produces exactly one Up note;
 //   * max_attempts exhaustion publishes a terminal gave_up note and the
 //     connection never redials again.
 
@@ -92,7 +94,7 @@ struct Rig {
   }
 };
 
-TEST_F(ReconnectorTest, StaleReplyAfterRedialDoesNotDoubleBumpEpoch) {
+TEST_F(ReconnectorTest, StaleReplyAfterRedialIsNotASecondOpen) {
   Rig rig;
   rig.add(0, rig.port);
   rig.recon.construct(rig.rt);  // issues open #1 — left unanswered
@@ -109,10 +111,11 @@ TEST_F(ReconnectorTest, StaleReplyAfterRedialDoesNotDoubleBumpEpoch) {
   net::ConnStatus st{};
   ASSERT_TRUE(rig.pump_until_status(st, 5000ms));
   EXPECT_EQ(st.up, 1);
-  EXPECT_EQ(st.epoch, 1u);
+  EXPECT_EQ(rig.recon.opens(), 1u);
+  EXPECT_EQ(rig.recon.reconnects(), 0u);
 
   // Drain the second (stale) reply: it must be swallowed — its socket
-  // closed, no second Up note, no second epoch bump.
+  // closed, no second Up note, no second open counted.
   for (int i = 0; i < 20; ++i) {
     rig.net.opener->body();
     rig.recon.body();
@@ -124,7 +127,8 @@ TEST_F(ReconnectorTest, StaleReplyAfterRedialDoesNotDoubleBumpEpoch) {
   EXPECT_EQ(rig.net.table->size(), 1u);
   EXPECT_NE(rig.net.table->fd(st.socket), -1);
 
-  // A genuine down + redial afterwards bumps the epoch exactly once more.
+  // A genuine down + redial afterwards is exactly one more open, and one
+  // Up note.
   concurrent::Node* note = rig.rt.public_pool().get();
   ASSERT_NE(note, nullptr);
   note->tag = 0;
@@ -134,8 +138,9 @@ TEST_F(ReconnectorTest, StaleReplyAfterRedialDoesNotDoubleBumpEpoch) {
   rig.net.closer->body();
   ASSERT_TRUE(rig.pump_until_status(st, 5000ms));
   EXPECT_EQ(st.up, 1);
-  EXPECT_EQ(st.epoch, 2u);
+  EXPECT_EQ(rig.recon.opens(), 2u);
   EXPECT_EQ(rig.recon.reconnects(), 1u);
+  EXPECT_EQ(rig.status.pop(), nullptr) << "one open published two notes";
 }
 
 TEST_F(ReconnectorTest, QuarantineConservesNodesAndRestartRedials) {
@@ -161,15 +166,17 @@ TEST_F(ReconnectorTest, QuarantineConservesNodesAndRestartRedials) {
       << "a status note was published during quarantine";
 
   // Restart: the mid-open attempt (its reply was just drained) is written
-  // off, the redial goes out, and exactly one Up note with epoch 1 arrives.
+  // off, the redial goes out, and exactly one Up note arrives: the first
+  // open, not a reconnect.
   rig.recon.on_restart();
   EXPECT_GE(rig.recon.open_failures(), 1u);
   net::ConnStatus st{};
   ASSERT_TRUE(rig.pump_until_status(st, 5000ms));
   EXPECT_EQ(st.up, 1);
   EXPECT_EQ(st.gave_up, 0);
-  EXPECT_EQ(st.epoch, 1u);
   EXPECT_EQ(rig.recon.opens(), 1u);
+  EXPECT_EQ(rig.recon.reconnects(), 0u);
+  EXPECT_EQ(rig.status.pop(), nullptr) << "one open published two notes";
 }
 
 TEST_F(ReconnectorTest, MaxAttemptsPublishesTerminalGaveUpStatus) {
@@ -182,7 +189,9 @@ TEST_F(ReconnectorTest, MaxAttemptsPublishesTerminalGaveUpStatus) {
   ASSERT_TRUE(rig.pump_until_status(st, 5000ms));
   EXPECT_EQ(st.up, 0);
   EXPECT_EQ(st.gave_up, 1);
-  EXPECT_EQ(st.epoch, 0u) << "a failed connection must never bump the epoch";
+  EXPECT_EQ(st.socket, -1);
+  EXPECT_EQ(rig.recon.opens(), 0u) << "a failed connection counted as open";
+  EXPECT_EQ(rig.recon.reconnects(), 0u);
   EXPECT_EQ(rig.recon.gave_up(), 1u);
   EXPECT_EQ(rig.recon.open_failures(), 2u);
 

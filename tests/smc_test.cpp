@@ -50,13 +50,18 @@ TEST_F(SmcTest, UpdateSecretDeterministicAndChanging) {
 }
 
 TEST_F(SmcTest, SdkRingComputesCorrectSum) {
-  SmcConfig config;
-  config.parties = 3;
-  config.dim = 16;
-  SdkSecureSum smc(config);
-  Vec expected = smc.expected_sum();
-  Vec sum = smc.run_once();
-  EXPECT_EQ(sum, expected);
+  // At 2 parties both links join the same enclave pair.
+  for (int parties : {3, 2}) {
+    SmcConfig config;
+    config.parties = parties;
+    config.dim = 16;
+    SdkSecureSum smc(config);
+    Vec expected = smc.expected_sum();
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(smc.run_once(), expected)
+          << parties << " parties, round " << round;
+    }
+  }
 }
 
 TEST_F(SmcTest, SdkRingManyPartiesLargeVector) {
@@ -106,40 +111,43 @@ TEST_F(SmcTest, SdkRingChargesTransitionsPerHop) {
 
 // The EActors deployment, driven through a real runtime.
 TEST_F(SmcTest, EActorsRingComputesCorrectSum) {
-  SmcConfig config;
-  config.parties = 3;
-  config.dim = 16;
+  // At 2 parties both channels join the same enclave pair.
+  for (int parties : {3, 2}) {
+    SmcConfig config;
+    config.parties = parties;
+    config.dim = 16;
 
-  core::RuntimeOptions options;
-  options.pool_nodes = 256;
-  options.node_payload_bytes = 4096;
-  core::Runtime rt(options);
-  SmcDeployment deployment = install_secure_sum(rt, config);
-  rt.start();
+    core::RuntimeOptions options;
+    options.pool_nodes = 256;
+    options.node_payload_bytes = 4096;
+    core::Runtime rt(options);
+    SmcDeployment deployment = install_secure_sum(rt, config);
+    rt.start();
 
-  // Ground truth: the same deterministic secrets the actors initialise.
-  SdkSecureSum reference(config);
-  Vec expected = reference.expected_sum();
+    // Ground truth: the same deterministic secrets the actors initialise.
+    SdkSecureSum reference(config);
+    Vec expected = reference.expected_sum();
 
-  // Issue 5 invocations.
-  for (int i = 0; i < 5; ++i) {
-    concurrent::Node* req = rt.public_pool().get();
-    ASSERT_NE(req, nullptr);
-    deployment.requests->push(req);
-  }
-  std::vector<Vec> results;
-  auto deadline = std::chrono::steady_clock::now() + 10s;
-  while (results.size() < 5 && std::chrono::steady_clock::now() < deadline) {
-    if (concurrent::Node* node = deployment.results->pop()) {
-      concurrent::NodeLease lease(node);
-      results.push_back(deserialize(node->data()));
-    } else {
-      std::this_thread::sleep_for(1ms);
+    // Issue 5 invocations.
+    for (int i = 0; i < 5; ++i) {
+      concurrent::Node* req = rt.public_pool().get();
+      ASSERT_NE(req, nullptr);
+      deployment.requests->push(req);
     }
+    std::vector<Vec> results;
+    auto deadline = std::chrono::steady_clock::now() + 10s;
+    while (results.size() < 5 && std::chrono::steady_clock::now() < deadline) {
+      if (concurrent::Node* node = deployment.results->pop()) {
+        concurrent::NodeLease lease(node);
+        results.push_back(deserialize(node->data()));
+      } else {
+        std::this_thread::sleep_for(1ms);
+      }
+    }
+    rt.stop();
+    ASSERT_EQ(results.size(), 5u) << parties << " parties";
+    for (const Vec& sum : results) EXPECT_EQ(sum, expected) << parties;
   }
-  rt.stop();
-  ASSERT_EQ(results.size(), 5u);
-  for (const Vec& sum : results) EXPECT_EQ(sum, expected);
 }
 
 TEST_F(SmcTest, EActorsRingDynamicMatchesSdkSequence) {
@@ -204,7 +212,14 @@ TEST_F(SmcTest, EActorsSteadyStateAvoidsTransitions) {
   ASSERT_NE(result, nullptr);
   concurrent::NodeLease(result).reset();
 
-  // Steady state: many rounds, no new transitions.
+  // Steady state: many rounds, no new transitions, and one payload copy
+  // per hop — each party seals the node it received.
+  auto copies = [&rt] {
+    std::uint64_t n = 0;
+    for (const auto& [name, ch] : rt.channels()) n += ch->payload_copies();
+    return n;
+  };
+  const std::uint64_t copies_before = copies();
   sgxsim::reset_transition_stats();
   for (int i = 0; i < 10; ++i) {
     deployment.requests->push(rt.public_pool().get());
@@ -221,6 +236,7 @@ TEST_F(SmcTest, EActorsSteadyStateAvoidsTransitions) {
   }
   ASSERT_EQ(received, 10);
   EXPECT_EQ(sgxsim::transition_stats().ecalls, 0u);
+  EXPECT_EQ(copies() - copies_before, 10u * 3u);
   rt.stop();
 }
 

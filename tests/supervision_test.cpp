@@ -552,7 +552,8 @@ TEST_F(SupervisionTest, ReconnectorReestablishesAfterPeerCloses) {
   std::uint64_t conn = recon.add_connection(spec);
   rt.start();
 
-  // First open: status note with epoch 1, and the server side accepts.
+  // First open: one Up note, counted as an open but not a reconnect, and
+  // the server side accepts.
   net::ConnStatus st{};
   {
     concurrent::NodeLease lease(pop_within(status, 5000ms));
@@ -561,7 +562,9 @@ TEST_F(SupervisionTest, ReconnectorReestablishesAfterPeerCloses) {
   }
   EXPECT_EQ(st.conn_id, conn);
   EXPECT_EQ(st.up, 1);
-  EXPECT_EQ(st.epoch, 1u);
+  // The reconnector counted the open before it pushed the note just popped.
+  EXPECT_EQ(recon.opens(), 1u);
+  EXPECT_EQ(recon.reconnects(), 0u);
   net::SocketId server_side = -1;
   {
     concurrent::NodeLease lease(pop_within(accepts, 5000ms));
@@ -580,58 +583,62 @@ TEST_F(SupervisionTest, ReconnectorReestablishesAfterPeerCloses) {
     recon.control().push(note);
   }
 
-  // The reconnector redials: fresh status with a bumped epoch, and the
-  // server accepts a second connection.
+  // The reconnector redials: one fresh Up note, counted as a reconnect,
+  // and the server accepts a second connection.
   {
     concurrent::NodeLease lease(pop_within(status, 5000ms));
     ASSERT_TRUE(lease);
     ASSERT_TRUE(net::read_struct(*lease.get(), st));
   }
   EXPECT_EQ(st.up, 1);
-  EXPECT_EQ(st.epoch, 2u);
+  EXPECT_EQ(recon.opens(), 2u);
+  EXPECT_EQ(recon.reconnects(), 1u);
   {
     concurrent::NodeLease lease(pop_within(accepts, 5000ms));
     ASSERT_TRUE(lease);
   }
-  EXPECT_EQ(recon.opens(), 2u);
-  EXPECT_EQ(recon.reconnects(), 1u);
+  EXPECT_TRUE(status.empty()) << "one open published two notes";
   rt.stop();
 }
 
 // --- TCP secure-sum ring ------------------------------------------------------
 
 TEST_F(SupervisionTest, NetRingComputesCorrectSumsOverTcp) {
-  core::RuntimeOptions options;
-  options.pool_nodes = 8192;
-  options.node_payload_bytes = 2048;
-  core::Runtime rt(options);
-  net::NetSubsystem net = net::install_networking(rt, "net.sys");
-  net::ReconnectorActor& recon = net::install_reconnector(rt, net);
-  smc::SmcConfig config;
-  config.parties = 3;
-  config.dim = 8;
-  smc::NetRingDeployment dep = smc::install_net_ring(rt, config, net, recon);
-  rt.start();
+  // At 2 parties both links join the same enclave pair.
+  for (int parties : {3, 2}) {
+    core::RuntimeOptions options;
+    options.pool_nodes = 8192;
+    options.node_payload_bytes = 2048;
+    core::Runtime rt(options);
+    net::NetSubsystem net = net::install_networking(rt, "net.sys");
+    net::ReconnectorActor& recon = net::install_reconnector(rt, net);
+    smc::SmcConfig config;
+    config.parties = parties;
+    config.dim = 8;
+    smc::NetRingDeployment dep = smc::install_net_ring(rt, config, net, recon);
+    rt.start();
 
-  smc::Vec expected = dep.parties[0]->secret();
-  for (std::size_t i = 1; i < dep.parties.size(); ++i) {
-    smc::add_in_place(expected, dep.parties[i]->secret());
+    smc::Vec expected = dep.parties[0]->secret();
+    for (std::size_t i = 1; i < dep.parties.size(); ++i) {
+      smc::add_in_place(expected, dep.parties[i]->secret());
+    }
+
+    for (int round = 0; round < 3; ++round) {
+      concurrent::Node* req = rt.public_pool().get();
+      ASSERT_NE(req, nullptr);
+      req->size = 0;
+      dep.requests->push(req);
+
+      concurrent::NodeLease result(pop_within(*dep.results, 20'000ms));
+      ASSERT_TRUE(result) << parties << " parties, round " << round
+                          << " produced no result";
+      smc::Vec got = smc::deserialize(
+          std::span<const std::uint8_t>(result->payload(), result->size));
+      EXPECT_EQ(got, expected) << parties << " parties, round " << round;
+    }
+    EXPECT_EQ(dep.parties[0]->rounds_completed(), 3u) << parties;
+    rt.stop();
   }
-
-  for (int round = 0; round < 3; ++round) {
-    concurrent::Node* req = rt.public_pool().get();
-    ASSERT_NE(req, nullptr);
-    req->size = 0;
-    dep.requests->push(req);
-
-    concurrent::NodeLease result(pop_within(*dep.results, 20'000ms));
-    ASSERT_TRUE(result) << "round " << round << " produced no result";
-    smc::Vec got = smc::deserialize(
-        std::span<const std::uint8_t>(result->payload(), result->size));
-    EXPECT_EQ(got, expected) << "round " << round;
-  }
-  EXPECT_EQ(dep.parties[0]->rounds_completed(), 3u);
-  rt.stop();
 }
 
 TEST_F(SupervisionTest, NetRingRejectsDynamicSecrets) {

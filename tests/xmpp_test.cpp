@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <thread>
@@ -7,6 +8,7 @@
 
 #include "core/migration.hpp"
 #include "core/runtime.hpp"
+#include "net/actors.hpp"
 #include "sgxsim/cost_model.hpp"
 #include "str_cat.hpp"
 #include "xmpp/baseline_server.hpp"
@@ -19,6 +21,7 @@ namespace ea::xmpp {
 namespace {
 
 using test::str_cat;
+using namespace std::chrono_literals;
 
 // --- XML / stanza layer -------------------------------------------------------
 
@@ -180,8 +183,13 @@ TEST(ShardedTables, DirectorySpansShards) {
     EXPECT_EQ(route->instance, i % 3);
   }
   EXPECT_FALSE(dir.get("nobody").has_value());
-  for (int i = 0; i < kUsers; i += 2) dir.remove("user" + std::to_string(i));
+  for (int i = 0; i < kUsers; i += 2) {
+    EXPECT_TRUE(dir.remove("user" + std::to_string(i), i)) << i;
+  }
   EXPECT_EQ(dir.size(), static_cast<std::size_t>(kUsers / 2));
+  // A route that names another socket (a later login) stays.
+  EXPECT_FALSE(dir.remove("user1", 0));
+  EXPECT_FALSE(dir.remove("user0", 0));
   EXPECT_FALSE(dir.get("user0").has_value());
   EXPECT_TRUE(dir.get("user1").has_value());
   // Overwrite goes to the same shard entry, not a duplicate.
@@ -257,7 +265,7 @@ TEST(ShardedTables, ConcurrentMixedOperations) {
         rooms.join("room-of-" + jid, jid);
         roster.add(jid, "celebrity");
         if (i % 3 == 0) {
-          dir.remove(jid);
+          dir.remove(jid, t * kPerThread + i);
           rooms.leave_all(jid);
         }
       }
@@ -421,6 +429,45 @@ TEST_F(XmppServiceTest, UnknownRecipientYieldsError) {
   auto msg = alice.recv(5000);
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->kind, "stream:error");
+  rt.stop();
+}
+
+// A user who logs in again before the old connection's teardown reaches the
+// instance keeps the new login: the stale teardown must not remove its
+// route, take it out of its rooms, or report it offline.
+TEST_F(XmppServiceTest, StaleTeardownKeepsTheNewLoginOfTheSameJid) {
+  core::Runtime rt(service_runtime_options());
+  XmppServiceConfig config;
+  XmppService service = install_xmpp_service(rt, config);
+  rt.start();
+  auto* closer = dynamic_cast<net::CloserActor*>(rt.find_actor("xmpp.closer"));
+  ASSERT_NE(closer, nullptr);
+
+  Client first, second, sender;
+  ASSERT_TRUE(first.connect(service.port, "twice"));
+  ASSERT_TRUE(first.join_room("lobby"));
+  ASSERT_TRUE(second.connect(service.port, "twice"));
+  ASSERT_TRUE(second.join_room("lobby"));
+  ASSERT_TRUE(sender.connect(service.port, "sender"));
+
+  // The first login's teardown is done once the CLOSER has closed it.
+  first.close();
+  auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (closer->closes() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_EQ(closer->closes(), 1u);
+
+  ASSERT_TRUE(sender.send_chat("twice", "still here?"));
+  auto msg = second.recv(5000);
+  ASSERT_TRUE(msg.has_value()) << "the stale teardown removed the new route";
+  EXPECT_EQ(msg->kind, "chat");
+  EXPECT_EQ(msg->body, "still here?");
+  EXPECT_FALSE(sender.poll().has_value()) << "sender got an error";
+  const std::vector<std::string> members =
+      service.shared->rooms.members("lobby");
+  EXPECT_NE(std::find(members.begin(), members.end(), "twice"), members.end())
+      << "the stale teardown took the new login out of its room";
   rt.stop();
 }
 
