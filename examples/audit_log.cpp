@@ -10,8 +10,10 @@
 // Build & run:  ./build/examples/audit_log
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "core/runtime.hpp"
@@ -138,7 +140,7 @@ class LoggerActor : public core::Actor {
   concurrent::Pool* pool_ = nullptr;
   sgxsim::Enclave* enclave_ = nullptr;
   concurrent::Mbox replies_;
-  Phase phase_ = Phase::kAppend;
+  std::atomic<Phase> phase_{Phase::kAppend};  // main polls it via done()
   int next_record_ = 0;
   int pending_ = 0;
   int verified_ = 0;
@@ -147,7 +149,10 @@ class LoggerActor : public core::Actor {
 }  // namespace
 
 int main() {
-  std::string path = "/tmp/eactors_audit_example.log";
+  // One log file per run, so concurrent runs do not share it.
+  std::string path = "/tmp/eactors_audit_example.";
+  path += std::to_string(::getpid());
+  path += ".log";
   ::unlink(path.c_str());
 
   core::Runtime rt;

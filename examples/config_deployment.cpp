@@ -1,9 +1,10 @@
 // Flexible deployment (paper §3.2): the SAME actor code runs trusted or
 // untrusted, co-located or separated, purely as a matter of configuration.
-// This example parses two deployment descriptions — one placing the
-// pipeline stages in two enclaves, one running everything untrusted — and
-// executes both, reporting the transition counts and channel modes that
-// result.
+// This example parses three deployment descriptions — one placing the
+// pipeline stages in two enclaves, one running everything untrusted, one
+// sharing an enclave under work stealing — and executes each, reporting
+// the transition counts and channel modes that result. It exits 1 unless
+// every deployment sums the pipeline's numbers correctly.
 //
 // Build & run:  ./build/examples/config_deployment
 #include <atomic>
@@ -88,7 +89,10 @@ worker w1 cpus=0 actors=source,sink
 worker w2 cpus=1 actors=source,sink
 )";
 
-void run(const char* label, const char* config_text) {
+constexpr long kExpectedSum = 999 * 1000 / 2;
+
+// Runs one deployment; true when the sink summed every number once.
+bool run(const char* label, const char* config_text) {
   deploy::ActorRegistry registry;
   Sink* sink_ptr = nullptr;
   registry.register_type("source", [](const std::string& name) {
@@ -114,15 +118,16 @@ void run(const char* label, const char* config_text) {
               rt->channel("pipe").encrypted() ? "yes" : "no",
               sink_ptr->sum(),
               static_cast<unsigned long long>(stats.ecalls));
+  return sink_ptr->sum() == kExpectedSum;
 }
 
 }  // namespace
 
 int main() {
   std::printf("same actors, three deployment configs:\n");
-  run("trusted:", kTrustedConfig);
-  run("untrusted:", kUntrustedConfig);
-  run("stealing:", kStealConfig);
-  std::printf("(sum should be %d in all cases)\n", 999 * 1000 / 2);
-  return 0;
+  bool ok = run("trusted:", kTrustedConfig);
+  ok = run("untrusted:", kUntrustedConfig) && ok;
+  ok = run("stealing:", kStealConfig) && ok;
+  std::printf("(sum should be %ld in all cases)\n", kExpectedSum);
+  return ok ? 0 : 1;
 }

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <string>
 
 #include "crypto/rng.hpp"
 #include "pos/cleaner_actor.hpp"
@@ -20,10 +21,11 @@
 
 using namespace ea;
 
-int main() {
-  std::string path = "/tmp/eactors_kv_example.img";
-  ::unlink(path.c_str());
+namespace {
 
+// Two boots of one store at `path`; true when the second boot reads the
+// balances the first wrote and a foreign enclave cannot recover the key.
+bool run(const std::string& path) {
   sgxsim::Enclave& owner =
       sgxsim::EnclaveManager::instance().create("kv-owner");
 
@@ -72,7 +74,7 @@ int main() {
         pos::EncryptedPos::load_sealed_master(store, owner, "__sealed_master");
     if (!enc.has_value()) {
       std::fprintf(stderr, "unsealing failed\n");
-      return 1;
+      return false;
     }
     auto alice = enc->get(util::to_bytes("alice"));
     auto bob = enc->get(util::to_bytes("bob"));
@@ -88,8 +90,20 @@ int main() {
              .has_value();
     std::printf("foreign enclave denied access to the master key: %s\n",
                 denied ? "yes" : "NO (bug!)");
+    return alice && util::to_string(*alice) == "balance=80" && bob &&
+           util::to_string(*bob) == "balance=250" && denied;
   }
+}
 
+}  // namespace
+
+int main() {
+  // One store file per run, so concurrent runs do not share it.
+  std::string path = "/tmp/eactors_kv_example.";
+  path += std::to_string(::getpid());
+  path += ".img";
   ::unlink(path.c_str());
-  return 0;
+  const bool ok = run(path);
+  ::unlink(path.c_str());
+  return ok ? 0 : 1;
 }

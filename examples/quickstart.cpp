@@ -95,8 +95,8 @@ int main() {
 
   sgxsim::reset_transition_stats();
   rt.start();
-  std::printf("channel encrypted: %s\n",
-              rt.channel("ping->pong").encrypted() ? "yes" : "no");
+  const bool encrypted = rt.channel("ping->pong").encrypted();
+  std::printf("channel encrypted: %s\n", encrypted ? "yes" : "no");
 
   while (ping_ptr->received() < kRounds) {
     std::this_thread::yield();
@@ -110,5 +110,8 @@ int main() {
               "left — this is the EActors fast path)\n",
               static_cast<unsigned long long>(stats.ecalls),
               static_cast<unsigned long long>(stats.ocalls));
-  return 0;
+  // Two constructs plus one entry per worker, and no exit on the way.
+  const bool ok = encrypted && ping_ptr->received() == kRounds &&
+                  stats.ecalls == 4 && stats.ocalls == 0;
+  return ok ? 0 : 1;
 }

@@ -7,6 +7,7 @@
 //
 // Build & run:  ./build/examples/secure_chat
 #include <cstdio>
+#include <string>
 
 #include "core/runtime.hpp"
 #include "xmpp/client.hpp"
@@ -37,11 +38,14 @@ int main() {
   std::printf("alice, bob and carol connected and authenticated\n");
 
   // --- One-to-One: end-to-end encrypted; the server never sees plaintext.
-  alice.send_chat("bob", "hi bob — only you can read this");
+  const std::string o2o = "hi bob — only you can read this";
+  alice.send_chat("bob", o2o);
+  bool ok = false;
   if (auto msg = bob.recv(5000)) {
     std::printf("[o2o] bob received from %s: \"%s\" (decrypt ok: %s)\n",
                 msg->from.c_str(), msg->body.c_str(),
                 msg->decrypt_ok ? "yes" : "no");
+    ok = msg->decrypt_ok && msg->body == o2o;
   }
 
   // --- Group chat: the room's enclave re-encrypts per member.
@@ -50,15 +54,18 @@ int main() {
   carol.join_room("research");
   std::printf("all three joined room 'research'\n");
 
-  bob.send_groupchat("research", "meeting at noon");
+  const std::string o2m = "meeting at noon";
+  bob.send_groupchat("research", o2m);
   for (xmpp::Client* c : {&alice, &bob, &carol}) {
-    if (auto msg = c->recv(5000)) {
+    auto msg = c->recv(5000);
+    if (msg) {
       std::printf("[o2m] %s received from %s: \"%s\"\n", c->jid().c_str(),
                   msg->from.c_str(), msg->body.c_str());
     }
+    ok = ok && msg && msg->decrypt_ok && msg->body == o2m;
   }
 
   rt.stop();
   std::printf("done\n");
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -127,6 +127,10 @@ std::size_t Worker::ready_home_actors() const noexcept {
 void Worker::start() {
   stop_.store(false, std::memory_order_relaxed);
   thread_ = std::thread([this] { run(); });
+  // Pinned here, not by run(): a self-pin would first have to be scheduled
+  // on this thread's CPU set, behind this thread (DESIGN.md §14
+  // "Placement"). A set the kernel refuses leaves the worker unpinned.
+  util::pin_thread(thread_, cpus_);
 }
 
 void Worker::join() {
@@ -134,7 +138,6 @@ void Worker::join() {
 }
 
 void Worker::run() {
-  util::pin_current_thread(cpus_);
   tls_current_worker = this;
   IdleBackoff backoff;
   std::uint32_t rounds_since_poll = kIdlePollRounds;  // poll on round one

@@ -11,7 +11,7 @@ int online_cpus() {
   return n > 0 ? static_cast<int>(n) : 1;
 }
 
-bool pin_current_thread(const std::vector<int>& cpus) {
+bool pin_thread(std::thread& thread, const std::vector<int>& cpus) {
   if (cpus.empty()) return true;
   const int ncpu = online_cpus();
   cpu_set_t set;
@@ -23,7 +23,7 @@ bool pin_current_thread(const std::vector<int>& cpus) {
     any = true;
   }
   if (!any) return true;
-  return pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0;
+  return pthread_setaffinity_np(thread.native_handle(), sizeof(set), &set) == 0;
 }
 
 }  // namespace ea::util

@@ -5,15 +5,15 @@
 // so deployments written for larger boxes still run.
 #pragma once
 
-#include <cstdint>
+#include <thread>
 #include <vector>
 
 namespace ea::util {
 
-// Pins the calling thread to the given CPU ids (clamped to the CPUs that
-// actually exist). An empty vector leaves affinity unchanged.
+// Pins `thread` to the given CPU ids (clamped to the CPUs that actually
+// exist). An empty vector leaves affinity unchanged.
 // Returns true if the affinity call succeeded or was a no-op.
-bool pin_current_thread(const std::vector<int>& cpus);
+bool pin_thread(std::thread& thread, const std::vector<int>& cpus);
 
 // Number of online CPUs.
 int online_cpus();

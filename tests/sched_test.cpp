@@ -16,13 +16,21 @@
 //     stays at zero and the receiver gets the sender's very node.
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "concurrent/mbox.hpp"
 #include "concurrent/pool.hpp"
@@ -34,6 +42,8 @@
 #include "net/actors.hpp"
 #include "sgxsim/cost_model.hpp"
 #include "sgxsim/transition.hpp"
+#include "str_cat.hpp"
+#include "util/affinity.hpp"
 
 namespace ea::core {
 namespace {
@@ -493,6 +503,72 @@ TEST_F(SchedTest, SendNodeCrossEnclaveSealsWithOneCopy) {
   concurrent::NodeLease got = b->recv();
   ASSERT_TRUE(got);
   EXPECT_EQ(got->view(), "crosses the boundary sealed");
+}
+
+// --- worker pinning ----------------------------------------------------------
+
+std::set<std::string> task_ids() {
+  std::set<std::string> ids;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(entry.path().filename().string());
+  }
+  return ids;
+}
+
+std::string cpus_allowed_list(const std::string& tid) {
+  std::ifstream status(test::str_cat("/proc/self/task/", tid, "/status"));
+  const std::string key = "Cpus_allowed_list:";
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(key, 0) != 0) continue;
+    const std::size_t first = line.find_first_not_of(" \t", key.size());
+    return first == std::string::npos ? "" : line.substr(first);
+  }
+  return "";
+}
+
+// A new thread inherits its creator's CPU set. start() pins every worker
+// before it returns, so no worker waits on a pinned, busy starter's CPU
+// for a scheduler tick before it can move to its own (DESIGN.md §14
+// "Placement"). The starter pins itself to CPU 0 and, without yielding,
+// reads each new thread's allowed CPUs right after start() returns.
+TEST_F(SchedTest, WorkersArePinnedBeforeStartReturns) {
+  const int ncpu = util::online_cpus();
+  if (ncpu < 2) GTEST_SKIP() << "needs at least 2 CPUs";
+  std::vector<std::string> want;
+  for (int cpu = 1; cpu < ncpu; ++cpu) want.push_back(std::to_string(cpu));
+  std::atomic<std::uint64_t> violations{0};
+  bool starter_pinned = false;
+  std::vector<std::string> got;
+  std::thread starter([&] {
+    cpu_set_t cpu0;
+    CPU_ZERO(&cpu0);
+    CPU_SET(0, &cpu0);
+    starter_pinned =
+        pthread_setaffinity_np(pthread_self(), sizeof(cpu0), &cpu0) == 0;
+    if (!starter_pinned) return;
+    Runtime rt;
+    for (int cpu = 1; cpu < ncpu; ++cpu) {
+      const std::string actor = test::str_cat("idle", cpu);
+      auto probe = std::make_unique<IdleProbeActor>(actor);
+      probe->violations_ = &violations;
+      rt.add_actor(std::move(probe));
+      rt.add_worker(test::str_cat("w", cpu), {cpu}, {actor});
+    }
+    const std::set<std::string> before = task_ids();
+    rt.start();
+    for (const std::string& tid : task_ids()) {
+      if (before.count(tid) == 0) got.push_back(cpus_allowed_list(tid));
+    }
+    rt.stop();
+  });
+  starter.join();
+  ASSERT_TRUE(starter_pinned);
+  std::sort(want.begin(), want.end());
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, want) << "a worker still ran on its starter's CPU set";
+  EXPECT_EQ(violations.load(), 0u);
 }
 
 // --- run queue unit behaviour -----------------------------------------------

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <future>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/affinity.hpp"
@@ -146,12 +150,35 @@ TEST(Cycles, BurnConsumesTime) {
   EXPECT_GE(elapsed, 100000u);
 }
 
+std::vector<int> cpus_of(pthread_t thread) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(pthread_getaffinity_np(thread, sizeof(set), &set), 0);
+  std::vector<int> cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+// Pins a spawned thread, so the gtest thread keeps its own mask, and
+// returns the CPUs the spawned thread's mask then holds.
+std::vector<int> pinned_cpus(const std::vector<int>& cpus) {
+  std::promise<void> release;
+  std::thread thread([done = release.get_future()] { done.wait(); });
+  EXPECT_TRUE(pin_thread(thread, cpus));
+  std::vector<int> got = cpus_of(thread.native_handle());
+  release.set_value();
+  thread.join();
+  return got;
+}
+
 TEST(Affinity, PinClampsAndSucceeds) {
-  EXPECT_TRUE(pin_current_thread({}));
-  EXPECT_TRUE(pin_current_thread({0}));
+  ASSERT_GE(online_cpus(), 1);
+  EXPECT_EQ(pinned_cpus({}), cpus_of(pthread_self()));
+  EXPECT_EQ(pinned_cpus({0}), std::vector<int>{0});
   // CPUs beyond the machine size are clamped, not an error.
-  EXPECT_TRUE(pin_current_thread({1000}));
-  EXPECT_GE(online_cpus(), 1);
+  EXPECT_EQ(pinned_cpus({1000}), std::vector<int>{1000 % online_cpus()});
 }
 
 TEST(Logging, LevelGate) {
