@@ -4,9 +4,13 @@
 // EA = EActors ring (smc::install_secure_sum), one enclaved party per worker
 // pinned to CPU i, as the paper deploys it.
 // Throughput is reported in 10^3 requests/second, matching the paper's
-// y-axes.
+// y-axes. A figure is only as good as its sums: both rings check every sum
+// of static secrets and the first sum of dynamic ones, and a wrong sum
+// ends the bench with exit status 1.
 #pragma once
 
+#include <algorithm>
+#include <cstdlib>
 #include <string>
 #include <thread>
 
@@ -18,12 +22,23 @@
 
 namespace ea::bench {
 
+[[noreturn]] inline void wrong_sum(const char* ring,
+                                   const smc::SmcConfig& config) {
+  note("FAIL: %s ring returned a wrong sum (%d parties, dim %zu%s)", ring,
+       config.parties, config.dim, config.dynamic ? ", dynamic" : "");
+  std::exit(1);
+}
+
 inline double run_smc_sdk(const smc::SmcConfig& config,
                           std::uint64_t requests) {
   smc::SdkSecureSum smc(config);
+  const smc::Vec expected = smc.expected_sum();
   Timer timer;
   for (std::uint64_t i = 0; i < requests; ++i) {
-    smc.run_once();
+    const smc::Vec sum = smc.run_once();
+    if ((i == 0 || !config.dynamic) && sum != expected) {
+      wrong_sum("EC", config);
+    }
   }
   return static_cast<double>(requests) / timer.seconds() / 1000.0;
 }
@@ -47,11 +62,26 @@ inline double run_smc_ea(const smc::SmcConfig& config,
   }
   rt.start();
 
+  // The sum of the initial secrets: the warm-up's, and every later one
+  // when the secrets are static.
+  smc::Vec initial(config.dim, 0);
+  for (int i = 0; i < config.parties; ++i) {
+    smc::add_in_place(initial, smc::initial_secret(i, config.dim));
+  }
+  const util::Bytes expected = smc::serialize(initial);
+  bool wrong = false;
+  auto check = [&](const concurrent::Node& result) {
+    const std::span<const std::uint8_t> got = result.data();
+    wrong |= !std::equal(got.begin(), got.end(), expected.begin(),
+                         expected.end());
+  };
+
   // Warm-up round: every worker enters its enclave, attestation completes.
   deployment.requests->push(rt.public_pool().get());
   while (true) {
     if (concurrent::Node* node = deployment.results->pop()) {
       concurrent::NodeLease lease(node);
+      check(*node);
       break;
     }
     std::this_thread::yield();
@@ -76,6 +106,7 @@ inline double run_smc_ea(const smc::SmcConfig& config,
     if (got != 0) {
       for (std::size_t i = 0; i < got; ++i) {
         concurrent::NodeLease lease(burst[i]);
+        if (!config.dynamic) check(*burst[i]);
       }
       received += got;
     } else {
@@ -84,6 +115,7 @@ inline double run_smc_ea(const smc::SmcConfig& config,
   }
   double secs = timer.seconds();
   rt.stop();
+  if (wrong) wrong_sum("EA", config);
   return static_cast<double>(requests) / secs / 1000.0;
 }
 

@@ -39,9 +39,10 @@
 #               bench_migrate, JSON schema check (incl. the zero-copy
 #               counter guard), bench_ablation_colocated (all three
 #               secure-sum rings — TCP, SDK, EActors; exits 1 on a wrong
-#               or missing TCP-ring sum), and the end-to-end benchmark's
-#               self-test (perfbench/run.py --self-test, built under
-#               build-check)
+#               or missing TCP-ring sum), bench_fig12_smc_plain and
+#               bench_fig13_smc_dynamic (exit 1 on a wrong SDK or EActors
+#               sum), and the end-to-end benchmark's self-test
+#               (perfbench/run.py --self-test, built under build-check)
 #   posperf     perf-regression guard: a fresh `bench_pos --smoke` cleaner
 #               sweep must hold >= 0.8x of the committed BENCH_pos.json
 #               cleaner rows, per-mode geomean (the epoch-reclamation
@@ -307,9 +308,13 @@ run_bench_smoke() {
     pause xmpp_echo || return 1
   EA_BENCH_SECONDS=0.02 EA_BENCH_SCALE=0.01 \
     ./build-check/bench/bench_ablation_colocated >/dev/null || return 1
+  EA_BENCH_SCALE=0.01 ./build-check/bench/bench_fig12_smc_plain >/dev/null \
+    || return 1
+  EA_BENCH_SCALE=0.01 ./build-check/bench/bench_fig13_smc_dynamic >/dev/null \
+    || return 1
   CARGO_TARGET_DIR=build-check python3 perfbench/run.py --self-test
 }
-leg bench "bench smoke (bench_batching + bench_pos + bench_sched + bench_migrate + JSON schema + bench_ablation_colocated rings + perfbench self-test)" \
+leg bench "bench smoke (bench_batching + bench_pos + bench_sched + bench_migrate + JSON schema + bench_ablation_colocated rings + Fig. 12/13 sums + perfbench self-test)" \
   run_bench_smoke
 
 # --- POS cleaner perf-regression guard: `--smoke` pins its own 0.25 s ------

@@ -43,7 +43,7 @@ NetRingParty::~NetRingParty() { drain_owned_mboxes(); }
 
 void NetRingParty::construct(core::Runtime& rt) {
   secret_ = initial_secret(index_, config_.dim);
-  if (index_ == 0) rnd_.resize(config_.dim);
+  if (index_ == 0) mask_ = MaskAhead(config_.dim);
   pool_ = &rt.public_pool();
   // Reserve the reassembly buffer up front so steady-state appends do not
   // allocate on the message path.
@@ -56,6 +56,7 @@ void NetRingParty::on_restart() {
   // longer be trusted to sit on a frame boundary, so drop it. If that loses
   // stream sync, the parser poisons the link and the upstream peer redials
   // a fresh connection — the retransmit machinery re-feeds the lost token.
+  // The round in flight and its mask are kept: its sum unmasks as usual.
   rx_buf_.clear();
   if (!out_cache_.empty()) send_pending_ = true;
 }
@@ -227,7 +228,7 @@ void NetRingParty::handle_token(std::span<const std::uint8_t> token) {
       concurrent::Node* node = pool_->get();
       if (node != nullptr && token.size() - 8 <= node->capacity) {
         node->fill(token.subspan(8));
-        sub_from_bytes(node->payload(), rnd_);
+        sub_from_bytes(node->payload(), mask_.current());
         results_->push(node);
       } else {
         concurrent::NodeLease(node).reset();
@@ -253,11 +254,11 @@ void NetRingParty::handle_token(std::span<const std::uint8_t> token) {
 
 void NetRingParty::start_round() {
   ++round_id_;
-  refill_random_trusted(rnd_);
+  ++masks_taken_;
   out_cache_.resize(8 + config_.dim * sizeof(Element));
   util::store_le64(out_cache_.data(), round_id_);
   serialize_into(out_cache_.data() + 8, secret_);
-  add_to_bytes(out_cache_.data() + 8, rnd_);
+  add_to_bytes(out_cache_.data() + 8, mask_.take());
   round_in_flight_ = true;
   idle_polls_ = 0;
   retransmit_after_ = 512;
@@ -326,6 +327,9 @@ bool NetRingParty::body() {
   }
 
   if (send_pending_) progress |= send_cached();
+  // A quantum with nothing else to do draws a chunk of the next mask while
+  // the token travels.
+  if (index_ == 0 && !progress) progress = mask_.draw_some();
   return progress;
 }
 

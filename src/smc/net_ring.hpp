@@ -17,9 +17,10 @@
 //     is sealed under a fresh nonce and the receiver drops replayed,
 //     reflected and spliced frames;
 //   * lost tokens are survived by retransmission: party 0 re-sends its
-//     masked vector while a round is unresolved, and intermediate parties
-//     cache their last forwarded token per round id, so duplicates are
-//     re-forwarded idempotently instead of being re-summed.
+//     masked vector — under the round's one mask — while a round is
+//     unresolved, and intermediate parties cache their last forwarded token
+//     per round id, so duplicates are re-forwarded idempotently instead of
+//     being re-summed.
 //
 // Retransmission requires idempotent hops, so this deployment supports
 // static secrets only (SmcConfig::dynamic is rejected).
@@ -80,6 +81,7 @@ class NetRingParty : public core::Actor {
   std::uint64_t retransmits() const noexcept { return retransmits_; }
   std::uint64_t resets_seen() const noexcept { return resets_seen_; }
   std::uint64_t rounds_completed() const noexcept { return rounds_completed_; }
+  std::uint64_t masks_taken() const noexcept { return masks_taken_; }
 
  private:
   bool pump_net();
@@ -115,7 +117,7 @@ class NetRingParty : public core::Actor {
 
   // Protocol state.
   Vec secret_;
-  Vec rnd_;                       // party 0 masking vector
+  MaskAhead mask_;                // party 0 only
   std::uint64_t round_id_ = 0;    // party 0: current round; others: last seen
   bool round_in_flight_ = false;  // party 0 only
   util::Bytes out_cache_;         // plaintext of the last token sent
@@ -130,6 +132,7 @@ class NetRingParty : public core::Actor {
   std::uint64_t retransmits_ = 0;
   std::uint64_t resets_seen_ = 0;
   std::uint64_t rounds_completed_ = 0;
+  std::uint64_t masks_taken_ = 0;
 };
 
 // The deployment handle: push one (empty) node per invocation into

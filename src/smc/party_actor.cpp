@@ -5,38 +5,33 @@
 namespace ea::smc {
 
 PartyActor::PartyActor(std::string name, int index, SmcConfig config,
-                       concurrent::Mbox* requests, concurrent::Mbox* results,
-                       concurrent::Pool* result_pool)
+                       concurrent::Mbox* requests, concurrent::Mbox* results)
     : core::Actor(std::move(name)),
       config_(config),
       index_(index),
       requests_(requests),
-      results_(results),
-      result_pool_(result_pool) {}
+      results_(results) {}
 
 void PartyActor::construct(core::Runtime& rt) {
+  (void)rt;
   secret_ = initial_secret(index_, config_.dim);
-  if (index_ == 0) rnd_.resize(config_.dim);
-  if (result_pool_ == nullptr) result_pool_ = &rt.public_pool();
+  if (index_ == 0) mask_ = MaskAhead(config_.dim);
 
   const int k = config_.parties;
   out_ = connect("smc.ring." + std::to_string(index_));
   in_ = connect("smc.ring." + std::to_string((index_ + k - 1) % k));
 }
 
-void PartyActor::start_round() {
-  concurrent::NodeLease token(result_pool_->get());
+void PartyActor::start_round(concurrent::NodeLease token) {
   const std::size_t bytes = config_.dim * sizeof(Element);
-  if (!token || bytes > token->capacity) {
-    EA_WARN("smc", "party 0: no node for the token, dropping request");
+  if (bytes > token->capacity) {
+    EA_WARN("smc", "party 0: request node cannot hold the token, dropped");
     return;
   }
-  // Refill the masking vector from the trusted RNG on *every* request —
-  // the protocol requires fresh randomness per invocation and this is the
-  // sgx_read_rand cost the paper highlights.
-  refill_random_trusted(rnd_);
+  // Every invocation masks with a fresh mask, mostly drawn while the
+  // previous round's token travelled (body()).
   serialize_into(token->payload(), secret_);
-  add_to_bytes(token->payload(), rnd_);
+  add_to_bytes(token->payload(), mask_.take());
   token->size = static_cast<std::uint32_t>(bytes);
   if (out_->send_node(std::move(token))) {
     round_in_flight_ = true;
@@ -46,7 +41,7 @@ void PartyActor::start_round() {
 }
 
 void PartyActor::finish_round(concurrent::NodeLease token) {
-  sub_from_bytes(token->payload(), rnd_);
+  sub_from_bytes(token->payload(), mask_.current());
   round_in_flight_ = false;
   if (results_ != nullptr) results_->push(token.release());
   if (config_.dynamic) update_secret(secret_);
@@ -60,8 +55,7 @@ bool PartyActor::body() {
     // Serve at most one in-flight invocation; further requests stay queued.
     if (!round_in_flight_ && requests_ != nullptr) {
       if (concurrent::Node* req = requests_->pop()) {
-        concurrent::NodeLease lease(req);
-        start_round();
+        start_round(concurrent::NodeLease(req));
         progress = true;
       }
     }
@@ -71,7 +65,9 @@ bool PartyActor::body() {
         progress = true;
       }
     }
-    return progress;
+    // A quantum with nothing else to do draws a chunk of the next mask:
+    // the trusted-RNG cost overlaps the token's trip round the ring.
+    return progress || mask_.draw_some();
   }
 
   // Intermediate party: add the secret to the token and pass the same node

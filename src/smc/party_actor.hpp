@@ -2,12 +2,15 @@
 //
 // Each party is an independent eactor in its own enclave; hops travel over
 // encrypted channels. One node carries a round's token all the way round:
-// each party adds its secret where the channel opened it and passes the
-// same node on, and party 0 unmasks it and hands it to the result mbox. On
-// a worker of its own (the paper's deployment) a party never leaves its
-// enclave in steady state — the protocol costs zero transitions, and in
-// the dynamic-secret variant each party recomputes its secret while the
-// token circulates elsewhere (pipelining the SDK variant cannot have).
+// party 0 fills the request node it popped with its masked secret, each
+// party adds its secret where the channel opened it and passes the same
+// node on, and party 0 unmasks it and hands it to the result mbox. On a
+// worker of its own (the paper's deployment) a party never leaves its
+// enclave in steady state — the protocol costs zero transitions. The ring
+// pipelines what the single-threaded SDK variant runs in series: party 0
+// draws the next round's mask while the token travels, and in the
+// dynamic-secret variant each party recomputes its secret while the token
+// circulates elsewhere.
 //
 // Channel topology: party i sends on channel "smc.ring.<i>" and receives on
 // "smc.ring.<i-1 mod K>". Party 0 additionally serves a request mbox and
@@ -26,13 +29,12 @@ namespace ea::smc {
 class PartyActor : public core::Actor {
  public:
   // `index` in [0, config.parties). For index 0 the request/result mboxes
-  // must be provided; `result_pool` (default: the runtime's public pool)
-  // supplies each round's token node, which party 0 hands to `results`
-  // once it has come round the ring.
+  // must be provided; each request node becomes its round's token and,
+  // once it has come round the ring, the result party 0 hands to
+  // `results`.
   PartyActor(std::string name, int index, SmcConfig config,
              concurrent::Mbox* requests = nullptr,
-             concurrent::Mbox* results = nullptr,
-             concurrent::Pool* result_pool = nullptr);
+             concurrent::Mbox* results = nullptr);
 
   void construct(core::Runtime& rt) override;
   bool body() override;
@@ -44,20 +46,19 @@ class PartyActor : public core::Actor {
   const Vec& secret() const noexcept { return secret_; }
 
  private:
-  void start_round();
+  void start_round(concurrent::NodeLease token);
   void finish_round(concurrent::NodeLease token);
 
   SmcConfig config_;
   int index_;
   Vec secret_;
-  Vec rnd_;
+  MaskAhead mask_;  // party 0 only
   bool round_in_flight_ = false;
 
   core::ChannelEnd* out_ = nullptr;
   core::ChannelEnd* in_ = nullptr;
   concurrent::Mbox* requests_;
   concurrent::Mbox* results_;
-  concurrent::Pool* result_pool_;
 };
 
 // The driver's request/result mboxes, parked in an actor that no worker

@@ -7,7 +7,7 @@
 namespace ea::smc {
 
 SdkSecureSum::SdkSecureSum(SmcConfig config, std::vector<Vec> secrets)
-    : config_(config) {
+    : config_(config), mask_(config.dim) {
   if (!secrets.empty() &&
       secrets.size() != static_cast<std::size_t>(config_.parties)) {
     throw std::invalid_argument("one secret per party");
@@ -21,7 +21,6 @@ SdkSecureSum::SdkSecureSum(SmcConfig config, std::vector<Vec> secrets)
     p.secret = secrets.empty()
                    ? initial_secret(i, config_.dim)
                    : std::move(secrets[static_cast<std::size_t>(i)]);
-    if (i == 0) p.rnd.resize(config_.dim);
   }
   // One sealed link per pair of ring neighbours, attested and keyed — the
   // preparation phase of the protocol.
@@ -49,13 +48,13 @@ Vec SdkSecureSum::run_once() {
   const int k = config_.parties;
   std::uint8_t* token = wire_.data() + core::HopSeal::kHeader;
 
-  // Party 0: generate Rnd, mask, seal for party 1.
+  // Party 0: draw all of Rnd (the one thread has no idle quanta to draw
+  // it in), mask, seal for party 1.
   {
     Party& p = parties_[0];
     sgxsim::ecall(*p.enclave, [&] {
-      refill_random_trusted(p.rnd);
       serialize_into(token, p.secret);
-      add_to_bytes(token, p.rnd);
+      add_to_bytes(token, mask_.take());
       links_[0].seal(/*side=*/0, wire_);
     });
   }
@@ -79,7 +78,7 @@ Vec SdkSecureSum::run_once() {
       open_hop(k - 1);
       sum = deserialize(std::span<const std::uint8_t>(
           token, config_.dim * sizeof(Element)));
-      sub_in_place(sum, p.rnd);
+      sub_in_place(sum, mask_.current());
       if (config_.dynamic) update_secret(p.secret);
     });
   }

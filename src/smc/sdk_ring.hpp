@@ -3,8 +3,8 @@
 // "Each party is also implemented as an SGX enclave but only a single
 // thread executes the protocol by entering and leaving one enclave after
 // another." Every hop costs two transitions (leave P_i, enter P_i+1), and
-// the dynamic secret update serialises with the protocol because there is
-// only one thread. ECalls are used "efficiently": no buffer marshalling —
+// the dynamic secret update and party 0's trusted-RNG draw of each round's
+// mask serialise with the protocol because there is only one thread. ECalls are used "efficiently": no buffer marshalling —
 // the one sealed frame is handed over by reference and opened and sealed
 // in place (core/hop_seal.hpp), matching the paper's note that transition
 // costs do not depend on the vector size.
@@ -35,7 +35,6 @@ class SdkSecureSum {
   struct Party {
     sgxsim::Enclave* enclave = nullptr;
     Vec secret;
-    Vec rnd;  // party 0 only
   };
 
   // Opens the frame party `from` sealed for its successor, in place; the
@@ -44,6 +43,7 @@ class SdkSecureSum {
 
   SmcConfig config_;
   std::vector<Party> parties_;
+  MaskAhead mask_;  // party 0's
   // links_[i] seals the hop from party i (side 0) to party i+1 (side 1).
   std::vector<core::HopSeal> links_;
   // The one frame the single thread hands from enclave to enclave.

@@ -1,5 +1,7 @@
 #include "smc/secure_sum.hpp"
 
+#include <algorithm>
+
 #include "sgxsim/trusted_rng.hpp"
 
 namespace ea::smc {
@@ -16,9 +18,31 @@ Vec initial_secret(int index, std::size_t dim) {
   return v;
 }
 
-void refill_random_trusted(Vec& v) {
-  sgxsim::trusted_read_rand(std::span<std::uint8_t>(
-      reinterpret_cast<std::uint8_t*>(v.data()), v.size() * sizeof(Element)));
+namespace {
+
+std::span<std::uint8_t> undrawn(Vec& v, std::size_t drawn) {
+  return std::span<std::uint8_t>(reinterpret_cast<std::uint8_t*>(v.data()),
+                                 v.size() * sizeof(Element))
+      .subspan(drawn);
+}
+
+}  // namespace
+
+bool MaskAhead::draw_some() {
+  std::span<std::uint8_t> rest = undrawn(next_, drawn_);
+  if (rest.empty()) return false;
+  rest = rest.first(std::min(rest.size(), kChunkBytes));
+  sgxsim::trusted_read_rand(rest);
+  drawn_ += rest.size();
+  return true;
+}
+
+const Vec& MaskAhead::take() {
+  std::span<std::uint8_t> rest = undrawn(next_, drawn_);
+  if (!rest.empty()) sgxsim::trusted_read_rand(rest);
+  drawn_ = 0;
+  current_.swap(next_);
+  return current_;
 }
 
 }  // namespace ea::smc

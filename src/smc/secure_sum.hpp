@@ -92,8 +92,35 @@ inline Vec deserialize(std::span<const std::uint8_t> bytes) {
 // expected sum; every deployment of the ring starts from it.
 Vec initial_secret(int index, std::size_t dim);
 
-// Fills `v` with fresh randomness from the *trusted* RNG — this is the
-// sgx_read_rand path the paper identifies as the large-vector bottleneck.
-void refill_random_trusted(Vec& v);
+// Party 0's masks, the one way a ring gets its Rnd. Every invocation gets
+// one fresh draw of dim × 4 bytes from the *trusted* RNG — the
+// sgx_read_rand path the paper identifies as the large-vector bottleneck
+// (§6.3.1) — used for one round only. A ring party draws the next mask in
+// kChunkBytes steps in the quanta it would otherwise idle away while the
+// current token travels (draw_some()); the single-threaded SDK ring has no
+// such quanta and draws all of it when the round starts (take()).
+class MaskAhead {
+ public:
+  // A returning token waits for at most one chunk of the draw.
+  static constexpr std::size_t kChunkBytes = 512;
+
+  MaskAhead() = default;
+  explicit MaskAhead(std::size_t dim) : current_(dim), next_(dim) {}
+
+  // Draws the next chunk of the next mask. False once that mask is
+  // complete: a source never runs more than one mask ahead.
+  bool draw_some();
+
+  // Draws whatever the next mask still lacks, makes it the current mask —
+  // the round's, until the round is unmasked — and starts the next one.
+  const Vec& take();
+
+  const Vec& current() const noexcept { return current_; }
+
+ private:
+  Vec current_;
+  Vec next_;
+  std::size_t drawn_ = 0;  // bytes of next_ drawn so far
+};
 
 }  // namespace ea::smc

@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "concurrent/arena.hpp"
 #include "concurrent/mbox.hpp"
@@ -604,17 +605,20 @@ TEST_F(SupervisionTest, ReconnectorReestablishesAfterPeerCloses) {
 // --- TCP secure-sum ring ------------------------------------------------------
 
 TEST_F(SupervisionTest, NetRingComputesCorrectSumsOverTcp) {
-  // At 2 parties both links join the same enclave pair.
-  for (int parties : {3, 2}) {
+  // At 2 parties both links join the same enclave pair; at dim 1,000 a
+  // mask spans 8 draw chunks.
+  for (auto [parties, dim] : {std::pair<int, std::size_t>{3, 8},
+                              std::pair<int, std::size_t>{2, 8},
+                              std::pair<int, std::size_t>{3, 1000}}) {
     core::RuntimeOptions options;
     options.pool_nodes = 8192;
-    options.node_payload_bytes = 2048;
+    options.node_payload_bytes = 8192;
     core::Runtime rt(options);
     net::NetSubsystem net = net::install_networking(rt, "net.sys");
     net::ReconnectorActor& recon = net::install_reconnector(rt, net);
     smc::SmcConfig config;
     config.parties = parties;
-    config.dim = 8;
+    config.dim = dim;
     smc::NetRingDeployment dep = smc::install_net_ring(rt, config, net, recon);
     rt.start();
 
@@ -630,15 +634,94 @@ TEST_F(SupervisionTest, NetRingComputesCorrectSumsOverTcp) {
       dep.requests->push(req);
 
       concurrent::NodeLease result(pop_within(*dep.results, 20'000ms));
-      ASSERT_TRUE(result) << parties << " parties, round " << round
-                          << " produced no result";
+      ASSERT_TRUE(result) << parties << " parties, dim " << dim
+                          << ", round " << round << " produced no result";
       smc::Vec got = smc::deserialize(
           std::span<const std::uint8_t>(result->payload(), result->size));
-      EXPECT_EQ(got, expected) << parties << " parties, round " << round;
+      EXPECT_EQ(got, expected) << parties << " parties, dim " << dim
+                               << ", round " << round;
     }
     EXPECT_EQ(dep.parties[0]->rounds_completed(), 3u) << parties;
     rt.stop();
   }
+}
+
+TEST_F(SupervisionTest, NetRingKeepsARoundsMaskThroughRetransmitAndRestart) {
+  // Hand-driven: no worker runs, so the test holds a round wherever it
+  // likes. Dim 1,000 spans 8 mask chunks.
+  core::RuntimeOptions options;
+  options.pool_nodes = 1024;
+  options.node_payload_bytes = 8192;
+  core::Runtime rt(options);
+  net::NetSubsystem net = net::install_networking(rt, "net.sys");
+  net::ReconnectorActor& recon = net::install_reconnector(rt, net);
+  smc::SmcConfig config;
+  config.parties = 3;
+  config.dim = 1000;
+  smc::NetRingDeployment dep = smc::install_net_ring(rt, config, net, recon);
+  for (const auto& actor : rt.actors()) {
+    core::run_in_placement(*actor, [&] { actor->construct(rt); });
+  }
+  smc::NetRingParty& p0 = *dep.parties[0];
+  smc::NetRingParty* held = nullptr;  // a party whose body does not run
+  auto pump = [&] {
+    for (const auto& actor : rt.actors()) {
+      if (actor.get() == held) continue;
+      core::run_in_placement(*actor, [&] { core::invoke_contained(*actor); });
+    }
+  };
+  smc::Vec expected = dep.parties[0]->secret();
+  for (std::size_t i = 1; i < dep.parties.size(); ++i) {
+    smc::add_in_place(expected, dep.parties[i]->secret());
+  }
+  auto request = [&] {
+    concurrent::Node* req = rt.public_pool().get();
+    ASSERT_NE(req, nullptr);
+    req->size = 0;
+    dep.requests->push(req);
+  };
+  auto await_sum = [&](const char* what) {
+    const auto deadline = std::chrono::steady_clock::now() + 20s;
+    concurrent::Node* node = nullptr;
+    while ((node = dep.results->pop()) == nullptr &&
+           std::chrono::steady_clock::now() < deadline) {
+      pump();
+    }
+    ASSERT_NE(node, nullptr) << what << ": no sum";
+    concurrent::NodeLease result(node);
+    EXPECT_EQ(smc::deserialize(result->data()), expected) << what;
+  };
+
+  // A plain round dials and accepts every link.
+  request();
+  await_sum("first round");
+  EXPECT_EQ(p0.masks_taken(), 1u);
+
+  // Party 1 holds the token until party 0 retransmits it; then the
+  // original and the copy go round. Both carry the round's one mask.
+  const std::uint64_t retransmits = p0.retransmits();
+  held = dep.parties[1];
+  request();
+  const auto deadline = std::chrono::steady_clock::now() + 20s;
+  while (p0.retransmits() == retransmits &&
+         std::chrono::steady_clock::now() < deadline) {
+    pump();
+  }
+  ASSERT_GT(p0.retransmits(), retransmits) << "party 0 never retransmitted";
+  held = nullptr;
+  await_sum("retransmitted round");
+  EXPECT_EQ(p0.masks_taken(), 2u) << "a retransmission took a new mask";
+
+  // Party 0 restarts with its round in flight and the next mask part
+  // drawn; the round completes under the mask it started with.
+  request();
+  core::run_in_placement(p0, [&] { core::invoke_contained(p0); });
+  core::run_in_placement(p0, [&] { core::invoke_contained(p0); });
+  core::run_in_placement(p0, [&] { p0.on_restart(); });
+  await_sum("round across a restart");
+  EXPECT_EQ(p0.masks_taken(), 3u);
+  EXPECT_EQ(p0.rounds_completed(), 3u);
+  EXPECT_EQ(p0.auth_failures(), 0u);
 }
 
 TEST_F(SupervisionTest, NetRingRejectsDynamicSecrets) {
