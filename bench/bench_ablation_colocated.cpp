@@ -7,12 +7,14 @@
 // participants can be avoided.").
 //
 // Three deployments of the identical protocol:
-//   TCP      — the runtime's networked ring (smc/net_ring.hpp): enclaved
-//              party eactors on the workers Runtime::start() places them
-//              on, every hop sealed and carried over loopback TCP by the
-//              untrusted net actors and reconnector-owned links
+//   TCP      — the runtime's networked ring (smc::install_net_ring): the
+//              EActors ring's own party eactors, in their enclaves, on the
+//              workers Runtime::start() places them on, every hop's sealed
+//              channel carried over loopback TCP by a net::ChannelLink and
+//              the untrusted net actors, links owned by the reconnector
 //   EC       — co-located SDK-style ring (ecalls per hop, no network)
 //   EA       — co-located EActors ring (no transitions, no network)
+// Every point runs its request count and for at least EA_BENCH_SECONDS.
 // Every TCP sum is checked against the parties' secrets; a wrong or missing
 // sum fails the bench.
 #include <algorithm>
@@ -22,7 +24,6 @@
 #include "bench/smc_harness.hpp"
 #include "net/actors.hpp"
 #include "net/reconnector.hpp"
-#include "smc/net_ring.hpp"
 
 using namespace ea;
 
@@ -40,21 +41,21 @@ std::optional<double> run_tcp(const smc::SmcConfig& config,
   core::Runtime rt(options);
   net::NetSubsystem net = net::install_networking(rt, "net.sys");
   net::ReconnectorActor& recon = net::install_reconnector(rt, net);
-  smc::NetRingDeployment dep = smc::install_net_ring(rt, config, net, recon);
+  smc::SmcDeployment dep = smc::install_net_ring(rt, config, net, recon);
   rt.start();
 
-  smc::Vec expected = dep.parties[0]->secret();
-  for (std::size_t i = 1; i < dep.parties.size(); ++i) {
-    smc::add_in_place(expected, dep.parties[i]->secret());
+  smc::Vec expected(config.dim, 0);
+  for (int i = 0; i < config.parties; ++i) {
+    smc::add_in_place(expected, smc::initial_secret(i, config.dim));
   }
 
   // Keeps up to 4 requests queued at party 0 (it runs one round at a time)
-  // and checks every result.
-  auto run_rounds = [&](std::uint64_t n) {
-    std::uint64_t issued = 0, received = 0;
+  // while `more(issued)`, and checks every result.
+  std::uint64_t issued = 0, received = 0;
+  auto run_rounds = [&](auto more) {
     bench::Timer since_result;
-    while (received < n) {
-      while (issued < n && issued - received < 4) {
+    while (more(issued) || received < issued) {
+      while (issued - received < 4 && more(issued)) {
         concurrent::Node* req = rt.public_pool().get();
         if (req == nullptr) break;
         req->size = 0;
@@ -79,13 +80,14 @@ std::optional<double> run_tcp(const smc::SmcConfig& config,
   };
 
   // Warm-up round: links dialled and accepted, every worker entered.
-  bool ok = run_rounds(1);
-  bench::Timer timer;
-  ok = ok && run_rounds(requests);
-  const double secs = timer.seconds();
+  bool ok = run_rounds([](std::uint64_t n) { return n < 1; });
+  issued = received = 0;
+  bench::Window window(requests);
+  ok = ok && run_rounds([&](std::uint64_t n) { return window.more(n); });
+  const double krate = window.krate(received);
   rt.stop();
   if (!ok) return std::nullopt;
-  return static_cast<double>(requests) / secs / 1000.0;
+  return krate;
 }
 
 }  // namespace

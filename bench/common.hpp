@@ -4,8 +4,8 @@
 // series the paper plots — plus a trailing textual summary comparing the
 // measured ordering against the paper's qualitative claim. Workload sizes
 // scale with EA_BENCH_SCALE (default 1.0) and per-point measurement time
-// with EA_BENCH_SECONDS so small machines finish quickly while larger ones
-// can approach the paper's sizes.
+// with EA_BENCH_SECONDS (default 1 s) so small machines finish quickly
+// while larger ones can approach the paper's sizes.
 #pragma once
 
 #include <chrono>
@@ -78,6 +78,27 @@ class Timer {
 
  private:
   std::chrono::steady_clock::time_point start_;
+};
+
+// A point that runs a fixed number of operations runs until both that
+// number and EA_BENCH_SECONDS have passed: a point of a few milliseconds
+// measures the scheduler's noise, not the system.
+class Window {
+ public:
+  explicit Window(std::uint64_t min_ops)
+      : min_ops_(min_ops), min_seconds_(seconds_per_point()) {}
+  bool more(std::uint64_t done) const {
+    return done < min_ops_ || timer_.seconds() < min_seconds_;
+  }
+  // Operations per second in 10^3, the secure-sum figures' unit.
+  double krate(std::uint64_t done) const {
+    return static_cast<double>(done) / timer_.seconds() / 1000.0;
+  }
+
+ private:
+  std::uint64_t min_ops_;
+  double min_seconds_;
+  Timer timer_;
 };
 
 }  // namespace ea::bench

@@ -4,9 +4,10 @@
 // EA = EActors ring (smc::install_secure_sum), one enclaved party per worker
 // pinned to CPU i, as the paper deploys it.
 // Throughput is reported in 10^3 requests/second, matching the paper's
-// y-axes. A figure is only as good as its sums: both rings check every sum
-// of static secrets and the first sum of dynamic ones, and a wrong sum
-// ends the bench with exit status 1.
+// y-axes. A point runs its request count and for at least EA_BENCH_SECONDS
+// (bench::Window). A figure is only as good as its sums: both rings check
+// every sum of static secrets and the first sum of dynamic ones, and a
+// wrong sum ends the bench with exit status 1.
 #pragma once
 
 #include <algorithm>
@@ -33,14 +34,15 @@ inline double run_smc_sdk(const smc::SmcConfig& config,
                           std::uint64_t requests) {
   smc::SdkSecureSum smc(config);
   const smc::Vec expected = smc.expected_sum();
-  Timer timer;
-  for (std::uint64_t i = 0; i < requests; ++i) {
+  Window window(requests);
+  std::uint64_t done = 0;
+  for (; window.more(done); ++done) {
     const smc::Vec sum = smc.run_once();
-    if ((i == 0 || !config.dynamic) && sum != expected) {
+    if ((done == 0 || !config.dynamic) && sum != expected) {
       wrong_sum("EC", config);
     }
   }
-  return static_cast<double>(requests) / timer.seconds() / 1000.0;
+  return window.krate(done);
 }
 
 inline double run_smc_ea(const smc::SmcConfig& config,
@@ -87,14 +89,14 @@ inline double run_smc_ea(const smc::SmcConfig& config,
     std::this_thread::yield();
   }
 
-  Timer timer;
+  Window window(requests);
   std::uint64_t issued = 0, received = 0;
   // Keep a small number of requests in flight (the paper issues
   // invocations back-to-back). Requests are injected as one chain and
   // results drained as one burst — a single mbox lock acquisition each way.
-  while (received < requests) {
+  while (window.more(issued) || received < issued) {
     concurrent::ChainBuilder chain;
-    while (issued < requests && issued - received < 4) {
+    while (issued - received < 4 && window.more(issued)) {
       concurrent::Node* req = rt.public_pool().get();
       if (req == nullptr) break;
       chain.append(req);
@@ -113,10 +115,10 @@ inline double run_smc_ea(const smc::SmcConfig& config,
       std::this_thread::yield();
     }
   }
-  double secs = timer.seconds();
+  const double krate = window.krate(received);
   rt.stop();
   if (wrong) wrong_sum("EA", config);
-  return static_cast<double>(requests) / secs / 1000.0;
+  return krate;
 }
 
 // Frees the enclaves a finished deployment registered so EPC accounting

@@ -21,7 +21,9 @@
 #   fault       fault build (ASan+UBSan + failpoints + lock-rank checker),
 #               fault-injection and crash-recovery suite (ctest -L fault)
 #   supervise   containment/restart/reconnect suite + fault-storm soaks on
-#               the fault tree
+#               the fault tree, then the same suite 20 times (until one
+#               fails) in a plain failpoints tree (build-failpoints: no
+#               sanitizers), where the soaks run at full speed
 #   lockrank    deadlock-order regression suite (ctest -L lockrank) on the
 #               fault tree, where EA_LOCK_RANK=ON makes the checker live
 #   migrate     live-migration suite (ctest -L migrate) on the fault tree:
@@ -65,8 +67,8 @@
 #   scripts/check.sh --leg NAME   # one leg by the name in the list above
 #
 # Build trees are kept per-leg (build-check, build-release, build-asan,
-# build-tsan, build-sched, build-fault, build-clang-tsa) so incremental
-# re-runs stay cheap.
+# build-tsan, build-sched, build-fault, build-failpoints, build-clang-tsa)
+# so incremental re-runs stay cheap.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -200,10 +202,17 @@ leg fault "fault build + ctest -L fault (ASan+UBSan, lock-rank)" \
 
 # --- supervision: the containment/restart/reconnect unit suite plus the
 # fault-storm soaks (1% injected body throws + socket resets while the XMPP
-# echo and secure-sum ring must keep delivering). Reuses the fault tree, so
-# the soaks also run under ASan+UBSan with the rank checker live.
-leg supervise "supervise suite + soak (ASan+UBSan, failpoints, lock-rank)" \
-  build_and_test build-fault -L supervise -- "${FAULT_FLAGS[@]}"
+# echo and secure-sum ring must keep delivering). Runs on the fault tree,
+# so the soaks also run under ASan+UBSan with the rank checker live, then
+# 20 times in a plain failpoints tree: at full speed the injected faults
+# land on other interleavings than under the sanitizers.
+run_supervise() {
+  build_and_test build-fault -L supervise -- "${FAULT_FLAGS[@]}" || return 1
+  build_and_test build-failpoints -L supervise --repeat until-fail:20 -- \
+    -DEA_WERROR=ON -DEA_SANITIZE= -DEA_FAILPOINTS=ON
+}
+leg supervise "supervise suite + soak (ASan+UBSan, failpoints, lock-rank; then plain failpoints x20)" \
+  run_supervise
 
 # --- lock-rank deadlock regression: the two-thread inverted-order suite
 # needs EA_LOCK_RANK=ON to exercise the checker (in plain builds it skips).
@@ -308,10 +317,10 @@ run_bench_smoke() {
     pause xmpp_echo || return 1
   EA_BENCH_SECONDS=0.02 EA_BENCH_SCALE=0.01 \
     ./build-check/bench/bench_ablation_colocated >/dev/null || return 1
-  EA_BENCH_SCALE=0.01 ./build-check/bench/bench_fig12_smc_plain >/dev/null \
-    || return 1
-  EA_BENCH_SCALE=0.01 ./build-check/bench/bench_fig13_smc_dynamic >/dev/null \
-    || return 1
+  EA_BENCH_SECONDS=0.02 EA_BENCH_SCALE=0.01 \
+    ./build-check/bench/bench_fig12_smc_plain >/dev/null || return 1
+  EA_BENCH_SECONDS=0.02 EA_BENCH_SCALE=0.01 \
+    ./build-check/bench/bench_fig13_smc_dynamic >/dev/null || return 1
   CARGO_TARGET_DIR=build-check python3 perfbench/run.py --self-test
 }
 leg bench "bench smoke (bench_batching + bench_pos + bench_sched + bench_migrate + JSON schema + bench_ablation_colocated rings + Fig. 12/13 sums + perfbench self-test)" \

@@ -70,7 +70,7 @@ std::size_t Channel::rebind_for_migration(const Actor& owner,
   std::vector<concurrent::NodeLease> in_flight[2];
   for (int recv_side = 0; recv_side < 2; ++recv_side) {
     const int from_dir = recv_side == 0 ? 1 : 0;
-    while (!dir_[from_dir].empty()) {
+    while (!arrivals_[from_dir]->empty()) {
       concurrent::NodeLease lease = recv_at(recv_side);
       if (lease) in_flight[from_dir].push_back(std::move(lease));
     }
@@ -166,8 +166,8 @@ bool Channel::send_node_from(int side, concurrent::NodeLease&& lease) {
 }
 
 concurrent::NodeLease Channel::recv_at(int side) {
-  // Side A receives from dir_[1] (B->A); side B from dir_[0].
-  concurrent::Node* node = dir_[side == 0 ? 1 : 0].pop();
+  // Side A receives what B sent (direction 1); side B what A sent.
+  concurrent::Node* node = arrivals_[side == 0 ? 1 : 0]->pop();
   if (node == nullptr) return concurrent::NodeLease();
   concurrent::NodeLease lease(node);
   // Injected wire corruption: flip one ciphertext byte before opening, as a
@@ -205,7 +205,7 @@ concurrent::NodeLease ChannelEnd::recv() {
 }
 
 bool ChannelEnd::pending() const {
-  return !channel_->dir_[side_ == 0 ? 1 : 0].empty();
+  return !channel_->arrivals_[side_ == 0 ? 1 : 0]->empty();
 }
 
 bool ChannelEnd::encrypted() const { return channel_->encrypted(); }

@@ -17,6 +17,12 @@
 // The two-phase connect mirrors the paper: the first endpoint to connect is
 // the *initiator*, the second the *client*; the encryption decision is made
 // once both placements are known.
+//
+// Each direction's sender pushes into that direction's mbox, and its
+// receiver pops from the direction's arrivals mbox: the same mbox, unless
+// a transport carries the channel (net/channel_link.hpp moves sealed
+// frames from departures() over TCP into arrivals of its own). The ends'
+// code does not change with the carrier.
 #pragma once
 
 #include <atomic>
@@ -127,6 +133,20 @@ class Channel {
 
   bool encrypted() const noexcept { return seal_.has_value(); }
 
+  // Direction `dir`'s departures (dir 0 carries side 0's sends), and where
+  // its receiver pops from instead of them. A carrier calls carry() before
+  // start(); it then moves every departure into `arrivals` itself.
+  concurrent::Mbox& departures(int dir) noexcept { return dir_[dir]; }
+  void carry(int dir, concurrent::Mbox& arrivals) noexcept {
+    arrivals_[dir] = &arrivals;
+  }
+  // A carried channel cannot be rebound: frames sealed under its key wait
+  // in the carrier and on the wire, out of a rekey's reach. The
+  // MigrationCoordinator refuses to move an actor that holds one.
+  bool carried() const noexcept {
+    return arrivals_[0] != &dir_[0] || arrivals_[1] != &dir_[1];
+  }
+
   // Number of messages dropped due to failed authentication or a counter
   // that was reflected, replayed or out of order.
   std::uint64_t auth_failures() const noexcept {
@@ -178,6 +198,7 @@ class Channel {
   int connected_ = 0;
 
   concurrent::Mbox dir_[2];  // dir_[0]: A->B, dir_[1]: B->A
+  concurrent::Mbox* arrivals_[2] = {&dir_[0], &dir_[1]};
 
   // Set while the channel seals: the ends cross an enclave boundary.
   std::optional<HopSeal> seal_;

@@ -3,9 +3,10 @@
 // Node and socket memory are untrusted, so a message that leaves one
 // enclave for another travels sealed with ChaCha20-Poly1305
 // (crypto/aead.hpp) in a nonce(12) || ciphertext || tag(16) frame. A
-// HopSeal is one link's key and counters. core::Channel, smc::NetRingParty
-// and smc::SdkSecureSum seal and open through it, so every hop is keyed,
-// counted and checked the same way:
+// HopSeal is one link's key and counters. core::Channel — carried through
+// an mbox or over TCP (net/channel_link.hpp), which moves the sealed frame
+// as [u32 len][frame] and never opens it — and smc::SdkSecureSum seal and
+// open through it, so every hop is keyed, counted and checked the same way:
 //
 //   * Key. Local attestation yields one key per enclave pair, the same in
 //     both orders and after an enclave-manager reset. link() derives the
@@ -18,12 +19,12 @@
 //   * Replay guard. open() accepts a frame only if its authenticated
 //     counter carries the peer's side and is not below the next one
 //     expected from it: a reflected, spliced, duplicated or overtaken frame
-//     fails.
+//     fails. A carried channel writes its last frame again on every new
+//     connection; the guard drops that copy when the first had arrived.
 //
 // Each end calls seal() and open() with its own side (0 or 1). Both ends of
-// a link may share one HopSeal (a channel) or hold a copy each (a ring
-// party's inbound and outbound links): a side's counters are touched only
-// by that side's sender or receiver.
+// a link may share one HopSeal (a channel) or hold a copy each: a side's
+// counters are touched only by that side's sender or receiver.
 #pragma once
 
 #include <cstdint>

@@ -205,6 +205,11 @@ MigrateResult MigrationCoordinator::migrate(const std::string& actor_name,
 MigrateResult MigrationCoordinator::migrate(Actor& actor,
                                             sgxsim::Enclave& target) {
   if (!actor.migratable()) return MigrateResult::kNotMigratable;
+  for (const auto& [name, ch] : rt_.channels()) {
+    if ((ch->owner(0) == &actor || ch->owner(1) == &actor) && ch->carried()) {
+      return MigrateResult::kNotMigratable;  // see Channel::carried()
+    }
+  }
   const sgxsim::EnclaveId src_id = actor.placement();
   // Untrusted actors have no sealed identity to hand off.
   if (src_id == sgxsim::kUntrusted) return MigrateResult::kNotMigratable;

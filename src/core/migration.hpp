@@ -64,7 +64,8 @@ class Runtime;
 enum class MigrateResult : std::uint8_t {
   kOk = 0,
   kNotFound,          // unknown actor or enclave
-  kNotMigratable,     // actor did not opt in (or is placed untrusted)
+  kNotMigratable,     // actor did not opt in, is placed untrusted or
+                      // holds a carried channel
   kBusy,              // actor not Runnable (failed/restarting/migrating)
   kSamePlacement,     // source == target
   kRouteQuarantined,  // a previous migration failed on this route

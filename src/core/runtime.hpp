@@ -89,6 +89,8 @@ class Runtime {
   void add_group(WorkerGroup group);
 
   const std::vector<WorkerGroup>& groups() const noexcept { return groups_; }
+  // An installer may add its actors to a declared group before start().
+  std::vector<WorkerGroup>& groups() noexcept { return groups_; }
 
   // Declares (or retrieves) a channel. Actors bind to it via
   // Actor::connect() inside their constructor functions.

@@ -39,18 +39,6 @@ void ReconnectorActor::construct(core::Runtime& rt) {
   }
 }
 
-void ReconnectorActor::on_restart() {
-  // Connections that were mid-open when the failure hit may have lost their
-  // reply; write those attempts off so the deadline machinery does not have
-  // to age them out. Up connections are untouched.
-  Clock::time_point now = Clock::now();
-  for (std::size_t i = 0; i < conns_.size(); ++i) {
-    if (conns_[i].state == ConnState::kOpening) {
-      fail_attempt(conns_[i], i, now);
-    }
-  }
-}
-
 void ReconnectorActor::on_quarantine() {
   concurrent::Node* burst[kRequestBurst];
   std::size_t got;
@@ -62,6 +50,14 @@ void ReconnectorActor::on_quarantine() {
   while ((got = replies_.pop_burst(burst, kRequestBurst)) != 0) {
     for (std::size_t b = 0; b < got; ++b) {
       concurrent::NodeLease(burst[b]).reset();
+    }
+  }
+  // The replies just dropped answered the opens in flight: write those
+  // attempts off, so a later restart redials them at once.
+  Clock::time_point now = Clock::now();
+  for (std::size_t i = 0; i < conns_.size(); ++i) {
+    if (conns_[i].state == ConnState::kOpening) {
+      fail_attempt(conns_[i], i, now);
     }
   }
 }
@@ -148,22 +144,25 @@ void ReconnectorActor::handle_reply(const OpenReply& reply,
     return;
   }
 
-  // Success: re-arm the READER subscription for the new socket and tell the
-  // owner which socket to talk through now.
-  concurrent::Node* sub_node = pool_.get();
-  if (sub_node == nullptr) {
-    // Without a subscription the connection would be write-only; treat as a
-    // failed attempt rather than hand the owner a half-wired socket.
-    net_.table->close(id);
-    fail_attempt(conn, reply.cookie, now);
-    return;
+  // Success: re-arm the READER subscription for the new socket (unless the
+  // owner subscribes it itself) and tell the owner which socket to talk
+  // through now.
+  if (conn.spec.data != nullptr) {
+    concurrent::Node* sub_node = pool_.get();
+    if (sub_node == nullptr) {
+      // Without a subscription the connection would be write-only; treat
+      // as a failed attempt rather than hand the owner a half-wired socket.
+      net_.table->close(id);
+      fail_attempt(conn, reply.cookie, now);
+      return;
+    }
+    ReadSubscribe sub;
+    sub.socket = id;
+    sub.data = conn.spec.data;
+    sub.pool = conn.spec.pool;
+    write_struct(*sub_node, sub);
+    net_.reader->requests().push(sub_node);
   }
-  ReadSubscribe sub;
-  sub.socket = id;
-  sub.data = conn.spec.data;
-  sub.pool = conn.spec.pool;
-  write_struct(*sub_node, sub);
-  net_.reader->requests().push(sub_node);
 
   conn.socket = id;
   conn.state = ConnState::kUp;

@@ -15,10 +15,20 @@
 //     control()  ── down note (reset seen) ──▶ close old, backoff, re-open
 //
 // Every successful (re)open publishes exactly one Up note naming the new
-// socket; a failed or stale open publishes none. The reconnector hands an
-// owner a new socket, never a new nonce space: an owner that seals its
-// stream keeps its counters across reconnects (core/hop_seal.hpp,
-// smc/net_ring.cpp).
+// socket; a failed or stale open publishes none. The READER subscription
+// goes out before the Up note, so the socket's bytes may reach the data
+// mbox first; an owner that must know the socket before its bytes (a
+// ChannelLink) leaves `data` null and subscribes on the Up note.
+//
+// The reconnector hands an owner a new socket, never a new nonce space: a
+// channel carried over the connection (net/channel_link.hpp) keeps its
+// counters across reconnects (core/hop_seal.hpp), and the link writes its
+// last frame again on the new socket.
+//
+// A restart keeps every connection's state: an injected fault strikes
+// before body() runs, so the reply of an open in flight still arrives, and
+// writing that open off would turn the reply stale and close the socket
+// it carries. The open deadline writes off a reply that is really lost.
 //
 // Re-open pacing uses core::BackoffSchedule — capped exponential backoff
 // with jitter — so a dead peer is probed gently and a restored one is
@@ -53,6 +63,8 @@ struct ConnSpec {
   char host[46] = {};
   std::uint16_t port = 0;
   concurrent::Mbox* data = nullptr;    // READER delivers inbound bytes here
+                                       // (nullptr: the owner subscribes
+                                       // the socket on its Up note)
   concurrent::Mbox* status = nullptr;  // ConnStatus notes delivered here
   concurrent::Pool* pool = nullptr;    // READER node source (nullptr: default)
   core::BackoffPolicy backoff{};
@@ -80,10 +92,9 @@ class ReconnectorActor : public core::Actor {
   bool has_pending_work() const override {
     return !control_.empty() || !replies_.empty();
   }
+  // Drops the queued notes and replies, and writes off the opens whose
+  // replies it dropped. (on_restart() keeps the default: see above.)
   void on_quarantine() override;
-  // Re-issues an OpenRequest for every connection that was mid-open when
-  // the failure hit; Up connections are left alone.
-  void on_restart() override;
 
   // --- counters for tests / health ---------------------------------------
   std::uint64_t opens() const noexcept { return opens_; }       // successes

@@ -1,5 +1,6 @@
 #include "smc/party_actor.hpp"
 
+#include "net/channel_link.hpp"
 #include "util/logging.hpp"
 
 namespace ea::smc {
@@ -90,13 +91,18 @@ bool PartyActor::body() {
   return progress;
 }
 
-SmcDeployment install_secure_sum(core::Runtime& rt, const SmcConfig& config) {
-  auto holder = std::make_unique<DriverMboxes>("smc.driver-mboxes");
+namespace {
+
+// Parties "<prefix>p<i>", each in enclave "<prefix>e<i>" and worker group
+// "<prefix>w<i>" (role "<prefix>party").
+SmcDeployment add_parties(core::Runtime& rt, const SmcConfig& config,
+                          const std::string& prefix) {
+  auto holder = std::make_unique<DriverMboxes>(prefix + "driver-mboxes");
   DriverMboxes* mboxes = holder.get();
   rt.add_actor(std::move(holder));
 
   for (int i = 0; i < config.parties; ++i) {
-    std::string name = "smc.p" + std::to_string(i);
+    std::string name = prefix + "p" + std::to_string(i);
     std::unique_ptr<PartyActor> party;
     if (i == 0) {
       party = std::make_unique<PartyActor>(name, i, config, &mboxes->requests,
@@ -104,10 +110,28 @@ SmcDeployment install_secure_sum(core::Runtime& rt, const SmcConfig& config) {
     } else {
       party = std::make_unique<PartyActor>(name, i, config);
     }
-    rt.add_actor(std::move(party), "smc.e" + std::to_string(i));
-    rt.add_group({"smc.w" + std::to_string(i), "smc.party", {name}});
+    rt.add_actor(std::move(party), prefix + "e" + std::to_string(i));
+    rt.add_group({prefix + "w" + std::to_string(i), prefix + "party", {name}});
   }
   return SmcDeployment{&mboxes->requests, &mboxes->results};
+}
+
+}  // namespace
+
+SmcDeployment install_secure_sum(core::Runtime& rt, const SmcConfig& config) {
+  return add_parties(rt, config, "smc.");
+}
+
+SmcDeployment install_net_ring(core::Runtime& rt, const SmcConfig& config,
+                               const net::NetSubsystem& net,
+                               net::ReconnectorActor& reconnector) {
+  SmcDeployment dep = add_parties(rt, config, "smc.net.");
+  std::vector<core::Channel*> hops;
+  for (int i = 0; i < config.parties; ++i) {
+    hops.push_back(&rt.channel("smc.ring." + std::to_string(i)));
+  }
+  net::carry_channels(rt, hops, net, reconnector);
+  return dep;
 }
 
 }  // namespace ea::smc

@@ -15,6 +15,14 @@
 // Channel topology: party i sends on channel "smc.ring.<i>" and receives on
 // "smc.ring.<i-1 mod K>". Party 0 additionally serves a request mbox and
 // publishes finished sums to a result mbox (both owned by the caller).
+//
+// The same parties run the distributed ring §5.2 contrasts co-location
+// with (install_net_ring): each hop's channel is carried over loopback TCP
+// by the untrusted net actors (net/channel_link.hpp), and a party cannot
+// tell the difference. A link that breaks is re-dialled, and its last
+// frame is written again on the new connection, where the replay guard
+// drops it if it had arrived; no party keeps a retransmit timer or a
+// round id, so dynamic secrets work over TCP too.
 #pragma once
 
 #include "concurrent/mbox.hpp"
@@ -23,6 +31,11 @@
 #include "core/channel.hpp"
 #include "core/runtime.hpp"
 #include "smc/secure_sum.hpp"
+
+namespace ea::net {
+struct NetSubsystem;
+class ReconnectorActor;
+}  // namespace ea::net
 
 namespace ea::smc {
 
@@ -81,5 +94,13 @@ struct SmcDeployment {
 };
 
 SmcDeployment install_secure_sum(core::Runtime& rt, const SmcConfig& config);
+
+// The same ring with every hop carried over loopback TCP: parties
+// "smc.net.p<i>" in enclaves "smc.net.e<i>" and groups "smc.net.w<i>"
+// (role "smc.net.party"), and one net::ChannelLink per hop. Call after
+// install_networking() and install_reconnector(), before rt.start().
+SmcDeployment install_net_ring(core::Runtime& rt, const SmcConfig& config,
+                               const net::NetSubsystem& net,
+                               net::ReconnectorActor& reconnector);
 
 }  // namespace ea::smc

@@ -8,7 +8,8 @@
 //  * an odd-sized state past the mmap threshold and an empty state both
 //    round-trip byte for byte;
 //  * every refusal code (not-migratable, untrusted, same placement, unknown
-//    names) fires before any state moves;
+//    names) fires before any state moves, and an actor that holds a
+//    channel carried over TCP is not migratable;
 //  * a live migration under the stealing scheduler mid-traffic loses and
 //    reorders nothing on an encrypted channel rebound in place, and the
 //    EPC accounting in Runtime::health() follows the actor;
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "concurrent/arena.hpp"
+#include "concurrent/mbox.hpp"
 #include "core/channel.hpp"
 #include "core/health.hpp"
 #include "core/migration.hpp"
@@ -306,6 +308,34 @@ class EchoActor : public MigratoryActor {
  private:
   ChannelEnd* end_ = nullptr;
 };
+
+TEST_F(MigrationTest, ActorOnACarriedChannelIsNotMigratable) {
+  Runtime rt;
+  sgxsim::Enclave& src = rt.enclave("carry.src");
+  sgxsim::Enclave& dst = rt.enclave("carry.dst");
+  auto owned = std::make_unique<EchoActor>("carry.echo");
+  EchoActor* echo = owned.get();
+  rt.add_actor(std::move(owned), "carry.src");
+  run_in_placement(*echo, [&] { echo->construct(rt); });
+  Channel& chan = *rt.channels().at("mig.chan");
+  ASSERT_NE(chan.connect(sgxsim::kUntrusted), nullptr);
+
+  // A carrier (net::ChannelLink) moves the frames between the two mboxes
+  // of each direction; a rekey could not reach the ones it holds.
+  concurrent::Mbox arrivals[2];
+  chan.carry(0, arrivals[0]);
+  chan.carry(1, arrivals[1]);
+  MigrationCoordinator coordinator(rt);
+  EXPECT_EQ(coordinator.migrate(*echo, dst), MigrateResult::kNotMigratable);
+  EXPECT_EQ(echo->placement(), src.id());
+  EXPECT_EQ(coordinator.stats().attempted, 0u);
+
+  // Uncarried, the same actor moves.
+  chan.carry(0, chan.departures(0));
+  chan.carry(1, chan.departures(1));
+  EXPECT_EQ(coordinator.migrate(*echo, dst), MigrateResult::kOk);
+  EXPECT_EQ(echo->placement(), dst.id());
+}
 
 TEST_F(MigrationTest, LiveMigrationLosesNoMessageOnEncryptedChannel) {
   RuntimeOptions options;

@@ -2,17 +2,20 @@
 //
 // Each successful open publishes exactly one Up note and counts once in
 // opens(); a failed or stale open publishes none and counts in neither
-// opens() nor reconnects(). Owners act on every Up note (the secure-sum
-// ring re-sends its cached token on the new socket), so a duplicate note
-// or one for a stale socket would mislead them. These tests drive the
-// OPENER and RECONNECTOR bodies by hand (no worker threads), making the
-// races deterministic:
+// opens() nor reconnects(). Owners act on every Up note (a channel link
+// writes its last frame again on the new socket), so a duplicate note or
+// one for a stale socket would mislead them. These tests drive the OPENER
+// and RECONNECTOR bodies by hand (no worker threads), making the races
+// deterministic:
 //
 //   * a stale OpenReply — the redial already timed out and a fresh attempt
 //     is in flight — must not count as a second open or leak its socket;
 //   * quarantine with status/control traffic queued must conserve nodes and
-//     resume cleanly: on_restart writes off mid-open attempts and the
-//     following redial produces exactly one Up note;
+//     resume cleanly: on_quarantine writes off the opens whose replies it
+//     dropped, and the redial after the restart produces exactly one Up
+//     note;
+//   * a restart with an open in flight keeps it: the queued reply is taken,
+//     nothing is written off, and the peer's socket stays open;
 //   * max_attempts exhaustion publishes a terminal gave_up note and the
 //     connection never redials again.
 
@@ -20,6 +23,8 @@
 
 #include <chrono>
 #include <cstring>
+#include <optional>
+#include <span>
 #include <thread>
 
 #include "concurrent/mbox.hpp"
@@ -165,7 +170,7 @@ TEST_F(ReconnectorTest, QuarantineConservesNodesAndRestartRedials) {
   EXPECT_EQ(rig.status.pop(), nullptr)
       << "a status note was published during quarantine";
 
-  // Restart: the mid-open attempt (its reply was just drained) is written
+  // Restart: the mid-open attempt (its reply was just drained) was written
   // off, the redial goes out, and exactly one Up note arrives: the first
   // open, not a reconnect.
   rig.recon.on_restart();
@@ -177,6 +182,42 @@ TEST_F(ReconnectorTest, QuarantineConservesNodesAndRestartRedials) {
   EXPECT_EQ(rig.recon.opens(), 1u);
   EXPECT_EQ(rig.recon.reconnects(), 0u);
   EXPECT_EQ(rig.status.pop(), nullptr) << "one open published two notes";
+}
+
+TEST_F(ReconnectorTest, RestartKeepsTheOpenInFlight) {
+  Rig rig;
+  rig.add(0, rig.port);
+  rig.recon.construct(rig.rt);  // open #1 in flight -> state kOpening
+  rig.net.opener->body();       // its reply lands in replies_
+
+  // A contained fault strikes before body() runs, so the queued reply is
+  // intact: the restart must not write the open off.
+  rig.recon.on_restart();
+  net::ConnStatus st{};
+  ASSERT_TRUE(rig.pump_until_status(st, 5000ms));
+  EXPECT_EQ(st.up, 1);
+  EXPECT_EQ(rig.recon.open_failures(), 0u) << "the restart wrote off the open";
+  EXPECT_EQ(rig.recon.opens(), 1u);
+  for (int i = 0; i < 20; ++i) {
+    rig.net.opener->body();
+    rig.recon.body();
+    rig.net.closer->body();
+  }
+  EXPECT_EQ(rig.status.pop(), nullptr) << "one open published two notes";
+
+  // The peer accepted exactly one connection, and it is still open: a read
+  // finds no data rather than an EOF.
+  std::optional<net::Socket> accepted;
+  for (int i = 0; i < 1000 && !accepted.has_value(); ++i) {
+    accepted = rig.listener.accept_nb();
+    if (!accepted.has_value()) std::this_thread::sleep_for(1ms);
+  }
+  ASSERT_TRUE(accepted.has_value());
+  std::uint8_t byte = 0;
+  EXPECT_EQ(accepted->read_nb(std::span<std::uint8_t>(&byte, 1)), 0)
+      << "the connected socket was closed as stale";
+  EXPECT_FALSE(rig.listener.accept_nb().has_value())
+      << "the restart redialled a second connection";
 }
 
 TEST_F(ReconnectorTest, MaxAttemptsPublishesTerminalGaveUpStatus) {

@@ -26,11 +26,12 @@
 #include "core/runtime.hpp"
 #include "core/supervisor.hpp"
 #include "net/actors.hpp"
+#include "net/channel_link.hpp"
 #include "net/reconnector.hpp"
 #include "net/socket.hpp"
 #include "net/socket_table.hpp"
 #include "sgxsim/cost_model.hpp"
-#include "smc/net_ring.hpp"
+#include "smc/party_actor.hpp"
 #include "util/failpoint.hpp"
 #include "xmpp/client.hpp"
 #include "xmpp/server.hpp"
@@ -316,21 +317,22 @@ TEST_F(SupervisionSoakTest, NetRingComputesOnlyCorrectSumsUnderFaultStorm) {
   smc::SmcConfig config;
   config.parties = 3;
   config.dim = 4;
-  smc::NetRingDeployment dep = smc::install_net_ring(rt, config, net, recon);
+  smc::SmcDeployment dep = smc::install_net_ring(rt, config, net, recon);
   core::SupervisorActor& sup = core::install_supervisor(rt, storm_opts());
 
   ASSERT_TRUE(fp::set("actor.body.throw", "1%return"));
   rt.start();
 
-  smc::Vec expected = dep.parties[0]->secret();
-  for (std::size_t i = 1; i < dep.parties.size(); ++i) {
-    smc::add_in_place(expected, dep.parties[i]->secret());
+  smc::Vec expected(config.dim, 0);
+  for (int i = 0; i < config.parties; ++i) {
+    smc::add_in_place(expected, smc::initial_secret(i, config.dim));
   }
 
   constexpr int kRounds = 8;
   for (int round = 0; round < kRounds; ++round) {
     // Alternate rounds also get a socket reset somewhere in the ring: the
-    // retransmit + reconnect machinery must re-feed the lost token.
+    // link re-dials and writes its last frame again, which must re-feed a
+    // lost token.
     if (round % 2 == 1) fp::set("net.socket.read", "once(-1)");
     concurrent::Node* req = rt.public_pool().get();
     ASSERT_NE(req, nullptr);
@@ -343,12 +345,11 @@ TEST_F(SupervisionSoakTest, NetRingComputesOnlyCorrectSumsUnderFaultStorm) {
         std::span<const std::uint8_t>(result->payload(), result->size));
     EXPECT_EQ(got, expected) << "round " << round;
   }
-  EXPECT_EQ(dep.parties[0]->rounds_completed(),
-            static_cast<std::uint64_t>(kRounds));
   EXPECT_GE(fp::hits("actor.body.throw"), 1u);
 
   fp::clear_all();
   std::this_thread::sleep_for(300ms);
+  EXPECT_TRUE(dep.results->empty()) << "a request had two results";
   core::HealthSnapshot snap = rt.health();
   EXPECT_EQ(snap.count_in_state(core::ActorState::kQuarantined), 0u);
   EXPECT_GE(sup.restarts_performed(), 1u);
@@ -357,7 +358,11 @@ TEST_F(SupervisionSoakTest, NetRingComputesOnlyCorrectSumsUnderFaultStorm) {
   // Node conservation after the storm: drain every privately held queue
   // (the same hooks a quarantine would run) and the public pool must be
   // exactly full again.
-  for (smc::NetRingParty* party : dep.parties) party->on_quarantine();
+  for (const auto& actor : rt.actors()) {
+    if (auto* link = dynamic_cast<net::ChannelLink*>(actor.get())) {
+      link->on_quarantine();
+    }
+  }
   net.opener->on_quarantine();
   net.accepter->on_quarantine();
   net.reader->on_quarantine();

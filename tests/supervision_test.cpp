@@ -6,7 +6,8 @@
 // manually, one sweep at a time, so every schedule is deterministic), the
 // stall watchdog, node conservation across quarantine, the WRITER's drain
 // fairness rotation, the RECONNECTOR re-establishing a killed connection,
-// and the TCP secure-sum ring computing correct sums end to end.
+// and the TCP secure-sum ring computing correct sums end to end, with
+// static and dynamic secrets and across a reset hop.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -27,11 +28,13 @@
 #include "core/runtime.hpp"
 #include "core/supervisor.hpp"
 #include "net/actors.hpp"
+#include "net/channel_link.hpp"
 #include "net/reconnector.hpp"
 #include "net/socket.hpp"
 #include "net/socket_table.hpp"
 #include "sgxsim/cost_model.hpp"
-#include "smc/net_ring.hpp"
+#include "smc/party_actor.hpp"
+#include "smc/sdk_ring.hpp"
 #include "util/bytes.hpp"
 
 namespace ea {
@@ -604,6 +607,35 @@ TEST_F(SupervisionTest, ReconnectorReestablishesAfterPeerCloses) {
 
 // --- TCP secure-sum ring ------------------------------------------------------
 
+// The sum of the parties' initial secrets: every static round's result.
+smc::Vec initial_sum(const smc::SmcConfig& config) {
+  smc::Vec sum(config.dim, 0);
+  for (int i = 0; i < config.parties; ++i) {
+    smc::add_in_place(sum, smc::initial_secret(i, config.dim));
+  }
+  return sum;
+}
+
+// Runs `rounds` sequential requests through a started ring: each returns
+// exactly one result, equal to the next of `expected()`.
+template <typename Expected>
+void expect_sums(core::Runtime& rt, const smc::SmcDeployment& dep, int rounds,
+                 Expected expected, const std::string& what) {
+  for (int round = 0; round < rounds; ++round) {
+    concurrent::Node* req = rt.public_pool().get();
+    ASSERT_NE(req, nullptr);
+    req->size = 0;
+    dep.requests->push(req);
+
+    concurrent::NodeLease result(pop_within(*dep.results, 20'000ms));
+    ASSERT_TRUE(result) << what << ", round " << round << ": no result";
+    EXPECT_EQ(smc::deserialize(result->data()), expected())
+        << what << ", round " << round;
+  }
+  std::this_thread::sleep_for(50ms);
+  EXPECT_TRUE(dep.results->empty()) << what << ": a request had two results";
+}
+
 TEST_F(SupervisionTest, NetRingComputesCorrectSumsOverTcp) {
   // At 2 parties both links join the same enclave pair; at dim 1,000 a
   // mask spans 8 draw chunks.
@@ -619,30 +651,40 @@ TEST_F(SupervisionTest, NetRingComputesCorrectSumsOverTcp) {
     smc::SmcConfig config;
     config.parties = parties;
     config.dim = dim;
-    smc::NetRingDeployment dep = smc::install_net_ring(rt, config, net, recon);
+    smc::SmcDeployment dep = smc::install_net_ring(rt, config, net, recon);
     rt.start();
-
-    smc::Vec expected = dep.parties[0]->secret();
-    for (std::size_t i = 1; i < dep.parties.size(); ++i) {
-      smc::add_in_place(expected, dep.parties[i]->secret());
-    }
-
-    for (int round = 0; round < 3; ++round) {
-      concurrent::Node* req = rt.public_pool().get();
-      ASSERT_NE(req, nullptr);
-      req->size = 0;
-      dep.requests->push(req);
-
-      concurrent::NodeLease result(pop_within(*dep.results, 20'000ms));
-      ASSERT_TRUE(result) << parties << " parties, dim " << dim
-                          << ", round " << round << " produced no result";
-      smc::Vec got = smc::deserialize(
-          std::span<const std::uint8_t>(result->payload(), result->size));
-      EXPECT_EQ(got, expected) << parties << " parties, dim " << dim
-                               << ", round " << round;
-    }
-    EXPECT_EQ(dep.parties[0]->rounds_completed(), 3u) << parties;
+    const smc::Vec sum = initial_sum(config);
+    expect_sums(rt, dep, 3, [&] { return sum; },
+                std::to_string(parties) + " parties, dim " +
+                    std::to_string(dim));
     rt.stop();
+  }
+}
+
+TEST_F(SupervisionTest, NetRingComputesDynamicSumsOverTcp) {
+  // Each party recomputes its secret after every round, so a hop opened
+  // twice would corrupt every later sum: the replay guard must drop every
+  // resent copy.
+  for (int parties : {2, 3}) {
+    for (std::size_t dim : {std::size_t{8}, std::size_t{1000}}) {
+      core::RuntimeOptions options;
+      options.pool_nodes = 8192;
+      options.node_payload_bytes = 8192;
+      core::Runtime rt(options);
+      net::NetSubsystem net = net::install_networking(rt, "net.sys");
+      net::ReconnectorActor& recon = net::install_reconnector(rt, net);
+      smc::SmcConfig config;
+      config.parties = parties;
+      config.dim = dim;
+      config.dynamic = true;
+      smc::SmcDeployment dep = smc::install_net_ring(rt, config, net, recon);
+      rt.start();
+      smc::SdkSecureSum reference(config);
+      expect_sums(rt, dep, 5, [&] { return reference.run_once(); },
+                  std::to_string(parties) + " parties, dim " +
+                      std::to_string(dim));
+      rt.stop();
+    }
   }
 }
 
@@ -658,22 +700,24 @@ TEST_F(SupervisionTest, NetRingKeepsARoundsMaskThroughRetransmitAndRestart) {
   smc::SmcConfig config;
   config.parties = 3;
   config.dim = 1000;
-  smc::NetRingDeployment dep = smc::install_net_ring(rt, config, net, recon);
+  smc::SmcDeployment dep = smc::install_net_ring(rt, config, net, recon);
   for (const auto& actor : rt.actors()) {
     core::run_in_placement(*actor, [&] { actor->construct(rt); });
   }
-  smc::NetRingParty& p0 = *dep.parties[0];
-  smc::NetRingParty* held = nullptr;  // a party whose body does not run
+  core::Actor& p0 = *rt.find_actor("smc.net.p0");
+  core::Actor* held = nullptr;  // an actor whose body does not run
   auto pump = [&] {
     for (const auto& actor : rt.actors()) {
       if (actor.get() == held) continue;
       core::run_in_placement(*actor, [&] { core::invoke_contained(*actor); });
     }
   };
-  smc::Vec expected = dep.parties[0]->secret();
-  for (std::size_t i = 1; i < dep.parties.size(); ++i) {
-    smc::add_in_place(expected, dep.parties[i]->secret());
-  }
+  auto pump_until = [&](auto done, const char* what) {
+    const auto deadline = std::chrono::steady_clock::now() + 20s;
+    while (!done() && std::chrono::steady_clock::now() < deadline) pump();
+    ASSERT_TRUE(done()) << what;
+  };
+  const smc::Vec expected = initial_sum(config);
   auto request = [&] {
     concurrent::Node* req = rt.public_pool().get();
     ASSERT_NE(req, nullptr);
@@ -681,36 +725,42 @@ TEST_F(SupervisionTest, NetRingKeepsARoundsMaskThroughRetransmitAndRestart) {
     dep.requests->push(req);
   };
   auto await_sum = [&](const char* what) {
-    const auto deadline = std::chrono::steady_clock::now() + 20s;
-    concurrent::Node* node = nullptr;
-    while ((node = dep.results->pop()) == nullptr &&
-           std::chrono::steady_clock::now() < deadline) {
-      pump();
-    }
-    ASSERT_NE(node, nullptr) << what << ": no sum";
-    concurrent::NodeLease result(node);
+    pump_until([&] { return !dep.results->empty(); }, what);
+    concurrent::NodeLease result(dep.results->pop());
     EXPECT_EQ(smc::deserialize(result->data()), expected) << what;
+    for (int i = 0; i < 200; ++i) pump();
+    EXPECT_TRUE(dep.results->empty()) << what << ": two results";
+  };
+  auto hop_auth_failures = [&] {
+    for (const core::ChannelHealth& ch : rt.health().channels) {
+      if (ch.name == "smc.ring.0") return ch.auth_failures;
+    }
+    return std::uint64_t{~0ull};
   };
 
   // A plain round dials and accepts every link.
   request();
   await_sum("first round");
-  EXPECT_EQ(p0.masks_taken(), 1u);
+  EXPECT_EQ(hop_auth_failures(), 0u);
 
-  // Party 1 holds the token until party 0 retransmits it; then the
-  // original and the copy go round. Both carry the round's one mask.
-  const std::uint64_t retransmits = p0.retransmits();
-  held = dep.parties[1];
+  // The hop's connection is reset while party 1 holds the token. The link
+  // writes the token again on the new connection, and party 1's replay
+  // guard drops that copy: the round completes once, under its one mask.
+  auto* link =
+      dynamic_cast<net::ChannelLink*>(rt.find_actor("net.link.smc.ring.0"));
+  ASSERT_NE(link, nullptr);
+  held = rt.find_actor("smc.net.p1");
   request();
-  const auto deadline = std::chrono::steady_clock::now() + 20s;
-  while (p0.retransmits() == retransmits &&
-         std::chrono::steady_clock::now() < deadline) {
-    pump();
-  }
-  ASSERT_GT(p0.retransmits(), retransmits) << "party 0 never retransmitted";
+  pump_until([&] { return link->arrivals(0).size() == 1; },
+             "the token never reached party 1");
+  const net::SocketId dialled = link->socket(0);
+  net.table->close(link->socket(1));
+  pump_until([&] { return link->arrivals(0).size() == 2; },
+             "the link never wrote the token again");
+  EXPECT_NE(link->socket(0), dialled) << "the hop was not re-dialled";
   held = nullptr;
-  await_sum("retransmitted round");
-  EXPECT_EQ(p0.masks_taken(), 2u) << "a retransmission took a new mask";
+  await_sum("round across a reset");
+  EXPECT_EQ(hop_auth_failures(), 1u) << "the copy was not dropped once";
 
   // Party 0 restarts with its round in flight and the next mask part
   // drawn; the round completes under the mask it started with.
@@ -719,19 +769,6 @@ TEST_F(SupervisionTest, NetRingKeepsARoundsMaskThroughRetransmitAndRestart) {
   core::run_in_placement(p0, [&] { core::invoke_contained(p0); });
   core::run_in_placement(p0, [&] { p0.on_restart(); });
   await_sum("round across a restart");
-  EXPECT_EQ(p0.masks_taken(), 3u);
-  EXPECT_EQ(p0.rounds_completed(), 3u);
-  EXPECT_EQ(p0.auth_failures(), 0u);
-}
-
-TEST_F(SupervisionTest, NetRingRejectsDynamicSecrets) {
-  core::Runtime rt;
-  net::NetSubsystem net = net::install_networking(rt, "net.sys");
-  net::ReconnectorActor& recon = net::install_reconnector(rt, net);
-  smc::SmcConfig config;
-  config.dynamic = true;
-  EXPECT_THROW(smc::install_net_ring(rt, config, net, recon),
-               std::invalid_argument);
 }
 
 }  // namespace
