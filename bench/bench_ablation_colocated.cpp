@@ -10,8 +10,9 @@
 //   TCP      — the runtime's networked ring (smc::install_net_ring): the
 //              EActors ring's own party eactors, in their enclaves, on the
 //              workers Runtime::start() places them on, every hop's sealed
-//              channel carried over loopback TCP by a net::ChannelLink and
-//              the untrusted net actors, links owned by the reconnector
+//              channel carried over loopback TCP by a net::ChannelLink,
+//              which dials its own connection, and the untrusted net
+//              actors
 //   EC       — co-located SDK-style ring (ecalls per hop, no network)
 //   EA       — co-located EActors ring (no transitions, no network)
 // Every point runs its request count and for at least EA_BENCH_SECONDS.
@@ -23,7 +24,6 @@
 
 #include "bench/smc_harness.hpp"
 #include "net/actors.hpp"
-#include "net/reconnector.hpp"
 
 using namespace ea;
 
@@ -40,8 +40,7 @@ std::optional<double> run_tcp(const smc::SmcConfig& config,
       std::max<std::size_t>(2048, config.dim * sizeof(smc::Element) + 256);
   core::Runtime rt(options);
   net::NetSubsystem net = net::install_networking(rt, "net.sys");
-  net::ReconnectorActor& recon = net::install_reconnector(rt, net);
-  smc::SmcDeployment dep = smc::install_net_ring(rt, config, net, recon);
+  smc::SmcDeployment dep = smc::install_net_ring(rt, config, net);
   rt.start();
 
   smc::Vec expected(config.dim, 0);

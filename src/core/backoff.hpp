@@ -1,10 +1,11 @@
 // Deterministic exponential backoff with jitter.
 //
-// Shared by the supervision layer (restart pacing), the network
-// reconnector (re-open pacing) and the XMPP client (reconnect pacing), so
-// every retry loop in the system obeys the same shape: exponential growth
-// from `initial_us`, hard-capped at `max_us`, with a ±`jitter_pct` spread
-// so a fleet of retriers does not synchronise into thundering herds.
+// Shared by the supervision layer (restart pacing), the channel link
+// (redial pacing, net/channel_link.hpp) and the XMPP client (reconnect
+// pacing), so every retry loop in the system obeys the same shape:
+// exponential growth from `initial_us`, hard-capped at `max_us`, with a
+// ±`jitter_pct` spread so a fleet of retriers does not synchronise into
+// thundering herds.
 //
 // The jitter source is an explicitly seeded xorshift generator: two
 // schedules constructed with the same policy and seed produce bit-identical

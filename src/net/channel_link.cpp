@@ -6,6 +6,7 @@
 
 #include "core/runtime.hpp"
 #include "util/bytes.hpp"
+#include "util/failpoint.hpp"
 #include "util/logging.hpp"
 
 namespace ea::net {
@@ -13,6 +14,10 @@ namespace ea::net {
 namespace {
 
 constexpr std::size_t kLenBytes = 4;
+
+// Redials of the dialled socket, and the wait for an open's reply.
+constexpr core::BackoffPolicy kRedial{500, 50'000, 2, 20};
+constexpr auto kOpenDeadline = std::chrono::milliseconds(200);
 
 void release(concurrent::Node*& node) noexcept {
   concurrent::NodeLease(node).reset();
@@ -28,19 +33,35 @@ void drain(concurrent::Mbox& mbox) noexcept {
 }  // namespace
 
 ChannelLink::ChannelLink(std::string name, core::Channel& channel,
-                         NetSubsystem net, concurrent::Pool& pool)
+                         NetSubsystem net, concurrent::Pool& pool,
+                         std::uint16_t port)
     : core::Actor(std::move(name)),
       channel_(channel),
       net_(std::move(net)),
-      pool_(pool) {
+      pool_(pool),
+      port_(port),
+      backoff_(kRedial, port) {
   set_priority(core::ActorPriority::kHigh);
   channel_.carry(0, arrivals_[0]);
   channel_.carry(1, arrivals_[1]);
 }
 
 void ChannelLink::on_quarantine() {
-  drain(accepts_);
-  drain(status_);
+  while (concurrent::Node* note = accepts_.pop()) {
+    net_.table->close(static_cast<SocketId>(note->tag));
+    concurrent::NodeLease(note).reset();
+  }
+  while (concurrent::Node* node = replies_.pop()) {
+    OpenReply reply;
+    if (read_struct(*node, reply) && reply.id >= 0) {
+      net_.table->close(reply.id);
+    }
+    concurrent::NodeLease(node).reset();
+  }
+  if (opening_) {  // its reply, if it came, was just dropped
+    opening_ = false;
+    back_off();
+  }
   for (int d = 0; d < 2; ++d) {
     drain(arrivals_[d]);
     drain(wires_[d].chunks);
@@ -51,14 +72,71 @@ void ChannelLink::on_quarantine() {
 // Reads only the mboxes' lock-free counters: the supervisor calls it from
 // its own thread.
 bool ChannelLink::has_pending_work() const {
-  return !accepts_.empty() || !status_.empty() || !wires_[0].chunks.empty() ||
-         !wires_[1].chunks.empty() || !channel_.departures(0).empty() ||
-         !channel_.departures(1).empty();
+  return !accepts_.empty() || !replies_.empty() ||
+         !wires_[0].chunks.empty() || !wires_[1].chunks.empty() ||
+         !channel_.departures(0).empty() || !channel_.departures(1).empty();
 }
 
 void ChannelLink::clear_frame(Wire& wire) noexcept {
   release(wire.frame);
   wire.len_got = 0;
+}
+
+// The next open waits for the backoff's next delay.
+void ChannelLink::back_off() {
+  retry_at_ =
+      Clock::now() + std::chrono::microseconds(backoff_.next_delay_us());
+}
+
+// Called while the dialled socket is down: writes off an open past its
+// deadline, or sends the next once its backoff is over.
+bool ChannelLink::dial() {
+  const Clock::time_point now = Clock::now();
+  if (opening_) {
+    if (now < deadline_) return false;
+    EA_WARN("net", "%s: open timed out", name().c_str());
+    opening_ = false;
+    back_off();
+    return true;
+  }
+  if (now < retry_at_) return false;
+  concurrent::Node* node = pool_.get();
+  if (node == nullptr) return false;  // pool dry: the next body retries
+  OpenRequest req;
+  req.kind = OpenRequest::kConnect;
+  req.port = port_;
+  std::memcpy(req.host, "127.0.0.1", sizeof("127.0.0.1"));
+  req.cookie = ++dials_;
+  req.reply = &replies_;
+  write_struct(*node, req);
+  net_.opener->requests().push(node);
+  opening_ = true;
+  deadline_ = now + kOpenDeadline;
+  return true;
+}
+
+// An OpenReply. The open in flight's becomes the dialled socket, and its
+// node the socket's READER subscription; a late reply's socket is closed.
+void ChannelLink::answer(concurrent::Node* node) {
+  OpenReply reply;
+  if (!read_struct(*node, reply) || !opening_ || reply.cookie != dials_) {
+    if (reply.id >= 0) net_.table->close(reply.id);
+    concurrent::NodeLease(node).reset();
+    return;
+  }
+  opening_ = false;
+  // Injected refusal: the peer accepted, but the open counts as failed.
+  if (reply.id >= 0 && EA_FAIL_TRIGGERED("net.reconnect.refuse")) {
+    net_.table->close(reply.id);
+    reply.id = -1;
+  }
+  if (reply.id < 0) {
+    back_off();
+    concurrent::NodeLease(node).reset();
+    return;
+  }
+  backoff_.reset();
+  attach(0, reply.id, node);
 }
 
 // A new socket for wire `w`: a fresh stream to rebuild frames from, the
@@ -125,22 +203,16 @@ bool ChannelLink::feed(int w, concurrent::Node* chunk) {
   return true;
 }
 
-// Wire `w`'s socket is dead, unusable or superseded. Whoever sees that
-// closes its own fd: the link the accepted socket, the reconnector the
-// dialled one (and it redials). `note` becomes the close request or the
-// down note.
+// Wire `w`'s socket is dead, unusable or superseded: `note` becomes its
+// close request. A dialled socket is redialled after the backoff.
 void ChannelLink::drop(int w, concurrent::Node* note) {
   Wire& wire = wires_[w];
   clear_frame(wire);
   note->size = 0;
-  if (w == 1) {
-    note->tag = static_cast<std::uint64_t>(wire.socket);
-    net_.closer->input().push(note);
-  } else {
-    note->tag = conn_id_;
-    recon_control_->push(note);
-  }
+  note->tag = static_cast<std::uint64_t>(wire.socket);
+  net_.closer->input().push(note);
   wire.socket = -1;
+  if (w == 0) back_off();
 }
 
 // Puts [u32 len] in front of the frame in `node` and hands it to the
@@ -205,17 +277,9 @@ bool ChannelLink::body() {
     progress = true;
   }
 
-  // The dialled socket, from the reconnector's Up note. It comes only
-  // after the link reported the previous one down.
-  while ((got = status_.pop_burst(burst, kReadBurst)) != 0) {
-    for (std::size_t b = 0; b < got; ++b) {
-      ConnStatus status;
-      if (read_struct(*burst[b], status) && status.up != 0) {
-        attach(0, status.socket, burst[b]);
-      } else {
-        concurrent::NodeLease(burst[b]).reset();
-      }
-    }
+  // The dialled socket, from the reply to the link's open.
+  while ((got = replies_.pop_burst(burst, kReadBurst)) != 0) {
+    for (std::size_t b = 0; b < got; ++b) answer(burst[b]);
     progress = true;
   }
 
@@ -234,6 +298,7 @@ bool ChannelLink::body() {
     }
   }
 
+  if (wires_[0].socket < 0) progress |= dial();
   progress |= send(0);
   progress |= send(1);
   return progress;
@@ -241,27 +306,18 @@ bool ChannelLink::body() {
 
 void carry_channels(core::Runtime& rt,
                     const std::vector<core::Channel*>& channels,
-                    const NetSubsystem& net, ReconnectorActor& reconnector) {
+                    const NetSubsystem& net) {
   std::vector<std::string> names;
   for (core::Channel* channel : channels) {
-    names.push_back("net.link." + channel->name());
-    auto link = std::make_unique<ChannelLink>(names.back(), *channel, net,
-                                              rt.public_pool());
-    ChannelLink& ref = *link;
-    rt.add_actor(std::move(link));
-
-    // The listener's subscription lives forever: the peer's redials are
+    // The listener's subscription lives forever: the link's redials are
     // simply accepted again.
     Socket listener = Socket::listen_on(0);
     if (!listener.valid()) throw std::runtime_error("link listen failed");
-    ConnSpec spec;
-    std::memcpy(spec.host, "127.0.0.1", sizeof("127.0.0.1"));
-    spec.port = listener.local_port();
-    spec.status = &ref.status();  // no spec.data: the link subscribes
-    spec.backoff = core::BackoffPolicy{500, 50'000, 2, 20};
-    spec.max_attempts = 0;  // a link retries forever
-    ref.set_connection(reconnector.add_connection(spec),
-                       &reconnector.control());
+    names.push_back("net.link." + channel->name());
+    auto link = std::make_unique<ChannelLink>(
+        names.back(), *channel, net, rt.public_pool(), listener.local_port());
+    ChannelLink& ref = *link;
+    rt.add_actor(std::move(link));
 
     concurrent::Node* node = rt.public_pool().get();
     if (node == nullptr) throw std::runtime_error("pool exhausted at wiring");

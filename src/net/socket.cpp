@@ -96,8 +96,8 @@ Socket Socket::connect_to(const std::string& host, std::uint16_t port) {
     // Pending non-blocking connect: confirm establishment before reporting
     // the socket up. A refused dial can also surface as EINPROGRESS (the
     // refusal only appears later via SO_ERROR), and callers — the OPENER
-    // in particular — treat a valid return as "connection up": the
-    // reconnector would publish an Up note for a socket that never existed.
+    // in particular — treat a valid return as "connection up": a channel
+    // link would take a socket that never existed as its dialled one.
     pollfd pfd{fd, POLLOUT, 0};
     int err = 0;
     socklen_t len = sizeof(err);

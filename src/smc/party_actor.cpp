@@ -53,16 +53,18 @@ bool PartyActor::body() {
   const std::size_t bytes = config_.dim * sizeof(Element);
 
   if (index_ == 0) {
+    // The returning token first, so a queued request starts the next
+    // round in the same quantum.
+    if (round_in_flight_) {
+      if (concurrent::NodeLease token = in_->recv()) {
+        if (token->size == bytes) finish_round(std::move(token));
+        progress = true;
+      }
+    }
     // Serve at most one in-flight invocation; further requests stay queued.
     if (!round_in_flight_ && requests_ != nullptr) {
       if (concurrent::Node* req = requests_->pop()) {
         start_round(concurrent::NodeLease(req));
-        progress = true;
-      }
-    }
-    if (round_in_flight_) {
-      if (concurrent::NodeLease token = in_->recv()) {
-        if (token->size == bytes) finish_round(std::move(token));
         progress = true;
       }
     }
@@ -123,14 +125,13 @@ SmcDeployment install_secure_sum(core::Runtime& rt, const SmcConfig& config) {
 }
 
 SmcDeployment install_net_ring(core::Runtime& rt, const SmcConfig& config,
-                               const net::NetSubsystem& net,
-                               net::ReconnectorActor& reconnector) {
+                               const net::NetSubsystem& net) {
   SmcDeployment dep = add_parties(rt, config, "smc.net.");
   std::vector<core::Channel*> hops;
   for (int i = 0; i < config.parties; ++i) {
     hops.push_back(&rt.channel("smc.ring." + std::to_string(i)));
   }
-  net::carry_channels(rt, hops, net, reconnector);
+  net::carry_channels(rt, hops, net);
   return dep;
 }
 

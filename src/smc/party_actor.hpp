@@ -34,7 +34,6 @@
 
 namespace ea::net {
 struct NetSubsystem;
-class ReconnectorActor;
 }  // namespace ea::net
 
 namespace ea::smc {
@@ -98,9 +97,8 @@ SmcDeployment install_secure_sum(core::Runtime& rt, const SmcConfig& config);
 // The same ring with every hop carried over loopback TCP: parties
 // "smc.net.p<i>" in enclaves "smc.net.e<i>" and groups "smc.net.w<i>"
 // (role "smc.net.party"), and one net::ChannelLink per hop. Call after
-// install_networking() and install_reconnector(), before rt.start().
+// install_networking(), before rt.start().
 SmcDeployment install_net_ring(core::Runtime& rt, const SmcConfig& config,
-                               const net::NetSubsystem& net,
-                               net::ReconnectorActor& reconnector);
+                               const net::NetSubsystem& net);
 
 }  // namespace ea::smc

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "core/runtime.hpp"
+#include "net/actors.hpp"
 #include "sgxsim/cost_model.hpp"
 #include "sgxsim/transition.hpp"
 #include "sgxsim/trusted_rng.hpp"
@@ -261,6 +262,75 @@ TEST_F(SmcTest, EActorsRingComputesCorrectSum) {
     rt.stop();
     ASSERT_EQ(results.size(), 5u) << parties << " parties";
     for (const Vec& sum : results) EXPECT_EQ(sum, expected) << parties;
+  }
+}
+
+// Party 0 takes the returning token before it serves a queued request,
+// so the quantum that finishes a round also starts the next: on a worker
+// party 0 shares, the next round does not wait for its next turn.
+TEST_F(SmcTest, PartyZeroFinishesARoundAndStartsTheNextInOneQuantum) {
+  SmcConfig config;
+  config.parties = 3;
+  config.dim = 8;
+  core::Runtime rt;
+  SmcDeployment deployment = install_secure_sum(rt, config);
+  for (const auto& actor : rt.actors()) {
+    core::run_in_placement(*actor, [&] { actor->construct(rt); });
+  }
+  auto quantum = [&](const char* name) {
+    core::Actor& party = *rt.find_actor(name);
+    core::run_in_placement(party, [&] { core::invoke_contained(party); });
+  };
+  const concurrent::Mbox& departures =
+      rt.channels().at("smc.ring.0")->departures(0);  // party 0's sends
+  for (int r = 0; r < 2; ++r) {
+    concurrent::Node* request = rt.public_pool().get();
+    ASSERT_NE(request, nullptr);
+    request->size = 0;
+    deployment.requests->push(request);
+  }
+
+  quantum("smc.p0");  // round 1 starts; round 2's request stays queued
+  ASSERT_EQ(departures.size(), 1u);
+  quantum("smc.p1");
+  quantum("smc.p2");
+  ASSERT_TRUE(deployment.results->empty());
+  quantum("smc.p0");  // the token is back
+  EXPECT_EQ(deployment.results->size(), 1u) << "round 1 did not finish";
+  EXPECT_EQ(departures.size(), 1u)
+      << "round 2 waited for party 0's next quantum";
+
+  quantum("smc.p1");
+  quantum("smc.p2");
+  quantum("smc.p0");
+  ASSERT_EQ(deployment.results->size(), 2u);
+  for (int r = 0; r < 2; ++r) {
+    concurrent::NodeLease result(deployment.results->pop());
+    EXPECT_EQ(deserialize(result->data()), initial_sum(config)) << r;
+  }
+}
+
+// On 4 CPUs the TCP ring declares the net actors' group and one group per
+// party, and the parties get three workers: one each at 3 parties, and the
+// two spare CPUs at 8.
+TEST(PlacementTest, TcpRingPartiesGetThreeOfFourCpus) {
+  for (int parties : {3, 8}) {
+    core::Runtime rt;
+    net::NetSubsystem net = net::install_networking(rt, "net.sys");
+    SmcConfig config;
+    config.parties = parties;
+    config.dim = 8;
+    install_net_ring(rt, config, net);
+    std::size_t party_workers = 0;
+    for (const core::PlacedWorker& w : core::place_groups(rt.groups(), 4)) {
+      if (std::all_of(w.actors.begin(), w.actors.end(),
+                      [](const std::string& actor) {
+                        return actor.rfind("smc.net.p", 0) == 0;
+                      })) {
+        ++party_workers;
+      }
+    }
+    EXPECT_EQ(party_workers, 3u) << parties << " parties";
   }
 }
 

@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -27,7 +26,6 @@
 #include "core/supervisor.hpp"
 #include "net/actors.hpp"
 #include "net/channel_link.hpp"
-#include "net/reconnector.hpp"
 #include "net/socket.hpp"
 #include "net/socket_table.hpp"
 #include "sgxsim/cost_model.hpp"
@@ -88,51 +86,33 @@ class SupervisionSoakTest : public ::testing::Test {
   sgxsim::ScopedCostModel scoped_;
 };
 
-// Registers a managed connection against a loopback listener and waits for
-// the first status note. Used by the census and refusal tests.
-struct ReconnectScenario {
+// A plain channel carried over loopback TCP by a link that dials its own
+// listener. Used by the census and refusal tests.
+struct CarriedScenario {
   core::Runtime rt;
   net::NetSubsystem net;
-  net::ReconnectorActor* recon = nullptr;
-  concurrent::Mbox accepts;
-  concurrent::Mbox data;
-  concurrent::Mbox status;
-  std::uint64_t conn = 0;
+  core::ChannelEnd* a = nullptr;
+  core::ChannelEnd* b = nullptr;
 
-  ReconnectScenario() {
+  CarriedScenario() {
     net = net::install_networking(rt, "net.sys");
-    recon = &net::install_reconnector(rt, net);
-
-    net::Socket listener = net::Socket::listen_on(0);
-    EXPECT_TRUE(listener.valid());
-    std::uint16_t port = listener.local_port();
-    net::SocketId lid = net.table->add(std::move(listener));
-    concurrent::Node* n = rt.public_pool().get();
-    EXPECT_NE(n, nullptr);
-    net::AcceptSubscribe sub;
-    sub.listener = lid;
-    sub.reply = &accepts;
-    net::write_struct(*n, sub);
-    net.accepter->requests().push(n);
-
-    net::ConnSpec spec;
-    std::memcpy(spec.host, "127.0.0.1", sizeof("127.0.0.1"));
-    spec.port = port;
-    spec.data = &data;
-    spec.status = &status;
-    spec.backoff = core::BackoffPolicy{1000, 20'000, 2, 0};
-    spec.max_attempts = 0;
-    conn = recon->add_connection(spec);
+    core::Channel& channel = rt.channel("carried");
+    a = channel.connect(sgxsim::kUntrusted);
+    b = channel.connect(sgxsim::kUntrusted);
+    net::carry_channels(rt, {&channel}, net);
   }
 
-  net::ConnStatus wait_status(std::chrono::milliseconds budget) {
-    net::ConnStatus st{};
-    concurrent::NodeLease lease(pop_within(status, budget));
-    EXPECT_TRUE(lease);
-    if (lease) {
-      EXPECT_TRUE(net::read_struct(*lease.get(), st));
+  // Side 0 sends a frame; true once side 1 has it, within `budget`.
+  bool carries(std::chrono::milliseconds budget) {
+    if (!a->send(std::string_view("hello"))) return false;
+    const auto deadline = std::chrono::steady_clock::now() + budget;
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (concurrent::NodeLease frame = b->recv()) {
+        return frame->view() == "hello";
+      }
+      std::this_thread::sleep_for(1ms);
     }
-    return st;
+    return false;
   }
 };
 
@@ -166,12 +146,12 @@ TEST_F(SupervisionSoakTest, CensusCoversSupervisionFailpointSites) {
     rt.stop();
   }
 
-  // net.reconnect.refuse: evaluated on every successful OpenReply.
+  // net.reconnect.refuse: evaluated on every successful reply to a channel
+  // link's open.
   {
-    ReconnectScenario scenario;
+    CarriedScenario scenario;
     scenario.rt.start();
-    net::ConnStatus st = scenario.wait_status(5000ms);
-    EXPECT_EQ(st.up, 1);
+    EXPECT_TRUE(scenario.carries(5000ms));
     scenario.rt.stop();
   }
 
@@ -215,18 +195,13 @@ TEST_F(SupervisionSoakTest, InjectedRestartFailureRetriesUntilHealed) {
   rt.stop();
 }
 
-TEST_F(SupervisionSoakTest, ReconnectorSurvivesRefusedOpen) {
-  ReconnectScenario scenario;
-  // The first open is refused at the handshake layer; the reconnector must
-  // treat it as a failed attempt, back off, and succeed on the retry.
+TEST_F(SupervisionSoakTest, ChannelLinkSurvivesRefusedOpen) {
+  CarriedScenario scenario;
+  // The first open is refused at the handshake layer; the link must treat
+  // it as a failed attempt, back off, and carry the frame over the retry.
   ASSERT_TRUE(fp::set("net.reconnect.refuse", "once"));
   scenario.rt.start();
-
-  net::ConnStatus st = scenario.wait_status(10'000ms);
-  EXPECT_EQ(st.up, 1);
-  EXPECT_EQ(scenario.recon->opens(), 1u);
-  EXPECT_EQ(scenario.recon->reconnects(), 0u);
-  EXPECT_GE(scenario.recon->open_failures(), 1u);
+  EXPECT_TRUE(scenario.carries(10'000ms));
   EXPECT_GE(fp::hits("net.reconnect.refuse"), 1u);
   scenario.rt.stop();
 }
@@ -313,11 +288,10 @@ TEST_F(SupervisionSoakTest, NetRingComputesOnlyCorrectSumsUnderFaultStorm) {
   options.node_payload_bytes = 2048;
   core::Runtime rt(options);
   net::NetSubsystem net = net::install_networking(rt, "net.sys");
-  net::ReconnectorActor& recon = net::install_reconnector(rt, net);
   smc::SmcConfig config;
   config.parties = 3;
   config.dim = 4;
-  smc::SmcDeployment dep = smc::install_net_ring(rt, config, net, recon);
+  smc::SmcDeployment dep = smc::install_net_ring(rt, config, net);
   core::SupervisorActor& sup = core::install_supervisor(rt, storm_opts());
 
   ASSERT_TRUE(fp::set("actor.body.throw", "1%return"));
@@ -368,7 +342,6 @@ TEST_F(SupervisionSoakTest, NetRingComputesOnlyCorrectSumsUnderFaultStorm) {
   net.reader->on_quarantine();
   net.writer->on_quarantine();
   net.closer->on_quarantine();
-  recon.on_quarantine();
   while (concurrent::Node* n = dep.requests->pop()) {
     concurrent::NodeLease(n).reset();
   }

@@ -5,16 +5,15 @@
 // the SupervisorActor's restart/backoff/quarantine policy machine (driven
 // manually, one sweep at a time, so every schedule is deterministic), the
 // stall watchdog, node conservation across quarantine, the WRITER's drain
-// fairness rotation, the RECONNECTOR re-establishing a killed connection,
-// and the TCP secure-sum ring computing correct sums end to end, with
-// static and dynamic secrets and across a reset hop.
+// fairness rotation, a channel link redialling a killed connection, and the
+// TCP secure-sum ring computing correct sums end to end, with static and
+// dynamic secrets and across a reset hop.
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -29,7 +28,6 @@
 #include "core/supervisor.hpp"
 #include "net/actors.hpp"
 #include "net/channel_link.hpp"
-#include "net/reconnector.hpp"
 #include "net/socket.hpp"
 #include "net/socket_table.hpp"
 #include "sgxsim/cost_model.hpp"
@@ -519,90 +517,79 @@ TEST_F(SupervisionTest, HealthSnapshotReflectsLifecycleAndFailures) {
   rt.stop();
 }
 
-// --- reconnector -------------------------------------------------------------
+// --- channel link redial ------------------------------------------------------
 
-TEST_F(SupervisionTest, ReconnectorReestablishesAfterPeerCloses) {
+TEST_F(SupervisionTest, ChannelLinkRedialsAfterPeerCloses) {
+  // Hand-driven, so the test reads the link's sockets between rounds.
   core::RuntimeOptions options;
   options.pool_nodes = 4096;
   options.node_payload_bytes = 2048;
   core::Runtime rt(options);
   net::NetSubsystem net = net::install_networking(rt, "net.sys");
-  net::ReconnectorActor& recon = net::install_reconnector(rt, net);
+  core::Channel& channel = rt.channel("carried");
+  core::ChannelEnd* a = channel.connect(sgxsim::kUntrusted);
+  core::ChannelEnd* b = channel.connect(sgxsim::kUntrusted);
+  net::carry_channels(rt, {&channel}, net);
+  for (const auto& actor : rt.actors()) actor->construct(rt);
+  auto* link =
+      dynamic_cast<net::ChannelLink*>(rt.find_actor("net.link.carried"));
+  ASSERT_NE(link, nullptr);
+  auto pump = [&] {
+    for (const auto& actor : rt.actors()) core::invoke_contained(*actor);
+  };
+  auto pump_until = [&](auto done, const char* what) {
+    const auto deadline = std::chrono::steady_clock::now() + 5s;
+    while (!done() && std::chrono::steady_clock::now() < deadline) pump();
+    ASSERT_TRUE(done()) << what;
+  };
+  // Each side sends `round`, and each receives the other's; a copy of the
+  // previous round's frame, written again on a new connection, may come
+  // first (a plain channel has no replay guard).
+  auto exchange = [&](const std::string& round, const std::string& previous) {
+    ASSERT_TRUE(a->send(std::string_view("a" + round)));
+    ASSERT_TRUE(b->send(std::string_view("b" + round)));
+    bool at_a = false, at_b = false;
+    auto take = [&](core::ChannelEnd& end, const std::string& want,
+                    const std::string& stale, bool& got) {
+      while (concurrent::NodeLease frame = end.recv()) {
+        const std::string text(frame->view());
+        if (text == want) {
+          got = true;
+        } else {
+          EXPECT_EQ(text, stale) << "round " << round;
+        }
+      }
+    };
+    pump_until(
+        [&] {
+          take(*a, "b" + round, "b" + previous, at_a);
+          take(*b, "a" + round, "a" + previous, at_b);
+          return at_a && at_b;
+        },
+        "a frame was lost");
+  };
 
-  // A listener whose accepted sockets land in a test-owned mbox.
-  net::Socket listener = net::Socket::listen_on(0);
-  ASSERT_TRUE(listener.valid());
-  std::uint16_t port = listener.local_port();
-  net::SocketId lid = net.table->add(std::move(listener));
-  concurrent::Mbox accepts;
-  {
-    concurrent::Node* n = rt.public_pool().get();
-    ASSERT_NE(n, nullptr);
-    net::AcceptSubscribe sub;
-    sub.listener = lid;
-    sub.reply = &accepts;
-    net::write_struct(*n, sub);
-    net.accepter->requests().push(n);
-  }
+  // First connection: the link dials its listener, which accepts.
+  pump_until([&] { return link->socket(0) >= 0 && link->socket(1) >= 0; },
+             "the link never connected");
+  exchange("1", "");
+  const net::SocketId dialled = link->socket(0);
 
-  concurrent::Mbox data, status;
-  net::ConnSpec spec;
-  std::memcpy(spec.host, "127.0.0.1", sizeof("127.0.0.1"));
-  spec.port = port;
-  spec.data = &data;
-  spec.status = &status;
-  spec.backoff = core::BackoffPolicy{1000, 20'000, 2, 0};
-  spec.max_attempts = 0;
-  std::uint64_t conn = recon.add_connection(spec);
-  rt.start();
-
-  // First open: one Up note, counted as an open but not a reconnect, and
-  // the server side accepts.
-  net::ConnStatus st{};
-  {
-    concurrent::NodeLease lease(pop_within(status, 5000ms));
-    ASSERT_TRUE(lease);
-    ASSERT_TRUE(net::read_struct(*lease.get(), st));
-  }
-  EXPECT_EQ(st.conn_id, conn);
-  EXPECT_EQ(st.up, 1);
-  // The reconnector counted the open before it pushed the note just popped.
-  EXPECT_EQ(recon.opens(), 1u);
-  EXPECT_EQ(recon.reconnects(), 0u);
-  net::SocketId server_side = -1;
-  {
-    concurrent::NodeLease lease(pop_within(accepts, 5000ms));
-    ASSERT_TRUE(lease);
-    server_side = static_cast<net::SocketId>(lease->tag);
-  }
-
-  // The peer dies: READER reports EOF (zero-size node) on the data mbox,
-  // and the owner — this test — turns it into a down note.
-  net.table->close(server_side);
-  {
-    concurrent::Node* note = pop_within(data, 5000ms);
-    ASSERT_NE(note, nullptr);
-    ASSERT_EQ(note->size, 0u);
-    note->tag = conn;
-    recon.control().push(note);
-  }
-
-  // The reconnector redials: one fresh Up note, counted as a reconnect,
-  // and the server accepts a second connection.
-  {
-    concurrent::NodeLease lease(pop_within(status, 5000ms));
-    ASSERT_TRUE(lease);
-    ASSERT_TRUE(net::read_struct(*lease.get(), st));
-  }
-  EXPECT_EQ(st.up, 1);
-  EXPECT_EQ(recon.opens(), 2u);
-  EXPECT_EQ(recon.reconnects(), 1u);
-  {
-    concurrent::NodeLease lease(pop_within(accepts, 5000ms));
-    ASSERT_TRUE(lease);
-  }
-  EXPECT_TRUE(status.empty()) << "one open published two notes";
-  rt.stop();
+  // The peer closes: the READER reports the dialled socket's EOF, and the
+  // link closes it and redials once.
+  net.table->close(link->socket(1));
+  pump_until(
+      [&] {
+        return link->socket(0) >= 0 && link->socket(0) != dialled &&
+               link->socket(1) >= 0;
+      },
+      "the link never redialled");
+  exchange("2", "1");
+  const net::SocketId redialled = link->socket(0);
+  for (int i = 0; i < 50; ++i) pump();
+  EXPECT_EQ(link->socket(0), redialled) << "one close, two redials";
+  EXPECT_EQ(net.table->fd(dialled), -1) << "the dead socket stayed open";
+  EXPECT_EQ(net.table->size(), 3u);  // the listener and one connection
 }
 
 // --- TCP secure-sum ring ------------------------------------------------------
@@ -647,11 +634,10 @@ TEST_F(SupervisionTest, NetRingComputesCorrectSumsOverTcp) {
     options.node_payload_bytes = 8192;
     core::Runtime rt(options);
     net::NetSubsystem net = net::install_networking(rt, "net.sys");
-    net::ReconnectorActor& recon = net::install_reconnector(rt, net);
     smc::SmcConfig config;
     config.parties = parties;
     config.dim = dim;
-    smc::SmcDeployment dep = smc::install_net_ring(rt, config, net, recon);
+    smc::SmcDeployment dep = smc::install_net_ring(rt, config, net);
     rt.start();
     const smc::Vec sum = initial_sum(config);
     expect_sums(rt, dep, 3, [&] { return sum; },
@@ -672,12 +658,11 @@ TEST_F(SupervisionTest, NetRingComputesDynamicSumsOverTcp) {
       options.node_payload_bytes = 8192;
       core::Runtime rt(options);
       net::NetSubsystem net = net::install_networking(rt, "net.sys");
-      net::ReconnectorActor& recon = net::install_reconnector(rt, net);
       smc::SmcConfig config;
       config.parties = parties;
       config.dim = dim;
       config.dynamic = true;
-      smc::SmcDeployment dep = smc::install_net_ring(rt, config, net, recon);
+      smc::SmcDeployment dep = smc::install_net_ring(rt, config, net);
       rt.start();
       smc::SdkSecureSum reference(config);
       expect_sums(rt, dep, 5, [&] { return reference.run_once(); },
@@ -696,11 +681,10 @@ TEST_F(SupervisionTest, NetRingKeepsARoundsMaskThroughRetransmitAndRestart) {
   options.node_payload_bytes = 8192;
   core::Runtime rt(options);
   net::NetSubsystem net = net::install_networking(rt, "net.sys");
-  net::ReconnectorActor& recon = net::install_reconnector(rt, net);
   smc::SmcConfig config;
   config.parties = 3;
   config.dim = 1000;
-  smc::SmcDeployment dep = smc::install_net_ring(rt, config, net, recon);
+  smc::SmcDeployment dep = smc::install_net_ring(rt, config, net);
   for (const auto& actor : rt.actors()) {
     core::run_in_placement(*actor, [&] { actor->construct(rt); });
   }
