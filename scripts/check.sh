@@ -5,7 +5,7 @@
 #               the lint's own fixture self-test
 #   tcb         TCB budget: code lines per trusted module (the
 #               [modules].trusted list of tools/enclave_policy.toml) must
-#               not exceed the budgets committed next to that list, and
+#               equal the budgets committed next to that list, and
 #               core + concurrent must stay under the paper's §6.1 bound
 #               of 3,300 (PAPER_TCB_BOUND), whatever the budgets say
 #   plain       plain build (+ -Werror) and the entire ctest suite
@@ -151,7 +151,8 @@ leg lint "enclave-lint (src/ + fixture self-test)" bash -c "
   python3 tools/enclave_lint.py --self-test"
 
 # --- TCB budget: per trusted module, comment-stripped code lines against ---
-# tools/enclave_policy.toml's [modules.tcb_budget]; fails too when core +
+# tools/enclave_policy.toml's [modules.tcb_budget], above or below which a
+# count fails (a shrunk module lowers its entry); fails too when core +
 # concurrent reach the paper's §6.1 bound of < 3.3 kLoC (PAPER_TCB_BOUND in
 # enclave_lint.py), so raising two budgets cannot carry them past it. The
 # lint leg's `deploy-include` rule keeps the untrusted config parser

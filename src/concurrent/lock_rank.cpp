@@ -12,10 +12,6 @@ const char* lock_rank_name(LockRank rank) noexcept {
       return "kXmppDirectory";
     case LockRank::kXmppRooms:
       return "kXmppRooms";
-    case LockRank::kXmppRoster:
-      return "kXmppRoster";
-    case LockRank::kXmppOffline:
-      return "kXmppOffline";
     case LockRank::kActorFailure:
       return "kActorFailure";
     case LockRank::kSocketTable:

@@ -35,7 +35,7 @@ namespace ea::concurrent {
 // Global acquisition order, outermost (acquired first) to innermost.
 // DESIGN.md §13 documents who owns each rank and why the real nestings
 // (limbo→bucket→free in the POS cleaner, magazine registry→free shard in
-// the Pos destructor drain, XMPP offline spool→POS) are ascending.
+// the Pos destructor drain) are ascending.
 enum class LockRank : std::uint8_t {
   kUnranked = 0,  // opted out of checking (never use for new locks)
 
@@ -49,8 +49,6 @@ enum class LockRank : std::uint8_t {
   // xmpp/ — server tables, entered first from the connection actors.
   kXmppDirectory = 10,   // xmpp::Directory::lock_
   kXmppRooms = 12,       // xmpp::RoomTable::lock_
-  kXmppRoster = 14,      // xmpp::RosterTable::lock_
-  kXmppOffline = 16,     // XmppShared::offline_lock (held across POS calls)
 
   // core/ — per-actor failure bookkeeping.
   kActorFailure = 24,    // Actor::failure_lock_

@@ -85,33 +85,6 @@ bool Client::join_room(const std::string& room, int timeout_ms) {
   return false;
 }
 
-std::optional<std::string> Client::add_contact(const std::string& contact,
-                                               int timeout_ms) {
-  XmlNode iq;
-  iq.name = "iq";
-  iq.set_attr("type", "set");
-  iq.set_attr("id", "roster-" + contact);
-  XmlNode item;
-  item.name = "item";
-  item.set_attr("jid", contact);
-  iq.children.push_back(std::move(item));
-  if (!send_all(iq.serialize(), timeout_ms)) return std::nullopt;
-
-  // Expect the immediate presence status (the iq result may interleave).
-  auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  std::optional<std::string> status;
-  while (Clock::now() < deadline) {
-    auto msg = recv(remaining_ms(deadline));
-    if (!msg.has_value()) break;
-    if (msg->kind == "presence" && msg->from == contact) {
-      status = msg->body;
-      break;
-    }
-    if (msg->kind != "iq") queue_.push_back(std::move(*msg));
-  }
-  return status;
-}
-
 bool Client::send_chat(const std::string& to, std::string_view plaintext) {
   std::string sealed =
       seal_body(user_key(to, kCtxO2O), rng_.next(), plaintext);
@@ -136,11 +109,6 @@ void Client::enqueue_event(const StanzaStream::Event& event) {
   Message msg;
   msg.kind = stanza.name;
   if (const std::string* from = stanza.attr("from")) msg.from = *from;
-
-  if (stanza.name == "presence") {
-    // Presence updates carry their availability in `body`.
-    if (const std::string* type = stanza.attr("type")) msg.body = *type;
-  }
 
   if (stanza.name == "message") {
     const std::string* type = stanza.attr("type");

@@ -51,13 +51,6 @@ class Client {
   // Joins a group chat and waits for the presence acknowledgement.
   bool join_room(const std::string& room, int timeout_ms = 5000);
 
-  // Subscribes to `contact`'s presence (roster add). Returns the contact's
-  // current availability ("available"/"unavailable"); nullopt on failure.
-  // Subsequent changes arrive as kind=="presence" messages from the
-  // contact with the availability in `body`.
-  std::optional<std::string> add_contact(const std::string& contact,
-                                         int timeout_ms = 5000);
-
   // O2O: end-to-end encrypts `plaintext` for `to` and sends.
   bool send_chat(const std::string& to, std::string_view plaintext);
 
@@ -65,7 +58,7 @@ class Client {
   bool send_groupchat(const std::string& room, std::string_view plaintext);
 
   // Returns the next inbound message, waiting up to timeout_ms. Presence
-  // acks and iq results are surfaced too (kind = stanza name).
+  // acks and stream errors are surfaced too (kind = stanza name).
   std::optional<Message> recv(int timeout_ms = 5000);
 
   // Non-blocking variant: returns a message only if one is already

@@ -4,7 +4,6 @@
 #include <functional>
 
 #include "core/channel.hpp"
-#include "crypto/hkdf.hpp"
 #include "util/logging.hpp"
 #include "xmpp/e2e.hpp"
 
@@ -74,95 +73,9 @@ std::vector<std::string> RoomTable::members(const std::string& room) const {
   return it == s.rooms.end() ? std::vector<std::string>{} : it->second;
 }
 
-void RosterTable::add(const std::string& watcher, const std::string& contact) {
-  // Two shard locks, taken one after the other (released between): the
-  // directions are independent maps, so no cross-shard invariant needs a
-  // combined critical section.
-  {
-    Shard& s = watchers_by_contact_[xmpp_shard_of(contact)];
-    concurrent::HleGuard guard(s.lock);
-    auto& watchers = s.entries[contact];
-    bool known = false;
-    for (const auto& w : watchers) known |= (w == watcher);
-    if (!known) watchers.push_back(watcher);
-  }
-  {
-    Shard& s = contacts_by_watcher_[xmpp_shard_of(watcher)];
-    concurrent::HleGuard guard(s.lock);
-    auto& contacts = s.entries[watcher];
-    bool known = false;
-    for (const auto& c : contacts) known |= (c == contact);
-    if (!known) contacts.push_back(contact);
-  }
-}
-
-std::vector<std::string> RosterTable::watchers_of(
-    const std::string& contact) const {
-  const Shard& s = watchers_by_contact_[xmpp_shard_of(contact)];
-  concurrent::HleGuard guard(s.lock);
-  auto it = s.entries.find(contact);
-  return it == s.entries.end() ? std::vector<std::string>{} : it->second;
-}
-
-std::vector<std::string> RosterTable::contacts_of(
-    const std::string& watcher) const {
-  const Shard& s = contacts_by_watcher_[xmpp_shard_of(watcher)];
-  concurrent::HleGuard guard(s.lock);
-  auto it = s.entries.find(watcher);
-  return it == s.entries.end() ? std::vector<std::string>{} : it->second;
-}
-
 int XmppShared::room_owner(const std::string& room) const {
   return static_cast<int>(std::hash<std::string>{}(room) %
                           static_cast<std::size_t>(instances));
-}
-
-bool XmppShared::spool_offline(const std::string& jid,
-                               std::string_view wire) {
-  if (offline_store == nullptr) return false;
-  concurrent::HleGuard guard(offline_lock);
-  // Per-user count lives under "offcnt:<jid>"; messages under
-  // "off:<jid>:<n>". The deterministic key encryption of the store hides
-  // both the user and the index.
-  std::string count_key = "offcnt:" + jid;
-  std::uint32_t count = 0;
-  if (auto raw = offline_store->get(util::to_bytes(count_key))) {
-    if (raw->size() == 4) count = util::load_le32(raw->data());
-  }
-  if (count >= kMaxOfflinePerUser) return false;
-  std::string msg_key = "off:" + jid + ":" + std::to_string(count);
-  if (!offline_store->set(util::to_bytes(msg_key),
-                          util::to_bytes(wire))) {
-    return false;
-  }
-  std::uint8_t le[4];
-  util::store_le32(le, count + 1);
-  return offline_store->set(util::to_bytes(count_key),
-                            std::span<const std::uint8_t>(le, 4));
-}
-
-std::vector<std::string> XmppShared::drain_offline(const std::string& jid) {
-  std::vector<std::string> out;
-  if (offline_store == nullptr) return out;
-  concurrent::HleGuard guard(offline_lock);
-  std::string count_key = "offcnt:" + jid;
-  std::uint32_t count = 0;
-  if (auto raw = offline_store->get(util::to_bytes(count_key))) {
-    if (raw->size() == 4) count = util::load_le32(raw->data());
-  }
-  for (std::uint32_t i = 0; i < count; ++i) {
-    std::string msg_key = "off:" + jid + ":" + std::to_string(i);
-    if (auto wire = offline_store->get(util::to_bytes(msg_key))) {
-      out.push_back(util::to_string(*wire));
-    }
-    offline_store->erase(util::to_bytes(msg_key));
-  }
-  if (count > 0) {
-    std::uint8_t le[4] = {0, 0, 0, 0};
-    offline_store->set(util::to_bytes(count_key),
-                       std::span<const std::uint8_t>(le, 4));
-  }
-  return out;
 }
 
 // --- CONNECTOR --------------------------------------------------------------
@@ -222,11 +135,9 @@ bool XmppActor::body() {
       concurrent::NodeLease lease(node);
       progress = true;
       auto socket = static_cast<net::SocketId>(node->tag);
-      if (node->size == 0) {
-        drop_client(socket);
-        continue;
+      if (node->size == 0 || !handle_data(socket, node->view())) {
+        drop_client(socket, lease.release());
       }
-      handle_data(socket, node->view());
     }
   }
   // Then the room transfers. pending() is lock-free; recv() takes the mbox
@@ -241,7 +152,7 @@ bool XmppActor::body() {
   return progress;
 }
 
-void XmppActor::handle_data(net::SocketId socket, std::string_view bytes) {
+bool XmppActor::handle_data(net::SocketId socket, std::string_view bytes) {
   ClientState& client = clients_[socket];
   client.stream.feed(bytes);
   while (auto event = client.stream.next()) {
@@ -250,8 +161,7 @@ void XmppActor::handle_data(net::SocketId socket, std::string_view bytes) {
         send_raw(index_, socket, make_stream_open("ea-xmpp"));
         break;
       case StanzaStream::EventType::kStreamClose:
-        drop_client(socket);
-        return;
+        return false;
       case StanzaStream::EventType::kStanza:
         handle_stanza(socket, client, event->node);
         break;
@@ -260,15 +170,18 @@ void XmppActor::handle_data(net::SocketId socket, std::string_view bytes) {
   if (client.stream.failed()) {
     EA_WARN("xmpp", "instance %d: malformed stream on socket %lld", index_,
             static_cast<long long>(socket));
-    drop_client(socket);
+    return false;
   }
+  return true;
 }
 
 void XmppActor::handle_stanza(net::SocketId socket, ClientState& client,
                               const XmlNode& stanza) {
   if (stanza.name == "auth") {
     const std::string* jid = stanza.attr("jid");
-    if (jid == nullptr || jid->empty()) {
+    // One jid per stream: teardown removes only the stream's jid, so a
+    // second auth would leave the first jid routed to a dead socket.
+    if (client.authed || jid == nullptr || jid->empty()) {
       send_raw(index_, socket, make_error("bad-auth"));
       return;
     }
@@ -276,13 +189,6 @@ void XmppActor::handle_stanza(net::SocketId socket, ClientState& client,
     client.authed = true;
     shared_->directory.put(*jid, Route{socket, index_});
     send_raw(index_, socket, make_auth_success());
-    // Deliver any messages spooled while the user was offline.
-    for (const std::string& wire : shared_->drain_offline(*jid)) {
-      send_raw(index_, socket, wire);
-      ++routed_;
-    }
-    // Tell everyone who subscribed to this user that they are online.
-    broadcast_presence(*jid, /*available=*/true);
     return;
   }
   if (!client.authed) {
@@ -320,57 +226,10 @@ void XmppActor::handle_stanza(net::SocketId socket, ClientState& client,
     std::string wire = make_chat_message(client.jid, *to, body->text);
     auto route = shared_->directory.get(*to);
     if (!route.has_value()) {
-      // Spool for later delivery when the offline store is enabled.
-      if (!shared_->spool_offline(*to, wire)) {
-        send_raw(index_, socket, make_error("recipient-unavailable"));
-      }
+      send_raw(index_, socket, make_error("recipient-unavailable"));
       return;
     }
     if (send_raw(route->instance, route->socket, wire)) ++routed_;
-    return;
-  }
-
-  if (stanza.name == "iq") {
-    // Roster management: <iq type='set'><item jid='contact'/></iq>
-    // subscribes the sender to the contact's presence.
-    XmlNode result;
-    result.name = "iq";
-    result.set_attr("type", "result");
-    if (const std::string* id = stanza.attr("id")) result.set_attr("id", *id);
-    send_raw(index_, socket, result.serialize());
-
-    const std::string* type = stanza.attr("type");
-    if (type != nullptr && *type == "set") {
-      if (const XmlNode* item = stanza.child("item")) {
-        if (const std::string* contact = item->attr("jid")) {
-          shared_->roster.add(client.jid, *contact);
-          // Immediate status (after the result) so the watcher knows the
-          // current state.
-          XmlNode presence;
-          presence.name = "presence";
-          presence.set_attr("from", *contact);
-          presence.set_attr(
-              "type", shared_->directory.get(*contact).has_value()
-                          ? "available"
-                          : "unavailable");
-          send_raw(index_, socket, presence.serialize());
-        }
-      }
-    }
-  }
-}
-
-void XmppActor::broadcast_presence(const std::string& jid, bool available) {
-  XmlNode presence;
-  presence.name = "presence";
-  presence.set_attr("from", jid);
-  presence.set_attr("type", available ? "available" : "unavailable");
-  std::string wire = presence.serialize();
-  for (const std::string& watcher : shared_->roster.watchers_of(jid)) {
-    auto route = shared_->directory.get(watcher);
-    if (route.has_value()) {
-      send_raw(route->instance, route->socket, wire);
-    }
   }
 }
 
@@ -421,7 +280,7 @@ void XmppActor::process_groupchat(const std::string& from,
   }
 }
 
-void XmppActor::drop_client(net::SocketId socket) {
+void XmppActor::drop_client(net::SocketId socket, concurrent::Node* note) {
   auto it = clients_.find(socket);
   if (it != clients_.end()) {
     // Only the jid's current login goes offline: when the same jid has
@@ -430,17 +289,12 @@ void XmppActor::drop_client(net::SocketId socket) {
     const std::string& jid = it->second.jid;
     if (!jid.empty() && shared_->directory.remove(jid, socket)) {
       shared_->rooms.leave_all(jid);
-      broadcast_presence(jid, /*available=*/false);
     }
     clients_.erase(it);
   }
-  if (shared_->closer_input != nullptr) {
-    if (concurrent::Node* node = shared_->pool->get()) {
-      node->tag = static_cast<std::uint64_t>(socket);
-      node->size = 0;
-      shared_->closer_input->push(node);
-    }
-  }
+  note->size = 0;
+  note->tag = static_cast<std::uint64_t>(socket);
+  shared_->closer_input->push(note);
 }
 
 bool XmppActor::send_raw(int instance, net::SocketId socket,
@@ -469,7 +323,12 @@ bool XmppActor::send_raw(int instance, net::SocketId socket,
 //   buffer_len(4)‖buffer
 
 util::Bytes XmppActor::export_state() {
-  util::Bytes out;
+  // The header is stored in place: at -O3, GCC 12 reports a false
+  // -Wstringop-overflow for a range insert into an empty vector.
+  util::Bytes out(12);
+  util::store_le64(out.data(), routed_);
+  util::store_le32(out.data() + 8,
+                   static_cast<std::uint32_t>(clients_.size()));
   auto put_u32 = [&out](std::uint32_t v) {
     std::uint8_t le[4];
     util::store_le32(le, v);
@@ -484,8 +343,6 @@ util::Bytes XmppActor::export_state() {
     put_u32(static_cast<std::uint32_t>(s.size()));
     out.insert(out.end(), s.begin(), s.end());
   };
-  put_u64(routed_);
-  put_u32(static_cast<std::uint32_t>(clients_.size()));
   for (const auto& [socket, client] : clients_) {
     put_u64(static_cast<std::uint64_t>(static_cast<std::int64_t>(socket)));
     put_str(client.jid);
@@ -553,21 +410,6 @@ XmppService install_xmpp_service(core::Runtime& rt,
   shared->pool = &rt.public_pool();
   shared->instances = config.instances;
   service.shared = shared;
-
-  if (config.offline_messages) {
-    pos::PosOptions pos_options;
-    pos_options.path = config.offline_store_path;
-    pos_options.entry_count = 4096;
-    pos_options.entry_payload = 1024;
-    shared->offline_pos = std::make_unique<pos::Pos>(pos_options);
-    // The spool master key is derived from the deployment master secret,
-    // like the per-user message keys in e2e.hpp.
-    util::Bytes master = crypto::hkdf(
-        {}, util::to_bytes("ea-xmpp-deployment-master"),
-        util::to_bytes("offline-spool"), 32);
-    shared->offline_store =
-        std::make_unique<pos::EncryptedPos>(*shared->offline_pos, master);
-  }
 
   // Bind the listener now so the port is known synchronously.
   net::Socket listener = net::Socket::listen_on(config.port);

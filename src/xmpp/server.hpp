@@ -21,12 +21,11 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "concurrent/hle_lock.hpp"
-#include "pos/encrypted.hpp"
-#include "pos/pos.hpp"
 #include "concurrent/mbox.hpp"
 #include "concurrent/pool.hpp"
 #include "core/actor.hpp"
@@ -46,7 +45,7 @@ struct Route {
 
 // The routing tables are sharded by client-id (jid / room name) hash: a
 // single lock + map per table serialises every connect, route lookup and
-// presence update across all instances — exactly the contention
+// room join across all instances — exactly the contention
 // xmpp::BaselineServer exists to demonstrate. 16 shards (power of two so
 // the hash folds with a mask) each carry their own HleSpinLock; all shard
 // locks of one table share that table's LockRank, and no operation ever
@@ -100,32 +99,9 @@ class RoomTable {
   mutable std::array<Shard, kXmppShards> shards_;
 };
 
-// Contact lists: who wants presence updates about whom. A watcher adds a
-// contact via an <iq type='set'><item jid='...'/></iq>; when the contact
-// (dis)connects, every online watcher receives a presence stanza.
-// The two directions are sharded independently (each by its own lookup
-// key); add() touches one shard of each map sequentially, never nested.
-class RosterTable {
- public:
-  void add(const std::string& watcher, const std::string& contact);
-  // Watchers interested in `contact`.
-  std::vector<std::string> watchers_of(const std::string& contact) const;
-  std::vector<std::string> contacts_of(const std::string& watcher) const;
-
- private:
-  struct Shard {
-    mutable concurrent::HleSpinLock lock{concurrent::LockRank::kXmppRoster};
-    std::map<std::string, std::vector<std::string>> entries
-        EA_GUARDED_BY(lock);
-  };
-  mutable std::array<Shard, kXmppShards> watchers_by_contact_;
-  mutable std::array<Shard, kXmppShards> contacts_by_watcher_;
-};
-
 struct XmppShared {
   Directory directory;
   RoomTable rooms;
-  RosterTable roster;
   concurrent::Mbox online;  // accepted socket ids from the ACCEPTER
   std::vector<concurrent::Mbox*> inboxes;        // per-instance data mboxes
   std::vector<concurrent::Mbox*> reader_reqs;    // per-instance READER reqs
@@ -133,28 +109,6 @@ struct XmppShared {
   concurrent::Mbox* closer_input = nullptr;
   concurrent::Pool* pool = nullptr;
   int instances = 0;
-
-  // Optional offline-message spool: an encrypted POS shared by all
-  // instances (the application-data role the paper gives the POS in §4.1).
-  // Messages to users that are not connected are stored and delivered when
-  // the user authenticates.
-  // offline_lock (kXmppOffline) serialises spool/drain and is held ACROSS
-  // the EncryptedPos calls, which take the POS bucket/free locks — an
-  // intentional outer→inner nesting that the lock-rank table orders
-  // (kXmppOffline < kPosBucket/kPosFree). The pointee is guarded; the
-  // pointer itself may be null-checked lock-free.
-  std::unique_ptr<pos::Pos> offline_pos;
-  std::unique_ptr<pos::EncryptedPos> offline_store
-      EA_PT_GUARDED_BY(offline_lock);
-  concurrent::HleSpinLock offline_lock{concurrent::LockRank::kXmppOffline};
-  static constexpr std::uint32_t kMaxOfflinePerUser = 64;
-
-  // Spools `wire` for `jid`; false when the store is absent or full.
-  bool spool_offline(const std::string& jid, std::string_view wire)
-      EA_EXCLUDES(offline_lock);
-  // Pops every spooled message for `jid` in arrival order.
-  std::vector<std::string> drain_offline(const std::string& jid)
-      EA_EXCLUDES(offline_lock);
 
   int room_owner(const std::string& room) const;
 };
@@ -207,18 +161,19 @@ class XmppActor : public core::Actor {
     bool authed = false;
   };
 
-  void handle_data(net::SocketId socket, std::string_view bytes);
+  // Feeds a socket's bytes to its client; false when they closed or broke
+  // the stream.
+  bool handle_data(net::SocketId socket, std::string_view bytes);
   void handle_stanza(net::SocketId socket, ClientState& client,
                      const XmlNode& stanza);
   void forward_groupchat(int owner, const XmlNode& stanza,
                          const std::string& from_jid);
   void handle_transfer(std::string_view wire);
-  // Sends <presence from=jid type=available|unavailable/> to every online
-  // watcher of `jid`.
-  void broadcast_presence(const std::string& jid, bool available);
   void process_groupchat(const std::string& from, const std::string& room,
                          const std::string& body);
-  void drop_client(net::SocketId socket);
+  // Tears the client down and makes `note` (the EOF note, or the data node
+  // that ended the stream) the socket's close request.
+  void drop_client(net::SocketId socket, concurrent::Node* note);
   // Sends raw bytes to a socket owned by instance `instance`.
   bool send_raw(int instance, net::SocketId socket, std::string_view bytes);
 
@@ -242,11 +197,6 @@ struct XmppServiceConfig {
   int enclaves = -1;         // enclaves to spread instances over, each
                              // holding a contiguous block; -1 = one each
   std::uint16_t port = 0;    // 0 = pick a free port
-  // Store messages for offline users in an encrypted POS and deliver them
-  // at the next login (instead of returning recipient-unavailable).
-  bool offline_messages = false;
-  // Backing file for the offline store; empty = anonymous (non-persistent).
-  std::string offline_store_path;
 };
 
 struct XmppService {

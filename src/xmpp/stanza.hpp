@@ -39,7 +39,7 @@ std::string xml_escape(std::string_view raw);
 std::string xml_unescape(std::string_view xml);
 
 // Deepest element nesting the parser accepts; this service's deepest
-// stanza, iq › query › item, has 3 levels. The parser recurses once per
+// stanza, message › body, has 2 levels. The parser recurses once per
 // level on client bytes, inside an enclave whose threads have small stacks
 // (the SGX SDK's default is 256 KiB), so deeper input is malformed.
 inline constexpr int kMaxNesting = 16;

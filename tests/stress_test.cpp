@@ -137,7 +137,7 @@ TEST_F(StressTest, ClientReconnectRestoresRouting) {
     EXPECT_EQ(msg->body, "first life");
     bob.close();
   }
-  // bob gone: delivery now fails (no offline store configured).
+  // bob gone: delivery now fails with recipient-unavailable.
   // Allow the server a moment to process the disconnect.
   std::this_thread::sleep_for(100ms);
   ASSERT_TRUE(alice.send_chat("bob", "into the void"));

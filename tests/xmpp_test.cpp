@@ -164,7 +164,7 @@ TEST(StanzaStreamTest, XmlDeclarationSkipped) {
 
 // --- Sharded routing tables ----------------------------------------------
 //
-// The Directory / RoomTable / RosterTable are sharded by client-id hash
+// The Directory and RoomTable are sharded by client-id hash
 // (kXmppShards, server.hpp): the tests spread enough distinct keys that
 // every shard is exercised and the cross-shard sweeps (size, leave_all)
 // see entries in more than one shard.
@@ -221,37 +221,12 @@ TEST(ShardedTables, RoomTableLeaveAllSweepsEveryShard) {
   }
 }
 
-TEST(ShardedTables, RosterShardsBothDirectionsIndependently) {
-  RosterTable roster;
-  // watcher{i} watches contact{i % 5}: the two lookup directions hash
-  // different keys and therefore different shards.
-  constexpr int kWatchers = 100;
-  for (int i = 0; i < kWatchers; ++i) {
-    roster.add("watcher" + std::to_string(i),
-               "contact" + std::to_string(i % 5));
-    roster.add("watcher" + std::to_string(i),
-               "contact" + std::to_string(i % 5));  // idempotent
-  }
-  for (int c = 0; c < 5; ++c) {
-    auto watchers = roster.watchers_of("contact" + std::to_string(c));
-    EXPECT_EQ(watchers.size(), static_cast<std::size_t>(kWatchers / 5)) << c;
-  }
-  for (int i = 0; i < kWatchers; ++i) {
-    auto contacts = roster.contacts_of("watcher" + std::to_string(i));
-    ASSERT_EQ(contacts.size(), 1u) << i;
-    EXPECT_EQ(contacts[0], "contact" + std::to_string(i % 5));
-  }
-  EXPECT_TRUE(roster.watchers_of("contact99").empty());
-  EXPECT_TRUE(roster.contacts_of("stranger").empty());
-}
-
 TEST(ShardedTables, ConcurrentMixedOperations) {
   // Shard locks under real contention: 8 threads hammer disjoint key
   // ranges plus a shared hot room. Run under TSan via the xmpp_test
   // binary; the assertion here is consistency of the final state.
   Directory dir;
   RoomTable rooms;
-  RosterTable roster;
   constexpr int kThreads = 8;
   constexpr int kPerThread = 250;
   std::vector<std::thread> threads;
@@ -263,7 +238,6 @@ TEST(ShardedTables, ConcurrentMixedOperations) {
         dir.put(jid, Route{t * kPerThread + i, t});
         rooms.join("hot-room", jid);
         rooms.join("room-of-" + jid, jid);
-        roster.add(jid, "celebrity");
         if (i % 3 == 0) {
           dir.remove(jid, t * kPerThread + i);
           rooms.leave_all(jid);
@@ -281,8 +255,6 @@ TEST(ShardedTables, ConcurrentMixedOperations) {
   }
   EXPECT_EQ(dir.size(), expected_live);
   EXPECT_EQ(rooms.members("hot-room").size(), expected_live);
-  EXPECT_EQ(roster.watchers_of("celebrity").size(),
-            static_cast<std::size_t>(kThreads * kPerThread));
 }
 
 TEST(E2E, SealOpenRoundTrip) {
@@ -670,140 +642,84 @@ TEST_F(XmppServiceTest, GroupchatNoncesDifferAcrossInstances) {
   EXPECT_NE(nonces[0], nonces[1]);
 }
 
-TEST_F(XmppServiceTest, OfflineMessagesDeliveredOnLogin) {
-  core::Runtime rt(service_runtime_options());
-  XmppServiceConfig config;
-  config.instances = 1;
-  config.offline_messages = true;
-  XmppService service = install_xmpp_service(rt, config);
-  rt.start();
-
-  Client alice;
-  ASSERT_TRUE(alice.connect(service.port, "alice"));
-  // bob is not connected: the messages are spooled, not bounced.
-  ASSERT_TRUE(alice.send_chat("bob", "first while offline"));
-  ASSERT_TRUE(alice.send_chat("bob", "second while offline"));
-  // No error should come back to alice.
-  auto err = alice.recv(300);
-  EXPECT_FALSE(err.has_value()) << err->kind;
-
-  Client bob;
-  ASSERT_TRUE(bob.connect(service.port, "bob"));
-  auto first = bob.recv(5000);
-  ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(first->body, "first while offline");
-  EXPECT_EQ(first->from, "alice");
-  auto second = bob.recv(5000);
-  ASSERT_TRUE(second.has_value());
-  EXPECT_EQ(second->body, "second while offline");
-
-  // The spool is drained: nothing more arrives.
-  EXPECT_FALSE(bob.recv(300).has_value());
-  rt.stop();
+// Queues `bytes` from `socket` in instance 0's inbox, as the READER does; an
+// empty string is the socket's EOF note.
+void deliver(XmppShared& shared, net::SocketId socket,
+             const std::string& bytes, concurrent::Node* node) {
+  node->fill(bytes);
+  node->tag = static_cast<std::uint64_t>(socket);
+  shared.inboxes[0]->push(node);
 }
 
-TEST_F(XmppServiceTest, OfflineSpoolIsEncryptedAtRest) {
+// A client that ends while every pool node is taken must still get its
+// socket closed: the node that ended it, the EOF note or the data that
+// broke the stream, becomes the close request.
+TEST_F(XmppServiceTest, DryPoolDropStillClosesTheSocket) {
   core::Runtime rt(service_runtime_options());
   XmppServiceConfig config;
-  config.instances = 1;
-  config.offline_messages = true;
   XmppService service = install_xmpp_service(rt, config);
-  rt.start();
+  XmppShared& shared = *service.shared;
 
-  Client alice;
-  ASSERT_TRUE(alice.connect(service.port, "alice"));
-  ASSERT_TRUE(alice.send_chat("bob", "spooled"));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // The runtime is not started: the test runs the instance body itself,
+  // and nothing drains the CLOSER's input.
+  std::vector<concurrent::Node*> held;
+  while (concurrent::Node* node = shared.pool->get()) held.push_back(node);
+  ASSERT_GE(held.size(), 2u);
+  concurrent::Node* notes[2] = {held.back(), held[held.size() - 2]};
+  held.resize(held.size() - 2);
 
-  // The raw POS must not contain the plaintext spool keys.
-  pos::Pos& raw = *service.shared->offline_pos;
-  EXPECT_FALSE(raw.get(util::to_bytes("offcnt:bob")).has_value());
-  EXPECT_FALSE(raw.get(util::to_bytes("off:bob:0")).has_value());
-  // But the encrypted view has exactly one message for bob.
-  auto count = service.shared->offline_store->get(util::to_bytes("offcnt:bob"));
-  ASSERT_TRUE(count.has_value());
-  EXPECT_EQ(util::load_le32(count->data()), 1u);
-  rt.stop();
+  deliver(shared, /*socket=*/5, "", notes[0]);
+  service.instances[0]->body();
+  ASSERT_EQ(shared.closer_input->size(), 1u) << "EOF: no close request";
+  concurrent::NodeLease eof_close(shared.closer_input->pop());
+  EXPECT_EQ(eof_close->tag, 5u);
+
+  deliver(shared, /*socket=*/6, "this is not xml", notes[1]);
+  service.instances[0]->body();
+  ASSERT_EQ(shared.closer_input->size(), 1u)
+      << "malformed stream: no close request";
+  concurrent::NodeLease bad_close(shared.closer_input->pop());
+  EXPECT_EQ(bad_close->tag, 6u);
+  EXPECT_EQ(bad_close->size, 0u);
+
+  for (concurrent::Node* node : held) shared.pool->put(node);
 }
 
-TEST_F(XmppServiceTest, OfflineDisabledStillBouncesUnknownUsers) {
-  core::Runtime rt(service_runtime_options());
-  XmppServiceConfig config;
-  config.instances = 1;
-  config.offline_messages = false;
-  XmppService service = install_xmpp_service(rt, config);
-  rt.start();
-  Client alice;
-  ASSERT_TRUE(alice.connect(service.port, "alice"));
-  ASSERT_TRUE(alice.send_chat("bob", "hello?"));
-  auto err = alice.recv(5000);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_EQ(err->kind, "stream:error");
-  rt.stop();
-}
-
-
-TEST_F(XmppServiceTest, RosterPresenceNotifications) {
-  core::Runtime rt(service_runtime_options());
-  XmppServiceConfig config;
-  config.instances = 2;
-  XmppService service = install_xmpp_service(rt, config);
-  rt.start();
-
-  Client bob;
-  ASSERT_TRUE(bob.connect(service.port, "bob"));
-  // alice is offline: the immediate status says so.
-  auto status = bob.add_contact("alice");
-  ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(*status, "unavailable");
-
-  // alice connects: bob is notified.
-  Client alice;
-  ASSERT_TRUE(alice.connect(service.port, "alice"));
-  auto note = bob.recv(5000);
-  ASSERT_TRUE(note.has_value());
-  EXPECT_EQ(note->kind, "presence");
-  EXPECT_EQ(note->from, "alice");
-  EXPECT_EQ(note->body, "available");
-
-  // alice disconnects: bob is notified again.
-  alice.close();
-  note = bob.recv(5000);
-  ASSERT_TRUE(note.has_value());
-  EXPECT_EQ(note->kind, "presence");
-  EXPECT_EQ(note->from, "alice");
-  EXPECT_EQ(note->body, "unavailable");
-  rt.stop();
-}
-
-TEST_F(XmppServiceTest, RosterImmediateStatusForOnlineContact) {
+// A stream authenticates once. A second auth is refused and the first jid
+// stays, so the stream's teardown removes every route it added.
+TEST_F(XmppServiceTest, SecondAuthOnAStreamIsRefused) {
   core::Runtime rt(service_runtime_options());
   XmppServiceConfig config;
   XmppService service = install_xmpp_service(rt, config);
-  rt.start();
+  XmppShared& shared = *service.shared;
 
-  Client alice, bob;
-  ASSERT_TRUE(alice.connect(service.port, "alice"));
-  ASSERT_TRUE(bob.connect(service.port, "bob"));
-  auto status = bob.add_contact("alice");
-  ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(*status, "available");
-  rt.stop();
-}
+  // Hand-driven on an unstarted runtime, as above.
+  concurrent::Node* data = shared.pool->get();
+  ASSERT_NE(data, nullptr);
+  deliver(shared, /*socket=*/5,
+          make_stream_open("ea") + make_auth("alice") + make_auth("bob"),
+          data);
+  service.instances[0]->body();
 
-TEST_F(XmppServiceTest, NonWatchersGetNoPresence) {
-  core::Runtime rt(service_runtime_options());
-  XmppServiceConfig config;
-  XmppService service = install_xmpp_service(rt, config);
-  rt.start();
+  std::vector<std::string> replies;
+  while (concurrent::Node* out = shared.writer_inputs[0]->pop()) {
+    concurrent::NodeLease lease(out);
+    EXPECT_EQ(out->tag, 5u);
+    replies.emplace_back(out->view());
+  }
+  ASSERT_EQ(replies.size(), 3u);  // stream open, success, error
+  EXPECT_EQ(replies[1], make_auth_success());
+  EXPECT_EQ(replies[2], make_error("bad-auth"));
+  ASSERT_TRUE(shared.directory.get("alice").has_value());
+  EXPECT_EQ(shared.directory.get("alice")->socket, 5);
+  EXPECT_FALSE(shared.directory.get("bob").has_value());
 
-  Client bob;
-  ASSERT_TRUE(bob.connect(service.port, "bob"));
-  // bob never subscribed; alice's connect must not notify him.
-  Client alice;
-  ASSERT_TRUE(alice.connect(service.port, "alice"));
-  EXPECT_FALSE(bob.recv(300).has_value());
-  rt.stop();
+  concurrent::Node* eof = shared.pool->get();
+  ASSERT_NE(eof, nullptr);
+  deliver(shared, /*socket=*/5, "", eof);
+  service.instances[0]->body();
+  EXPECT_EQ(shared.directory.size(), 0u)
+      << "the teardown left a route to the closed socket";
 }
 
 // --- baseline servers --------------------------------------------------------------

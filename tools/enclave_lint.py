@@ -52,8 +52,10 @@ Exit status: 0 when clean, 1 when violations were found, 2 on usage errors.
 
 TCB mode (`--tcb`) counts code lines — non-blank lines left after comment
 stripping, the same stripping the rules use — per trusted module and
-fails (exit 1) when a module exceeds its budget in the policy's
-`[modules.tcb_budget]` table, or has none. It also prints core +
+fails (exit 1) when a module's count differs from its budget in the
+policy's `[modules.tcb_budget]` table, or it has none: growth fails, and
+so does slack that a shrinking change left behind for a later one to grow
+back into. It also prints core +
 concurrent, the framework code an enclave must trust, against the paper's
 §6.1 bound of < 3.3 kLoC of enclave-resident code, and fails when they
 reach it: raising two budgets cannot carry the framework past the bound.
@@ -375,9 +377,10 @@ def check_payload_structs(
 def lock_id(rel: str, expr: str) -> str:
     """Normalises a guard-constructor expression to a lock identity.
 
-    `free_locks_[s]` -> `pos/pos:free_locks_`; `shared.offline_lock` ->
-    `<file>:offline_lock`. Member locks are keyed by the file declaring the
-    guard use — the runtime has no two same-named locks in one file.
+    `free_locks_[s]` -> `pos/pos:free_locks_`; `shared->mu_` ->
+    `<file>:mu_`. Member locks are keyed by the file declaring the
+    guard use, so two same-named locks in one file share an id: the XMPP
+    Directory and RoomTable shard locks (`s.lock` in xmpp/server.cpp) do.
     """
     expr = re.sub(r"\[[^\]]*\]", "", expr)  # strip array indexes
     expr = expr.strip().rstrip("*&")
@@ -1204,6 +1207,11 @@ def tcb_report(root: Path, policy: Policy) -> int:
         elif counts[module] > budget:
             verdict = f"FAIL: over budget {budget} by {counts[module] - budget}"
             failed = True
+        elif counts[module] < budget:
+            verdict = (f"FAIL: under budget {budget} by "
+                       f"{budget - counts[module]}: lower the entry to "
+                       f"{counts[module]}")
+            failed = True
         else:
             verdict = f"ok (budget {budget})"
         print(f"  {module:<12} {counts[module]:>6} code lines  {verdict}")
@@ -1223,7 +1231,7 @@ def tcb_report(root: Path, policy: Policy) -> int:
     if not holds:
         print("enclave-lint --tcb: the paper's §6.1 bound does not hold")
         return 1
-    print("enclave-lint --tcb: every trusted module within budget")
+    print("enclave-lint --tcb: every trusted module at its budget")
     return 0
 
 
